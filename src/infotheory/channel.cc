@@ -1,5 +1,6 @@
 #include "infotheory/channel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -78,26 +79,41 @@ double DiscreteChannel::MaxLogRatio(
 }
 
 StatusOr<double> DiscreteChannel::Capacity(double tol, std::size_t max_iters) const {
-  if (tol <= 0.0) return InvalidArgumentError("Capacity: tol must be positive");
+  // Written so a NaN tol is rejected too.
+  if (!(tol > 0.0)) return InvalidArgumentError("Capacity: tol must be positive");
   if (max_iters == 0) return InvalidArgumentError("Capacity: max_iters must be positive");
 
   const std::size_t nx = num_inputs();
   const std::size_t ny = num_outputs();
   std::vector<double> px(nx, 1.0 / static_cast<double>(nx));
+  // D[x] = sum_y W log(W/q[y]) = sum_y W log W - sum_y W log q[y] over the
+  // nonzero W[x][y]. The first sum does not depend on px, so an iteration
+  // takes one log per output, not one per nonzero entry.
+  std::vector<double> w_log_w(nx, 0.0);
+  for (std::size_t x = 0; x < nx; ++x) {
+    for (const double w : transition_[x]) {
+      if (w > 0.0) w_log_w[x] += w * std::log(w);
+    }
+  }
+  std::vector<double> q(ny);
+  std::vector<double> log_q(ny);
+  std::vector<double> d(nx);
+  std::vector<double> log_unnorm(nx);
 
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
     // q[y] = sum_x px[x] W[x][y]
-    std::vector<double> q(ny, 0.0);
+    std::fill(q.begin(), q.end(), 0.0);
     for (std::size_t x = 0; x < nx; ++x) {
       for (std::size_t y = 0; y < ny; ++y) q[y] += px[x] * transition_[x][y];
     }
-    // D[x] = sum_y W[x][y] log(W[x][y]/q[y])
-    std::vector<double> d(nx, 0.0);
+    for (std::size_t y = 0; y < ny; ++y) log_q[y] = std::log(q[y]);
     for (std::size_t x = 0; x < nx; ++x) {
+      double w_log_q = 0.0;
       for (std::size_t y = 0; y < ny; ++y) {
         const double w = transition_[x][y];
-        if (w > 0.0) d[x] += w * std::log(w / q[y]);
+        if (w > 0.0) w_log_q += w * log_q[y];
       }
+      d[x] = w_log_w[x] - w_log_q;
     }
     // Capacity sandwich: max_x D[x] >= C >= sum_x px[x] D[x].
     double upper = -std::numeric_limits<double>::infinity();
@@ -108,12 +124,11 @@ StatusOr<double> DiscreteChannel::Capacity(double tol, std::size_t max_iters) co
     }
     if (upper - lower < tol) return std::max(0.0, lower);
     // Blahut–Arimoto update: px[x] <- px[x] exp(D[x]) / normalizer.
-    std::vector<double> log_unnorm(nx);
     for (std::size_t x = 0; x < nx; ++x) {
       log_unnorm[x] = (px[x] > 0.0 ? std::log(px[x]) : -std::numeric_limits<double>::infinity()) +
                       d[x];
     }
-    DPLEARN_ASSIGN_OR_RETURN(px, SoftmaxFromLog(log_unnorm));
+    DPLEARN_RETURN_IF_ERROR(SoftmaxFromLogInto(log_unnorm.data(), nx, px.data()));
   }
   return InternalError("Capacity: Blahut-Arimoto did not converge");
 }

@@ -1,11 +1,14 @@
 #ifndef DPLEARN_PERF_RISK_PROFILE_CACHE_H_
 #define DPLEARN_PERF_RISK_PROFILE_CACHE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "learning/dataset.h"
@@ -53,23 +56,19 @@ class RiskProfileCache {
   /// key material, so capacity also bounds memory.
   explicit RiskProfileCache(std::size_t capacity = kDefaultCapacity);
 
-  /// Test/deployment override of the revision-chain cap (the default is
-  /// StreamingRiskProfile::DefaultResyncEvery(); 0 = uncapped).
-  RiskProfileCache(std::size_t capacity, std::size_t revision_limit);
-
   /// The process-wide instance every library call site shares. Capacity is
   /// DPLEARN_RISK_CACHE_CAP when set, else kDefaultCapacity.
   static RiskProfileCache& Global();
 
   /// Returns the cached profile for (loss, thetas, data), computing and
-  /// inserting it on a miss. Thread-safe; a miss computes outside the lock,
-  /// so concurrent misses on the same key may compute twice and insert the
-  /// same (bit-identical) vector. Errors propagate from
-  /// EmpiricalRiskProfile unchanged and are never cached.
-  ///
-  /// Only EXACT entries (full EmpiricalRiskProfile outputs) can serve this
-  /// path; entries produced by GetOrRevise are skipped so the strict
-  /// bitwise contract above survives the revision layer.
+  /// inserting it on a miss. Thread-safe. The lock covers only the O(1)
+  /// lookup by key hash and the LRU splice: the bitwise key verify and the
+  /// copy of the risks run outside it on an immutable shared entry, which
+  /// stays alive even if a concurrent miss evicts it. A miss computes
+  /// outside the lock, so concurrent misses on the same key may compute
+  /// twice; the later insert replaces the earlier (bit-identical) entry.
+  /// Errors propagate from EmpiricalRiskProfile unchanged and are never
+  /// cached.
   ///
   /// Mutation guard: `data.generation()` is snapshotted before hashing and
   /// re-read before insertion — if the dataset was mutated in place (e.g. a
@@ -82,30 +81,12 @@ class RiskProfileCache {
                                              const std::vector<Vector>& thetas,
                                              const Dataset& data);
 
-  /// The streaming delta layer: the profile for `base` + `appended` served
-  /// as a cache *revision* rather than a miss. Resolution order:
-  ///   1. an entry whose content IS base+appended (exact or revised) — a hit;
-  ///   2. an entry for `base` within the revision-depth cap — an O(|Θ|)
-  ///      revision new[i] = (base[i]·n + l_{θ_i}(appended))/(n+1) from the
-  ///      shared LossRow delta (stats().revisions), inserted with depth+1 so
-  ///      a stream of appends chains revision-to-revision;
-  ///   3. otherwise a full GetOrCompute miss on base+appended (which also
-  ///      caps drift: every DefaultResyncEvery() chained revisions the depth
-  ///      cap forces this full recompute, re-anchoring the chain at depth 0).
-  /// Revised bits are ULP-close to (not bitwise) the batch profile — the
-  /// same drift contract as StreamingRiskProfile (DESIGN.md §15) — and are
-  /// served only through this path, never through GetOrCompute.
-  StatusOr<std::vector<double>> GetOrRevise(const LossFunction& loss,
-                                            const std::vector<Vector>& thetas,
-                                            const Dataset& base, const Example& appended);
-
-  /// Counters since construction (or the last Clear()).
+  /// Counters since construction (or the last Clear()). Every GetOrCompute
+  /// call counts exactly one hit or one miss.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /// O(|Θ|) delta updates served by GetOrRevise instead of full misses.
-    std::uint64_t revisions = 0;
     /// Fills discarded because the dataset's generation() moved mid-compute.
     std::uint64_t mutation_skips = 0;
   };
@@ -120,6 +101,7 @@ class RiskProfileCache {
   static constexpr std::size_t kDefaultCapacity = 512;
 
  private:
+  /// Immutable once published: readers verify and copy it without the lock.
   struct Entry {
     std::uint64_t hash = 0;
     std::uint64_t simd_flavor = 0;
@@ -129,26 +111,28 @@ class RiskProfileCache {
     std::vector<Vector> thetas;
     std::vector<Example> examples;
     std::vector<double> risks;
-    /// 0 = exact EmpiricalRiskProfile output (GetOrCompute-servable);
-    /// k > 0 = k chained O(|Θ|) revisions since the last exact anchor.
-    std::uint64_t revision_depth = 0;
   };
+  using EntryPtr = std::shared_ptr<const Entry>;
+  using LruList = std::list<EntryPtr>;
 
-  bool Matches(const Entry& entry, std::uint64_t hash, std::uint64_t simd_flavor,
-               const LossFunction& loss, const std::vector<Vector>& thetas,
-               const Dataset& data) const;
+  static bool Matches(const Entry& entry, std::uint64_t hash, std::uint64_t simd_flavor,
+                      const LossFunction& loss, const std::vector<Vector>& thetas,
+                      const Dataset& data);
 
-  void InsertLocked(Entry entry);
+  void InsertLocked(EntryPtr entry);
 
+  const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  /// Revision chains longer than this fall back to a full recompute —
-  /// the cache-side DPLEARN_STREAM_RESYNC_EVERY drift cap (0 = uncapped).
-  std::size_t revision_limit_;
-  /// Front = most recently used. Linear scan is fine: lookups are O(entries)
-  /// hash compares against profiles that cost O(|Θ|·n) loss evaluations.
-  std::list<Entry> entries_;
-  Stats stats_;
+  /// Front = most recently used. Guarded by mu_, as is by_hash_.
+  LruList lru_;
+  /// One entry per key hash; a second key with the same hash replaces it.
+  std::unordered_map<std::uint64_t, LruList::iterator> by_hash_;
+  /// Guarded by mu_.
+  std::uint64_t evictions_ = 0;
+  std::uint64_t mutation_skips_ = 0;
+  /// Counted outside the lock, after the verify decides.
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
 };
 
 /// Whether library call sites consult the global cache. Defaults to enabled;
@@ -164,14 +148,6 @@ void SetRiskCacheEnabled(bool enabled);
 StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
                                                 const std::vector<Vector>& thetas,
                                                 const Dataset& data);
-
-/// Streaming entry point: the profile of `base` + `appended` via the global
-/// cache's revision layer when RiskCacheEnabled(), else a direct
-/// EmpiricalRiskProfile over the appended dataset.
-StatusOr<std::vector<double>> CachedRiskProfileAppend(const LossFunction& loss,
-                                                      const std::vector<Vector>& thetas,
-                                                      const Dataset& base,
-                                                      const Example& appended);
 
 }  // namespace perf
 }  // namespace dplearn

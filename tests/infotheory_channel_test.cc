@@ -116,6 +116,9 @@ TEST(ChannelCapacityTest, RejectsBadParameters) {
   DiscreteChannel bsc = BinarySymmetricChannel(0.2);
   EXPECT_FALSE(bsc.Capacity(0.0).ok());
   EXPECT_FALSE(bsc.Capacity(1e-9, 0).ok());
+  auto nan_tol = bsc.Capacity(std::nan(""));
+  ASSERT_FALSE(nan_tol.ok());
+  EXPECT_EQ(nan_tol.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

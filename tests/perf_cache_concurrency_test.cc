@@ -1,0 +1,74 @@
+/// Concurrency of the src/perf risk-profile cache (DESIGN.md §10): a hit
+/// verifies and copies its entry outside the cache lock while misses on
+/// other threads evict that entry. Tagged TSAN, so it also runs under
+/// ThreadSanitizer.
+
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+#include "learning/generators.h"
+#include "learning/hypothesis.h"
+#include "learning/loss.h"
+#include "learning/risk.h"
+#include "perf/risk_profile_cache.h"
+#include "sampling/rng.h"
+
+namespace dplearn {
+namespace {
+
+TEST(RiskProfileCacheConcurrencyTest, HitsRacingEvictionsServeExactProfiles) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCapacity = 3;
+  constexpr std::size_t kDatasets = 8;  // more than kCapacity, so misses evict
+  constexpr std::size_t kCallsPerThread = 300;
+  ClippedSquaredLoss loss(1.0);
+  const auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value();
+  const auto task = BernoulliMeanTask::Create(0.4).value();
+  std::vector<Dataset> datasets;
+  std::vector<std::vector<double>> expected;
+  for (std::size_t i = 0; i < kDatasets; ++i) {
+    Rng rng(100 + i);
+    datasets.push_back(task.Sample(40, &rng).value());
+    expected.push_back(EmpiricalRiskProfile(loss, hclass.thetas(), datasets.back()).value());
+  }
+
+  perf::RiskProfileCache cache(kCapacity);
+  std::vector<std::size_t> wrong(kThreads, 0);
+  std::vector<std::size_t> oversized(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(7 + t);
+      for (std::size_t call = 0; call < kCallsPerThread; ++call) {
+        // Half the calls go to two hot datasets, so hits keep landing on
+        // entries that the other half's misses are evicting.
+        const std::size_t i = static_cast<std::size_t>(
+            rng.NextBounded(2) == 0 ? rng.NextBounded(2) : rng.NextBounded(kDatasets));
+        auto got = cache.GetOrCompute(loss, hclass.thetas(), datasets[i]);
+        if (!got.ok() || got->size() != expected[i].size() ||
+            std::memcmp(got->data(), expected[i].data(), got->size() * sizeof(double)) != 0) {
+          ++wrong[t];
+        }
+        if (cache.size() > kCapacity) ++oversized[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[t], 0u) << "thread " << t << " got a profile that is not bitwise exact";
+    EXPECT_EQ(oversized[t], 0u) << "thread " << t << " saw size() above capacity";
+  }
+  const perf::RiskProfileCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kCallsPerThread);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(cache.size(), kCapacity);
+}
+
+}  // namespace
+}  // namespace dplearn

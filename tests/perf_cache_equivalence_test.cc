@@ -5,10 +5,8 @@
 /// "close" is not a pass; the determinism contract (PR 2) says enabling a
 /// perf feature is invisible to every downstream number.
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -428,148 +426,8 @@ TEST(PerfEquivalenceTest, ScratchAndBatchSamplersMatchPlainOverloads) {
 }
 
 // --------------------------------------------------------------------------
-// The streaming delta layer (DESIGN.md §15): GetOrRevise serves a
-// one-example append as an O(|Θ|) cache *revision*, ULP-close to the full
-// recompute; revised entries never leak into the strict GetOrCompute path;
-// the revision-depth cap forces a periodic full recompute; and the dataset
-// generation counter keeps in-place mutation from memoizing torn entries.
-
-std::uint64_t UlpDistance(double a, double b) {
-  if (std::isnan(a) || std::isnan(b)) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  if (a == b) return 0;
-  std::int64_t ia, ib;
-  std::memcpy(&ia, &a, sizeof(ia));
-  std::memcpy(&ib, &b, sizeof(ib));
-  if (ia < 0) ia = std::numeric_limits<std::int64_t>::min() - ia;
-  if (ib < 0) ib = std::numeric_limits<std::int64_t>::min() - ib;
-  const std::uint64_t ua = static_cast<std::uint64_t>(ia);
-  const std::uint64_t ub = static_cast<std::uint64_t>(ib);
-  return ua >= ub ? ua - ub : ub - ua;
-}
-
-void ExpectUlpClose(const std::vector<double>& a, const std::vector<double>& b,
-                    std::uint64_t max_ulp) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LE(UlpDistance(a[i], b[i]), max_ulp)
-        << "entry " << i << ": " << a[i] << " vs " << b[i];
-  }
-}
-
-Dataset Appended(const Dataset& base, const Example& z) {
-  std::vector<Example> combined = base.examples();
-  combined.push_back(z);
-  return Dataset(std::move(combined));
-}
-
-TEST(RiskProfileCacheTest, RevisionLayerMatchesFullRecomputeAndChains) {
-  perf::RiskProfileCache cache(/*capacity=*/32);
-  ClippedSquaredLoss loss(1.0);
-  auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 31).value();
-  Dataset base = MakeData(60, 7);
-  (void)cache.GetOrCompute(loss, hclass.thetas(), base).value();
-  ASSERT_EQ(cache.stats().misses, 1u);
-
-  const Example z1{Vector{1.0}, 1.0};
-  const Example z2{Vector{1.0}, 0.0};
-  const Dataset with_one = Appended(base, z1);
-  const Dataset with_two = Appended(with_one, z2);
-
-  // First append: an O(|Θ|) revision off the exact base entry, ULP-close to
-  // the full recompute over base+z1 (same per-example bits, different sum).
-  auto revised1 = cache.GetOrRevise(loss, hclass.thetas(), base, z1).value();
-  EXPECT_EQ(cache.stats().revisions, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);  // no full recompute happened
-  ExpectUlpClose(EmpiricalRiskProfile(loss, hclass.thetas(), with_one).value(), revised1,
-                 64);
-
-  // Second append chains revision-to-revision (depth 2).
-  auto revised2 = cache.GetOrRevise(loss, hclass.thetas(), with_one, z2).value();
-  EXPECT_EQ(cache.stats().revisions, 2u);
-  ExpectUlpClose(EmpiricalRiskProfile(loss, hclass.thetas(), with_two).value(), revised2,
-                 64);
-
-  // Re-asking for an already-revised dataset is a content hit, not a new
-  // revision — and serves the SAME bits.
-  auto again = cache.GetOrRevise(loss, hclass.thetas(), base, z1).value();
-  EXPECT_EQ(cache.stats().revisions, 2u);
-  EXPECT_GE(cache.stats().hits, 1u);
-  ExpectBitEqual(revised1, again);
-}
-
-TEST(RiskProfileCacheTest, RevisedEntriesNeverServeTheStrictPath) {
-  perf::RiskProfileCache cache(/*capacity=*/32);
-  ClippedSquaredLoss loss(1.0);
-  auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value();
-  Dataset base = MakeData(50, 9);
-  (void)cache.GetOrCompute(loss, hclass.thetas(), base).value();
-  const Example z{Vector{1.0}, 1.0};
-  const Dataset combined = Appended(base, z);
-  (void)cache.GetOrRevise(loss, hclass.thetas(), base, z).value();
-  const std::uint64_t misses_before = cache.stats().misses;
-
-  // GetOrCompute promises exact EmpiricalRiskProfile bits, so the depth-1
-  // entry for `combined` must be invisible here: a fresh miss, bitwise the
-  // direct computation.
-  auto strict = cache.GetOrCompute(loss, hclass.thetas(), combined).value();
-  EXPECT_EQ(cache.stats().misses, misses_before + 1);
-  ExpectBitEqual(EmpiricalRiskProfile(loss, hclass.thetas(), combined).value(), strict);
-}
-
-TEST(RiskProfileCacheTest, RevisionDepthCapForcesFullRecompute) {
-  // revision_limit = 2: the cache-side resync. Two chained revisions are
-  // allowed; the third append must anchor a fresh exact entry instead.
-  perf::RiskProfileCache cache(/*capacity=*/32, /*revision_limit=*/2);
-  ClippedSquaredLoss loss(1.0);
-  auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value();
-  Dataset data = MakeData(40, 11);
-  (void)cache.GetOrCompute(loss, hclass.thetas(), data).value();
-
-  for (std::size_t step = 0; step < 3; ++step) {
-    const Example z{Vector{1.0}, step % 2 == 0 ? 1.0 : 0.0};
-    const Dataset next = Appended(data, z);
-    auto got = cache.GetOrRevise(loss, hclass.thetas(), data, z).value();
-    if (step < 2) {
-      EXPECT_EQ(cache.stats().revisions, step + 1) << "step " << step;
-      ExpectUlpClose(EmpiricalRiskProfile(loss, hclass.thetas(), next).value(), got, 64);
-    } else {
-      // Depth cap hit: full recompute, exact bits, counted as a miss.
-      EXPECT_EQ(cache.stats().revisions, 2u);
-      EXPECT_EQ(cache.stats().misses, 2u);
-      ExpectBitEqual(EmpiricalRiskProfile(loss, hclass.thetas(), next).value(), got);
-      // And the re-anchored entry is depth 0: strict lookups now hit it.
-      const std::uint64_t hits_before = cache.stats().hits;
-      ExpectBitEqual(cache.GetOrCompute(loss, hclass.thetas(), next).value(), got);
-      EXPECT_EQ(cache.stats().hits, hits_before + 1);
-    }
-    data = next;
-  }
-}
-
-TEST(RiskProfileCacheTest, CachedRiskProfileAppendHonorsTheEnableFlag) {
-  ClippedSquaredLoss loss(1.0);
-  auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value();
-  Dataset base = MakeData(30, 13);
-  const Example z{Vector{1.0}, 1.0};
-  const Dataset combined = Appended(base, z);
-  const auto direct = EmpiricalRiskProfile(loss, hclass.thetas(), combined).value();
-  {
-    ScopedCacheEnabled cache_off(false);
-    // Disabled: the free function is the legacy direct computation, bitwise.
-    ExpectBitEqual(direct,
-                   perf::CachedRiskProfileAppend(loss, hclass.thetas(), base, z).value());
-    EXPECT_EQ(perf::RiskProfileCache::Global().size(), 0u);
-  }
-  {
-    ScopedCacheEnabled cache_on(true);
-    (void)perf::CachedRiskProfile(loss, hclass.thetas(), base).value();
-    auto revised = perf::CachedRiskProfileAppend(loss, hclass.thetas(), base, z).value();
-    EXPECT_EQ(perf::RiskProfileCache::Global().stats().revisions, 1u);
-    ExpectUlpClose(direct, revised, 64);
-  }
-}
+// The dataset generation counter keeps in-place mutation from memoizing
+// torn entries (DESIGN.md §10).
 
 /// A custom loss that bumps a Dataset's generation counter mid-evaluation —
 /// the deterministic stand-in for a concurrent SetLabel walk racing a cache

@@ -1,8 +1,10 @@
 // Generative invariants over the information-theory layer: divergences are
 // non-negative under the library clamp policy, data processing holds under
-// channel composition, the Gibbs learning channel's I(Ẑ;θ) respects its
+// channel composition, Blahut–Arimoto capacity matches the per-entry
+// reference formula, the Gibbs learning channel's I(Ẑ;θ) respects its
 // ε-derived and structural caps, and the sparse plug-in MI estimator agrees
 // with the dense joint-distribution computation bit-for-bit-close.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -224,6 +226,117 @@ TEST(ProptestInfotheory, MutualInformationContractsUnderComposition) {
   };
   DPLEARN_EXPECT_PROPERTY(
       Check("dpi_composition", ArbitraryComposeInstance(), property, SuiteConfig(206)));
+}
+
+// --------------------------------------------------------------------------
+// Blahut–Arimoto: Capacity splits D[x] into Σ W log W (once per row) minus
+// Σ W log q[y] (one log per output per iteration). It must agree to within
+// its stopping tolerance with the per-entry formula Σ W log(W/q[y]), kept
+// here as the reference, including on channels with exact zeros.
+
+using ChannelMatrix = std::vector<std::vector<double>>;
+
+/// Reference Blahut–Arimoto: one log per nonzero W[x][y] per iteration,
+/// with Capacity's starting point and sandwich stopping rule.
+StatusOr<double> PerEntryCapacity(const ChannelMatrix& w, double tol, std::size_t max_iters) {
+  const std::size_t nx = w.size();
+  const std::size_t ny = w[0].size();
+  std::vector<double> px(nx, 1.0 / static_cast<double>(nx));
+  for (std::size_t iter = 0; iter < max_iters; ++iter) {
+    std::vector<double> q(ny, 0.0);
+    for (std::size_t x = 0; x < nx; ++x) {
+      for (std::size_t y = 0; y < ny; ++y) q[y] += px[x] * w[x][y];
+    }
+    std::vector<double> d(nx, 0.0);
+    for (std::size_t x = 0; x < nx; ++x) {
+      for (std::size_t y = 0; y < ny; ++y) {
+        if (w[x][y] > 0.0) d[x] += w[x][y] * std::log(w[x][y] / q[y]);
+      }
+    }
+    double upper = -std::numeric_limits<double>::infinity();
+    double lower = 0.0;
+    for (std::size_t x = 0; x < nx; ++x) {
+      upper = std::max(upper, d[x]);
+      lower += px[x] * d[x];
+    }
+    if (upper - lower < tol) return std::max(0.0, lower);
+    std::vector<double> log_unnorm(nx);
+    for (std::size_t x = 0; x < nx; ++x) {
+      log_unnorm[x] =
+          (px[x] > 0.0 ? std::log(px[x]) : -std::numeric_limits<double>::infinity()) + d[x];
+    }
+    DPLEARN_ASSIGN_OR_RETURN(px, SoftmaxFromLog(log_unnorm));
+  }
+  return InternalError("PerEntryCapacity: did not converge");
+}
+
+/// ArbitraryChannel draws, a third of them with one all-zero output column
+/// and a third with exact zeros inside rows (never a whole row).
+Arbitrary<ChannelMatrix> ArbitraryChannelWithZeros() {
+  Arbitrary<ChannelMatrix> arb;
+  arb.generate = [](Rng* rng) {
+    const std::size_t nx = 2 + static_cast<std::size_t>(rng->NextBounded(7));
+    const std::size_t ny = 3 + static_cast<std::size_t>(rng->NextBounded(6));
+    ChannelMatrix w = ArbitraryChannel(nx, ny).generate(rng);
+    const std::uint64_t pattern = rng->NextBounded(3);
+    const std::size_t dead = static_cast<std::size_t>(rng->NextBounded(ny));
+    for (std::vector<double>& row : w) {
+      if (pattern == 1) row[dead] = 0.0;
+      if (pattern == 2) {
+        for (double& v : row) {
+          if (rng->NextDouble() < 0.4) v = 0.0;
+        }
+        row[dead] = std::max(row[dead], 1e-3);
+      }
+      row = Normalize(row).value();
+    }
+    return w;
+  };
+  arb.describe = [](const ChannelMatrix& w) {
+    std::ostringstream os;
+    os.precision(17);
+    for (const std::vector<double>& row : w) {
+      os << "{";
+      for (std::size_t y = 0; y < row.size(); ++y) os << (y > 0 ? ", " : "") << row[y];
+      os << "}";
+    }
+    return os.str();
+  };
+  return arb;
+}
+
+TEST(ProptestInfotheory, CapacityMatchesPerEntryFormula) {
+  constexpr double kTol = 1e-9;
+  constexpr std::size_t kMaxIters = 10000;
+  auto property = [](const ChannelMatrix& w) -> Status {
+    auto channel = DiscreteChannel::Create(w);
+    if (!channel.ok()) return Violation(channel.status().message());
+    auto capacity = channel.value().Capacity(kTol, kMaxIters);
+    auto reference = PerEntryCapacity(w, kTol, kMaxIters);
+    if (capacity.ok() != reference.ok()) {
+      return Violation("Capacity " + capacity.status().ToString() + " but reference " +
+                       reference.status().ToString());
+    }
+    if (!capacity.ok()) return Status::Ok();  // both ran out of iterations
+    if (!(std::fabs(capacity.value() - reference.value()) <= kTol)) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "Capacity " << capacity.value() << " vs reference " << reference.value();
+      return Violation(os.str());
+    }
+    return Status::Ok();
+  };
+  // The two zero patterns, pinned: an all-zero output column, and zero
+  // entries inside rows.
+  const ChannelMatrix zero_column = {{0.7, 0.0, 0.3}, {0.2, 0.0, 0.8}, {0.5, 0.0, 0.5}};
+  const ChannelMatrix zero_entries = {{0.5, 0.0, 0.5}, {0.0, 0.9, 0.1}, {0.3, 0.3, 0.4}};
+  for (const ChannelMatrix& w : {zero_column, zero_entries}) {
+    const Status verdict = property(w);
+    EXPECT_TRUE(verdict.ok()) << verdict.message();
+    EXPECT_TRUE(DiscreteChannel::Create(w).value().Capacity(kTol, kMaxIters).ok());
+  }
+  DPLEARN_EXPECT_PROPERTY(
+      Check("capacity_per_entry", ArbitraryChannelWithZeros(), property, SuiteConfig(209)));
 }
 
 // --------------------------------------------------------------------------
