@@ -75,7 +75,7 @@ struct Flags {
   std::size_t requests = 300;  // per tenant per repetition
   std::size_t repetitions = 3;
   std::uint64_t seed = 42;
-  std::size_t threads = 0;  // in-process server workers; 0 = default
+  std::size_t threads = 0;  // in-process server event loops; 0 = default
 };
 
 /// Per-tenant tallies a worker thread accumulates; merged after join.
@@ -534,7 +534,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: bench_service [--socket PATH] [--out FILE] [--smoke]\n"
                    "                     [--tenants N] [--requests N] [--repetitions N]\n"
-                   "                     [--seed S] [--threads N]\n");
+                   "                     [--seed S] [--threads N]\n"
+                   "  --threads N  event loops of the in-process server (default:\n"
+                   "               DPLEARN_THREADS, else the CPU count)\n");
       return 2;
     }
   }

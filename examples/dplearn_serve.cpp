@@ -58,7 +58,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: dplearn_serve --socket PATH [--seed S] [--threads N]\n"
                    "                     [--tenant-epsilon E] [--tenant-delta D]\n"
-                   "                     [--events FILE]\n");
+                   "                     [--events FILE]\n"
+                   "  --threads N  event loops serving connections (default:\n"
+                   "               DPLEARN_THREADS, else the CPU count)\n");
       return 2;
     }
   }

@@ -1,14 +1,16 @@
 #include "service/server.h"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <iterator>
+#include <functional>
 #include <utility>
 
 #include "core/gibbs_estimator.h"
@@ -18,11 +20,19 @@
 #include "obs/config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "robustness/failpoint.h"
 
 namespace dplearn {
 namespace service {
 namespace {
+
+/// Ledger shards: tenants hash onto this many independently locked shards.
+constexpr std::size_t kShardCount = 16;
+/// Per-request draw-count ceiling; larger counts are INVALID_ARGUMENT.
+constexpr std::uint32_t kMaxCountPerRequest = 4096;
+/// Cap on how many same-shape requests one run coalesces.
+constexpr std::size_t kMaxCoalescedRequests = 64;
 
 /// FNV-1a over the tenant id, mixed with the server's root seed — a stable,
 /// platform-independent function (std::hash is not guaranteed stable), so a
@@ -72,11 +82,13 @@ obs::Counter* ServiceCounter(const char* name) {
   return obs::GlobalMetrics().GetCounter(name);
 }
 
-void CountResponse(const Response& response) {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Counter* const ok = ServiceCounter("service.responses.ok");
-  static obs::Counter* const error = ServiceCounter("service.responses.error");
-  (response.code == StatusCode::kOk ? ok : error)->Increment();
+void AppendResponse(std::string* out, const Response& response) {
+  if (obs::MetricsEnabled()) {
+    static obs::Counter* const ok = ServiceCounter("service.responses.ok");
+    static obs::Counter* const error = ServiceCounter("service.responses.error");
+    (response.code == StatusCode::kOk ? ok : error)->Increment();
+  }
+  AppendFrame(out, EncodeResponse(response));
 }
 
 }  // namespace
@@ -84,8 +96,10 @@ void CountResponse(const Response& response) {
 DpReleaseServer::DpReleaseServer(Options options)
     : options_(std::move(options)),
       accountant_(ShardedPrivacyAccountant::Options{
-          options_.default_tenant_budget, options_.shard_count,
-          /*near_exhaustion_fraction=*/0.9}) {}
+          options_.default_tenant_budget, kShardCount,
+          /*near_exhaustion_fraction=*/0.9}),
+      loops_(options_.worker_threads > 0 ? options_.worker_threads
+                                         : parallel::DefaultThreadCount()) {}
 
 StatusOr<std::unique_ptr<DpReleaseServer>> DpReleaseServer::Start(Options options) {
   if (options.socket_path.empty()) {
@@ -95,9 +109,6 @@ StatusOr<std::unique_ptr<DpReleaseServer>> DpReleaseServer::Start(Options option
   if (options.socket_path.size() >= sizeof(addr.sun_path)) {
     return InvalidArgumentError("DpReleaseServer: socket path \"" + options.socket_path +
                                 "\" exceeds the AF_UNIX path limit");
-  }
-  if (options.max_payload_bytes < kMinPayloadBytes) {
-    return InvalidArgumentError("DpReleaseServer: max_payload_bytes below the minimum frame");
   }
   std::unique_ptr<DpReleaseServer> server(new DpReleaseServer(std::move(options)));
 
@@ -116,10 +127,10 @@ StatusOr<std::unique_ptr<DpReleaseServer>> DpReleaseServer::Start(Options option
   DPLEARN_RETURN_IF_ERROR(server->RegisterDataset("bernoulli", std::move(bernoulli)));
 
   DPLEARN_RETURN_IF_ERROR(server->Listen());
-  const std::size_t threads = server->options_.worker_threads > 0
-                                  ? server->options_.worker_threads
-                                  : parallel::DefaultThreadCount();
-  server->pool_ = std::make_unique<parallel::ThreadPool>(threads);
+  DPLEARN_RETURN_IF_ERROR(server->CreateLoops());
+  for (Loop& loop : server->loops_) {
+    loop.thread = std::thread(&DpReleaseServer::EventLoop, server.get(), std::ref(loop));
+  }
   server->accept_thread_ = std::thread(&DpReleaseServer::AcceptLoop, server.get());
   return server;
 }
@@ -152,32 +163,38 @@ Status DpReleaseServer::Listen() {
   return Status::Ok();
 }
 
+Status DpReleaseServer::CreateLoops() {
+  wake_fd_ = ::eventfd(0, 0);
+  if (wake_fd_ < 0) {
+    return InternalError(std::string("DpReleaseServer: eventfd(): ") + std::strerror(errno));
+  }
+  for (Loop& loop : loops_) {
+    loop.epoll_fd = ::epoll_create1(0);
+    epoll_event wake{};
+    wake.events = EPOLLIN;
+    wake.data.fd = wake_fd_;
+    if (loop.epoll_fd < 0 || ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, wake_fd_, &wake) < 0) {
+      return InternalError(std::string("DpReleaseServer: epoll: ") + std::strerror(errno));
+    }
+  }
+  return Status::Ok();
+}
+
 void DpReleaseServer::Stop() {
   if (stopped_) return;
   stopped_ = true;
-  stopping_.store(true, std::memory_order_relaxed);
+  // Ends the blocked accept().
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::eventfd_write(wake_fd_, 1);
+  for (Loop& loop : loops_) {
+    if (loop.thread.joinable()) loop.thread.join();
+    for (const auto& connection : loop.connections) ::close(connection.first);
+    loop.connections.clear();
+    if (loop.epoll_fd >= 0) ::close(loop.epoll_fd);
   }
-  std::vector<std::shared_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions = sessions_;
-  }
-  // Half-close: readers wake and exit, but queued responses still flush
-  // while the pool drains below.
-  for (const auto& session : sessions) ::shutdown(session->fd, SHUT_RD);
-  for (const auto& session : sessions) {
-    if (session->reader.joinable()) session->reader.join();
-  }
-  pool_.reset();
-  for (const auto& session : sessions) {
-    ::close(session->fd);
-    session->fd = -1;
-  }
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   ::unlink(options_.socket_path.c_str());
 }
 
@@ -219,15 +236,17 @@ DpReleaseServer::TenantRuntime& DpReleaseServer::RuntimeFor(const std::string& t
 }
 
 void DpReleaseServer::AcceptLoop() {
-  for (;;) {
+  for (std::size_t next_loop = 0;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+        // Out of descriptors or memory: the connection stays in the backlog
+        // until a close frees one.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       return;  // listen socket shut down (Stop) or unrecoverable
-    }
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      return;
     }
     const Status admitted = robustness::Inject("service.accept");
     if (!admitted.ok()) {
@@ -248,116 +267,128 @@ void DpReleaseServer::AcceptLoop() {
       }
       continue;
     }
-    auto session = std::make_shared<Session>();
-    session->fd = fd;
-    session->decoder = FrameDecoder(options_.max_payload_bytes);
+    // Round-robin, so the connections spread evenly over the loops. The
+    // decoder exists before epoll can report the fd readable.
+    Loop& loop = loops_[next_loop++ % loops_.size()];
     {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      sessions_.push_back(session);
+      std::lock_guard<std::mutex> lock(loop.mu);
+      loop.connections.emplace(fd, FrameDecoder());
+    }
+    epoll_event event{};
+    event.events = EPOLLIN;
+    event.data.fd = fd;
+    if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &event) < 0) {
+      std::lock_guard<std::mutex> lock(loop.mu);
+      loop.connections.erase(fd);
+      ::close(fd);
+      continue;
     }
     if (obs::MetricsEnabled()) {
       static obs::Counter* const accepted = ServiceCounter("service.connections.accepted");
       accepted->Increment();
     }
-    session->reader = std::thread(&DpReleaseServer::ReaderLoop, this, session);
   }
 }
 
-void DpReleaseServer::ReaderLoop(const std::shared_ptr<Session>& session) {
-  char buffer[4096];
-  bool failed = false;
-  while (!failed) {
-    const ssize_t n = ::recv(session->fd, buffer, sizeof(buffer), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
+void DpReleaseServer::EventLoop(Loop& loop) {
+  epoll_event events[64];
+  for (bool woken = false; !woken;) {
+    const int ready = ::epoll_wait(loop.epoll_fd, events, 64, -1);
+    if (ready < 0 && errno != EINTR) return;
+    for (int i = 0; i < ready; ++i) {
+      if (events[i].data.fd == wake_fd_) {
+        woken = true;  // Stop(): leave once this batch is answered
+      } else {
+        ServeReadable(loop, events[i].data.fd);
+      }
     }
-    if (n == 0) break;  // EOF
-    session->decoder.Feed(buffer, static_cast<std::size_t>(n));
+  }
+}
+
+void DpReleaseServer::ServeReadable(Loop& loop, int fd) {
+  FrameDecoder* decoder = nullptr;
+  {
+    // Map references survive the accept thread's inserts; only this loop
+    // erases.
+    std::lock_guard<std::mutex> lock(loop.mu);
+    decoder = &loop.connections.at(fd);
+  }
+  char buffer[4096];
+  const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+  if (n < 0 && errno == EINTR) return;  // still readable: epoll reports it again
+  std::vector<Request> requests;
+  Status failure = Status::Ok();
+  if (n > 0) {
+    decoder->Feed(buffer, static_cast<std::size_t>(n));
     for (;;) {
       std::string payload;
-      StatusOr<bool> next = session->decoder.Next(&payload);
+      StatusOr<bool> next = decoder->Next(&payload);
       if (!next.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        WriteProtocolError(session, next.status());
-        failed = true;
+        failure = next.status();
         break;
       }
       if (!*next) break;
       StatusOr<Request> request = DecodeRequest(payload.data(), payload.size());
       if (!request.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        WriteProtocolError(session, request.status());
-        failed = true;
+        failure = request.status();
         break;
       }
-      {
-        std::lock_guard<std::mutex> lock(session->mu);
-        session->queue.push_back(std::move(*request));
-      }
-      ScheduleDrain(session);
+      requests.push_back(std::move(*request));
     }
+  } else if (decoder->PendingBytes() > 0) {
+    // EOF or a read error mid-frame: the peer truncated a length prefix or
+    // payload.
+    CountProtocolError();
   }
-  if (!failed && session->decoder.PendingBytes() > 0 &&
-      !stopping_.load(std::memory_order_relaxed)) {
-    // EOF mid-frame: the peer truncated a length prefix or payload.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::MetricsEnabled()) {
-      static obs::Counter* const truncated = ServiceCounter("service.protocol_errors");
-      truncated->Increment();
-    }
-  }
-  // Stop reading; queued responses still flush through the write side.
-  ::shutdown(session->fd, SHUT_RD);
-}
 
-void DpReleaseServer::ScheduleDrain(const std::shared_ptr<Session>& session) {
+  std::string out;
+  for (std::size_t i = 0; i < requests.size();) i = ProcessRun(requests, i, &out);
+  if (!failure.ok()) {
+    // A framing or decode error ends the connection. Its error frame comes
+    // after the answers to every request decoded before it, so it never
+    // overtakes one. There is no request_id to echo: unsolicited-frame
+    // convention (kPing, id 0).
+    CountProtocolError();
+    Response response;
+    response.opcode = Opcode::kPing;
+    response.request_id = 0;
+    response.code = failure.code();
+    response.message = failure.message();
+    AppendResponse(&out, response);
+  }
+  SendAll(fd, out);
+  if (n > 0 && failure.ok()) return;
   {
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (session->drain_scheduled) return;
-    session->drain_scheduled = true;
+    std::lock_guard<std::mutex> lock(loop.mu);
+    loop.connections.erase(fd);
   }
-  pool_->Submit([this, session] { DrainSession(session); });
+  ::close(fd);
 }
 
-void DpReleaseServer::DrainSession(const std::shared_ptr<Session>& session) {
-  for (;;) {
-    std::vector<Request> batch;
-    {
-      std::lock_guard<std::mutex> lock(session->mu);
-      if (session->queue.empty()) {
-        // The serial-executor handoff: clearing the flag under the same
-        // lock the reader checks means either we see its request or it
-        // schedules a fresh drain — never a stranded queue.
-        session->drain_scheduled = false;
-        return;
-      }
-      batch.assign(std::make_move_iterator(session->queue.begin()),
-                   std::make_move_iterator(session->queue.end()));
-      session->queue.clear();
-    }
-    std::size_t i = 0;
-    while (i < batch.size()) i = ProcessRun(session, batch, i);
+void DpReleaseServer::CountProtocolError() {
+  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::MetricsEnabled()) {
+    static obs::Counter* const errors = ServiceCounter("service.protocol_errors");
+    errors->Increment();
   }
 }
 
-std::size_t DpReleaseServer::ProcessRun(const std::shared_ptr<Session>& session,
-                                        const std::vector<Request>& requests,
-                                        std::size_t begin) {
+std::size_t DpReleaseServer::ProcessRun(const std::vector<Request>& requests,
+                                        std::size_t begin, std::string* out) {
   const Request& head = requests[begin];
   if (head.opcode == Opcode::kStreamAppend) {
     // Mutates tenant state, so it takes the tenant lock — never the
     // lock-free ProcessSimple path. SameShape never coalesces it.
-    WriteResponse(session, ProcessStreamAppend(head));
+    AppendResponse(out, ProcessStreamAppend(head));
     return begin + 1;
   }
   if (head.opcode != Opcode::kRelease && head.opcode != Opcode::kGibbsSample) {
-    WriteResponse(session, ProcessSimple(head));
+    AppendResponse(out, ProcessSimple(head));
     return begin + 1;
   }
 
   std::size_t end = begin + 1;
-  while (end < requests.size() && end - begin < options_.max_coalesced_requests &&
+  while (end < requests.size() && end - begin < kMaxCoalescedRequests &&
          SameShape(requests[end], head)) {
     ++end;
   }
@@ -378,7 +409,7 @@ std::size_t DpReleaseServer::ProcessRun(const std::shared_ptr<Session>& session,
   const Status tenant_ok = ShardedPrivacyAccountant::ValidateTenantId(head.tenant_id);
   if (!tenant_ok.ok()) {
     for (std::size_t k = begin; k < end; ++k) {
-      WriteResponse(session, Response::Error(requests[k], tenant_ok));
+      AppendResponse(out, Response::Error(requests[k], tenant_ok));
     }
     return end;
   }
@@ -432,10 +463,10 @@ std::size_t DpReleaseServer::ProcessRun(const std::shared_ptr<Session>& session,
       slot.response = Response::Error(request, per_draw.status());
       continue;
     }
-    if (request.count == 0 || request.count > options_.max_count_per_request) {
+    if (request.count == 0 || request.count > kMaxCountPerRequest) {
       slot.response = Response::Error(
           request, InvalidArgumentError("service: count must be in [1, " +
-                                        std::to_string(options_.max_count_per_request) +
+                                        std::to_string(kMaxCountPerRequest) +
                                         "], got " + std::to_string(request.count)));
       continue;
     }
@@ -560,7 +591,7 @@ std::size_t DpReleaseServer::ProcessRun(const std::shared_ptr<Session>& session,
     }
   }
 
-  for (const Slot& slot : slots) WriteResponse(session, slot.response);
+  for (const Slot& slot : slots) AppendResponse(out, slot.response);
   return end;
 }
 
@@ -709,31 +740,6 @@ Response DpReleaseServer::ProcessStreamAppend(const Request& request) {
   response.request_id = request.request_id;
   response.stream_size = static_cast<std::uint64_t>(it->second->profile.size());
   return response;
-}
-
-void DpReleaseServer::WriteResponse(const std::shared_ptr<Session>& session,
-                                    const Response& response) {
-  CountResponse(response);
-  std::string frame;
-  AppendFrame(&frame, EncodeResponse(response));
-  std::lock_guard<std::mutex> lock(session->write_mu);
-  SendAll(session->fd, frame);
-}
-
-void DpReleaseServer::WriteProtocolError(const std::shared_ptr<Session>& session,
-                                         const Status& status) {
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const errors = ServiceCounter("service.protocol_errors");
-    errors->Increment();
-  }
-  // The request was undecodable, so there is no request_id to echo:
-  // unsolicited-frame convention (kPing, id 0) with the decode diagnostic.
-  Response response;
-  response.opcode = Opcode::kPing;
-  response.request_id = 0;
-  response.code = status.code();
-  response.message = status.message();
-  WriteResponse(session, response);
 }
 
 }  // namespace service

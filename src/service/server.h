@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,7 +16,6 @@
 #include "learning/streaming_risk.h"
 #include "mechanisms/privacy_budget.h"
 #include "mechanisms/sensitivity.h"
-#include "parallel/thread_pool.h"
 #include "sampling/rng.h"
 #include "service/protocol.h"
 #include "service/sharded_accountant.h"
@@ -47,21 +45,21 @@ struct ServedDataset {
 /// RESOURCE_EXHAUSTED responses — the server never crashes on bad input,
 /// which the `service-chaos` CI leg drives with fail points armed.
 ///
-/// Threading and determinism. One reader thread per connection feeds a
-/// FrameDecoder and appends decoded requests to the session's FIFO queue;
-/// request *processing* runs on the server's own ThreadPool via a serial
-/// executor per session (at most one drain task per session in flight), so
-/// a connection's requests are processed and answered strictly in arrival
-/// order no matter how many workers the pool has. Randomness is per
-/// *tenant*: each tenant owns an Rng seeded as a pure function of
+/// Threading and determinism. An accept thread hands connection k to event
+/// loop k mod worker_threads. Each loop owns its connections: when one is
+/// readable it reads once, decodes every complete frame, processes the
+/// requests inline and writes their answers, so a connection's requests are
+/// processed and answered strictly in arrival order. The server runs
+/// worker_threads + 1 threads however many connections are open. Randomness
+/// is per *tenant*: each tenant owns an Rng seeded as a pure function of
 /// (options.seed, tenant id), and the tenant's mutex is held across
 /// admission + sampling. Consequently a workload in which each tenant's
 /// requests arrive on one connection produces bitwise-identical responses,
-/// ledgers and audit trails at 1 and at N worker threads
-/// (service_determinism_test pins this).
+/// ledgers and audit trails at 1 and at N loops (service_determinism_test
+/// pins this).
 ///
-/// Batching. Within one drain pass, consecutive same-shape requests from a
-/// session (same tenant, opcode, dataset and parameters) are coalesced:
+/// Batching. Among the requests of one read, consecutive same-shape
+/// requests (same tenant, opcode, dataset and parameters) are coalesced:
 /// admission runs per request in order, then the granted draws are funneled
 /// into ONE GibbsEstimator::SampleBatch / LaplaceMechanism::ReleaseBatch
 /// call and the outputs split back per request. The batch APIs are bit- and
@@ -79,24 +77,18 @@ class DpReleaseServer {
     /// Filesystem path to bind the AF_UNIX socket to (length limited by
     /// sockaddr_un; keep it short). An existing socket file is replaced.
     std::string socket_path;
-    /// Worker threads for request processing; 0 means
+    /// Event loops serving connections; 0 means
     /// parallel::DefaultThreadCount() (so DPLEARN_THREADS steers it).
     std::size_t worker_threads = 0;
     /// Root seed for the per-tenant Rngs.
     std::uint64_t seed = 1;
     /// Budget auto-registered tenants receive on first spend.
     PrivacyBudget default_tenant_budget{5.0, 1e-6};
-    std::size_t shard_count = 16;
-    std::size_t max_payload_bytes = kDefaultMaxPayloadBytes;
-    /// Per-request draw-count ceiling; larger counts are INVALID_ARGUMENT.
-    std::uint32_t max_count_per_request = 4096;
-    /// Cap on how many same-shape requests one drain pass coalesces.
-    std::size_t max_coalesced_requests = 64;
   };
 
   /// Binds, listens, registers the built-in "bernoulli" dataset and starts
-  /// the accept loop. Errors on socket/bind/listen failure or a path too
-  /// long for sockaddr_un.
+  /// the event loops and the accept thread. Errors on socket/bind/listen or
+  /// epoll failure, or a path too long for sockaddr_un.
   static StatusOr<std::unique_ptr<DpReleaseServer>> Start(Options options);
 
   ~DpReleaseServer();
@@ -104,8 +96,9 @@ class DpReleaseServer {
   DpReleaseServer(const DpReleaseServer&) = delete;
   DpReleaseServer& operator=(const DpReleaseServer&) = delete;
 
-  /// Stops accepting, drains in-flight requests, joins all threads and
-  /// removes the socket file. Idempotent.
+  /// Stops accepting, lets each loop answer what it has read, joins all
+  /// threads, closes every connection and removes the socket file.
+  /// Idempotent.
   void Stop();
 
   /// Adds (or replaces) a dataset clients can reference by name. Error on
@@ -113,7 +106,6 @@ class DpReleaseServer {
   Status RegisterDataset(const std::string& name, ServedDataset dataset);
 
   ShardedPrivacyAccountant& accountant() { return accountant_; }
-  const Options& options() const { return options_; }
 
   /// Frames that failed framing or decoding since start (also exported as
   /// the `service.protocol_errors` counter).
@@ -122,16 +114,14 @@ class DpReleaseServer {
   }
 
  private:
-  /// Per-connection state. Reader thread and drain tasks share it through a
-  /// shared_ptr so teardown order cannot dangle.
-  struct Session {
-    int fd = -1;
-    FrameDecoder decoder;
-    std::mutex mu;  // guards queue + drain_scheduled
-    std::deque<Request> queue;
-    bool drain_scheduled = false;
-    std::mutex write_mu;  // serializes frame writes to fd
-    std::thread reader;
+  /// One event loop: an epoll set and the connections registered in it,
+  /// each with its frame decoder. The accept thread adds connections; only
+  /// the loop's own thread reads and removes them.
+  struct Loop {
+    int epoll_fd = -1;
+    std::mutex mu;  // guards connections
+    std::unordered_map<int, FrameDecoder> connections;
+    std::thread thread;
   };
 
   /// A tenant's live stream over one served dataset: the streaming risk
@@ -146,10 +136,11 @@ class DpReleaseServer {
   };
 
   /// Per-tenant sampling state; mu is held across admission + draw so one
-  /// tenant's requests serialize even across sessions. `streams` (also under
-  /// mu — appends and streamed draws serialize with everything else the
-  /// tenant does, which is what makes 1-vs-N-worker runs bitwise identical)
-  /// maps served-dataset name -> the tenant's private live stream.
+  /// tenant's requests serialize even across connections. `streams` (also
+  /// under mu — appends and streamed draws serialize with everything else
+  /// the tenant does, which is what makes 1-vs-N-loop runs bitwise
+  /// identical) maps served-dataset name -> the tenant's private live
+  /// stream.
   struct TenantRuntime {
     std::mutex mu;
     Rng rng;
@@ -160,21 +151,24 @@ class DpReleaseServer {
   explicit DpReleaseServer(Options options);
 
   Status Listen();
+  /// Creates the wake-up eventfd and every loop's epoll set.
+  Status CreateLoops();
   void AcceptLoop();
-  void ReaderLoop(const std::shared_ptr<Session>& session);
-  void ScheduleDrain(const std::shared_ptr<Session>& session);
-  void DrainSession(const std::shared_ptr<Session>& session);
-  /// Processes queue[begin..) starting at `begin`, coalescing a same-shape
-  /// run, and writes the responses. Returns the index one past the run.
-  std::size_t ProcessRun(const std::shared_ptr<Session>& session,
-                         const std::vector<Request>& requests, std::size_t begin);
+  void EventLoop(Loop& loop);
+  /// One read from a readable connection: decodes every complete frame,
+  /// answers the requests in order and, on EOF, a read error or a protocol
+  /// error (answered last), closes the connection.
+  void ServeReadable(Loop& loop, int fd);
+  /// Processes requests[begin..), coalescing a same-shape run, and appends
+  /// the response frames to *out. Returns the index one past the run.
+  std::size_t ProcessRun(const std::vector<Request>& requests, std::size_t begin,
+                         std::string* out);
   Response ProcessSimple(const Request& request);
   /// kStreamAppend: under the tenant lock, lazily seeds the tenant's stream
   /// from the served dataset and appends the decoded example. Appends are
   /// free (no admission spend); the response carries the live stream size.
   Response ProcessStreamAppend(const Request& request);
-  void WriteResponse(const std::shared_ptr<Session>& session, const Response& response);
-  void WriteProtocolError(const std::shared_ptr<Session>& session, const Status& status);
+  void CountProtocolError();
 
   TenantRuntime& RuntimeFor(const std::string& tenant_id);
   StatusOr<const ServedDataset*> FindDataset(const std::string& name) const;
@@ -198,18 +192,15 @@ class DpReleaseServer {
   std::mutex tenants_mu_;
   std::unordered_map<std::string, std::unique_ptr<TenantRuntime>> tenants_;
 
-  std::mutex sessions_mu_;
-  std::vector<std::shared_ptr<Session>> sessions_;
-
   std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<bool> stopping_{false};
   bool stopped_ = false;
 
   int listen_fd_ = -1;
+  /// Registered in every loop's epoll set; Stop() makes it readable, which
+  /// wakes every loop for good.
+  int wake_fd_ = -1;
+  std::vector<Loop> loops_;
   std::thread accept_thread_;
-  // Last member: destroyed first, so queued drain tasks finish while every
-  // structure they touch is still alive.
-  std::unique_ptr<parallel::ThreadPool> pool_;
 };
 
 }  // namespace service

@@ -4,14 +4,18 @@
 // validation failures with structured error responses while staying up
 // for the next connection.
 
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
@@ -305,6 +309,48 @@ TEST(FrameDecoderTest, PendingBytesExposesTruncation) {
 // ---------------------------------------------------------------------------
 // Server-level behavior: structured errors, survival across bad clients.
 
+void SetReceiveTimeout(int fd, std::chrono::milliseconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+}
+
+// The open descriptors of this process, the in-process server's included.
+std::vector<int> OpenDescriptors() {
+  std::vector<int> fds;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    fds.push_back(std::stoi(entry.path().filename().string()));
+  }
+  return fds;
+}
+
+// Lowers the soft RLIMIT_NOFILE for its lifetime.
+class ScopedDescriptorLimit {
+ public:
+  explicit ScopedDescriptorLimit(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~ScopedDescriptorLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  ScopedDescriptorLimit(const ScopedDescriptorLimit&) = delete;
+  ScopedDescriptorLimit& operator=(const ScopedDescriptorLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+std::string PingFrame(std::uint64_t request_id) {
+  Request ping;
+  ping.opcode = Opcode::kPing;
+  ping.request_id = request_id;
+  std::string wire;
+  AppendFrame(&wire, EncodeRequest(ping));
+  return wire;
+}
+
 class ServiceProtocolTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -314,7 +360,6 @@ class ServiceProtocolTest : public ::testing::Test {
     options.socket_path = socket_path_;
     options.worker_threads = 2;
     options.seed = 11;
-    options.max_count_per_request = 64;
     auto started = DpReleaseServer::Start(options);
     ASSERT_TRUE(started.ok()) << started.status().ToString();
     server_ = std::move(*started);
@@ -330,18 +375,23 @@ class ServiceProtocolTest : public ::testing::Test {
     return std::move(*client);
   }
 
-  // Raw socket for sending deliberately malformed bytes.
+  // Raw socket for sending deliberately malformed bytes. Its reads give up
+  // after 2 s, so a server that never answers fails the test instead of
+  // hanging it.
   int RawConnect() {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    EXPECT_EQ(ConnectSocket(fd), 0);
+    SetReceiveTimeout(fd, std::chrono::seconds(2));
+    return fd;
+  }
+
+  int ConnectSocket(int fd) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
                   socket_path_.c_str());
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    return fd;
+    return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   }
 
   // Reads one full response frame off a raw socket.
@@ -354,7 +404,8 @@ class ServiceProtocolTest : public ::testing::Test {
       if (!next.ok()) return next.status();
       if (*next) return DecodeResponse(payload.data(), payload.size());
       const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-      if (n <= 0) return UnavailableError("server closed the connection");
+      if (n == 0) return UnavailableError("server closed the connection");
+      if (n < 0) return UnavailableError("no answer before the receive timeout");
       decoder.Feed(buffer, static_cast<std::size_t>(n));
     }
   }
@@ -433,11 +484,104 @@ TEST_F(ServiceProtocolTest, TruncatedFrameAtEofIsCounted) {
   ASSERT_EQ(::send(fd, wire.data(), wire.size() - 1, 0),
             static_cast<ssize_t>(wire.size() - 1));
   ::close(fd);
-  // The reader thread notices the truncation at EOF asynchronously.
+  // The server notices the truncation at EOF asynchronously.
   for (int i = 0; i < 200 && server_->protocol_errors() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(server_->protocol_errors(), 1u);
+}
+
+TEST_F(ServiceProtocolTest, ProtocolErrorFollowsEarlierResponses) {
+  // Three pings and a garbage frame in one write: the pings are answered in
+  // order, then the error frame arrives, then the server hangs up.
+  std::string wire = PingFrame(1) + PingFrame(2) + PingFrame(3);
+  AppendFrame(&wire, std::string(kMinPayloadBytes + 4, '\xff'));
+  for (int trial = 0; trial < 20; ++trial) {
+    const int fd = RawConnect();
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    FrameDecoder decoder;
+    char buffer[1024];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      decoder.Feed(buffer, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(n, 0) << "trial " << trial << ": the connection was not closed";
+
+    std::vector<std::uint64_t> ids;
+    StatusCode last_code = StatusCode::kOk;
+    std::string payload;
+    for (auto next = decoder.Next(&payload); next.ok() && *next;
+         next = decoder.Next(&payload)) {
+      auto response = DecodeResponse(payload.data(), payload.size());
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ids.push_back(response->request_id);
+      last_code = response->code;
+    }
+    ASSERT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 0})) << "trial " << trial;
+    EXPECT_EQ(last_code, StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(server_->protocol_errors(), 20u);
+}
+
+TEST_F(ServiceProtocolTest, ClosedConnectionsReleaseTheirDescriptors) {
+  const std::string ping = PingFrame(1);
+  const std::size_t before = OpenDescriptors().size();
+  for (int cycle = 0; cycle < 500; ++cycle) {
+    const int fd = RawConnect();
+    ASSERT_EQ(::send(fd, ping.data(), ping.size(), 0), static_cast<ssize_t>(ping.size()));
+    auto response = RawReceive(fd);
+    ::close(fd);
+    ASSERT_TRUE(response.ok()) << "cycle " << cycle << ": " << response.status().ToString();
+  }
+  // The server closes its end when it reads the EOF; let the last closes land.
+  std::size_t after = OpenDescriptors().size();
+  for (int i = 0; i < 200 && after > before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = OpenDescriptors().size();
+  }
+  EXPECT_LE(after, before);
+}
+
+TEST_F(ServiceProtocolTest, AcceptRecoversAfterDescriptorExhaustion) {
+  const std::string ping = PingFrame(1);
+  // Made before the table fills, so it can still dial the server after.
+  const int late = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(late, 0);
+  std::vector<int> held;
+  {
+    const std::vector<int> open = OpenDescriptors();
+    ScopedDescriptorLimit limit(
+        static_cast<rlim_t>(*std::max_element(open.begin(), open.end()) + 64));
+    // Hold connections until this process (client ends and server ends
+    // together) has no descriptor left.
+    for (;;) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd < 0) break;
+      held.push_back(fd);
+      if (ConnectSocket(fd) != 0) break;
+    }
+    ASSERT_GT(held.size(), 1u);
+    // With the table full, accepting `late` fails with EMFILE.
+    ASSERT_EQ(ConnectSocket(late), 0);
+    ASSERT_EQ(::send(late, ping.data(), ping.size(), 0), static_cast<ssize_t>(ping.size()));
+    SetReceiveTimeout(late, std::chrono::milliseconds(200));
+    EXPECT_FALSE(RawReceive(late).ok()) << "accepted with no descriptor free";
+
+    for (const int fd : held) ::close(fd);
+    SetReceiveTimeout(late, std::chrono::seconds(2));
+    auto queued = RawReceive(late);
+    EXPECT_TRUE(queued.ok()) << "the queued connection: " << queued.status().ToString();
+    ::close(late);
+
+    const int fresh = RawConnect();
+    ASSERT_EQ(::send(fresh, ping.data(), ping.size(), 0), static_cast<ssize_t>(ping.size()));
+    auto answered = RawReceive(fresh);
+    ::close(fresh);
+    ASSERT_TRUE(answered.ok()) << "a new client: " << answered.status().ToString();
+    EXPECT_EQ(answered->code, StatusCode::kOk);
+  }
 }
 
 TEST_F(ServiceProtocolTest, ValidationErrorsAreStructuredNotFatal) {
@@ -456,8 +600,8 @@ TEST_F(ServiceProtocolTest, ValidationErrorsAreStructuredNotFatal) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
 
-  // count above the server's per-request ceiling (64 in this fixture).
-  request = MakeGibbs(3, "tenant-v", 1.0, 65);
+  // count above the server's per-request ceiling of 4096.
+  request = MakeGibbs(3, "tenant-v", 1.0, 4097);
   response = client.Call(request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
