@@ -59,20 +59,6 @@ StatusOr<std::vector<double>> GibbsEstimator::Posterior(const Dataset& data) con
   return GibbsPosteriorFromRisks(risks, prior_, lambda_);
 }
 
-StatusOr<simd::SparseVector> GibbsEstimator::SparsePosterior(const Dataset& data,
-                                                             double rel_eps) const {
-  if (!(rel_eps > 0.0 && rel_eps < 1.0)) {
-    return InvalidArgumentError("SparsePosterior: rel_eps must be in (0, 1)");
-  }
-  DPLEARN_ASSIGN_OR_RETURN(std::vector<double> posterior, Posterior(data));
-  double max_p = 0.0;
-  for (const double p : posterior) max_p = std::max(max_p, p);
-  // Kept entries are bit-copies of the dense posterior; each dropped one is
-  // <= rel_eps * max_p <= rel_eps, so total dropped mass < |Θ| * rel_eps.
-  return simd::SparseVector::FromDense(posterior.data(), posterior.size(),
-                                       rel_eps * max_p);
-}
-
 StatusOr<std::vector<double>> GibbsEstimator::RiskProfile(const Dataset& data) const {
   // The per-hypothesis risk profile is the hot loop of Posterior(), Sample()
   // and every PAC-Bayes term below, and it is λ/prior-invariant — so it goes
@@ -81,7 +67,7 @@ StatusOr<std::vector<double>> GibbsEstimator::RiskProfile(const Dataset& data) c
   // |Θ|·n with bit-identical results at any thread count (each hypothesis
   // keeps its serial inner loop).
   obs::TraceSpan span("gibbs.risk_profile");
-  return perf::CachedRiskProfile(*loss_, hclass_.thetas(), data);
+  return perf::CachedRiskProfile(*loss_, hclass_, data);
 }
 
 StatusOr<std::size_t> GibbsEstimator::Sample(const Dataset& data, Rng* rng) const {

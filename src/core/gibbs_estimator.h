@@ -12,7 +12,6 @@
 #include "mechanisms/exponential.h"
 #include "sampling/metropolis.h"
 #include "sampling/rng.h"
-#include "simd/sparse_vector.h"
 #include "util/status.h"
 
 namespace dplearn {
@@ -46,15 +45,6 @@ class GibbsEstimator {
   /// The exact posterior π̂_λ(· | data) over hypothesis indices.
   /// Error if data is empty.
   StatusOr<std::vector<double>> Posterior(const Dataset& data) const;
-
-  /// Posterior() pruned to the hypotheses carrying non-negligible mass:
-  /// keeps indices with π̂(θ_i) > rel_eps · max_j π̂(θ_j); kept
-  /// probabilities are bit-copies of the dense Posterior() entries, so the
-  /// dropped mass is < |Θ| · rel_eps. Large λ concentrates the Gibbs
-  /// posterior near the ERM (Section 5), so downstream consumers of a
-  /// near-point-mass row keep O(1) entries instead of |Θ|. Error if data is
-  /// empty or rel_eps outside (0, 1).
-  StatusOr<simd::SparseVector> SparsePosterior(const Dataset& data, double rel_eps) const;
 
   /// The empirical-risk profile R̂_data(θ_i) over the hypothesis class —
   /// the λ-invariant part of every posterior/sample below, served through

@@ -68,7 +68,7 @@ StatusOr<GibbsLearningChannel> BuildBernoulliGibbsChannel(const BernoulliMeanTas
     // over the same n+1 representative datasets, and only the Gibbs tilt
     // below depends on λ.
     DPLEARN_ASSIGN_OR_RETURN(risk_matrix[k],
-                             perf::CachedRiskProfile(loss, hclass.thetas(), representative));
+                             perf::CachedRiskProfile(loss, hclass, representative));
     // Tilt + softmax straight into the row — same bits as the allocating
     // GibbsPosteriorFromRisks (the kernels are element-wise).
     transition[k].resize(risk_matrix[k].size());

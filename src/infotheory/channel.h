@@ -50,11 +50,16 @@ class DiscreteChannel {
   /// cannot.
   double MaxLogRatio(const std::vector<std::pair<std::size_t, std::size_t>>& neighbors) const;
 
-  /// Channel capacity max_px I(X;Y) via Blahut–Arimoto. `tol` is the
-  /// convergence threshold on the capacity bound gap; `max_iters` caps the
-  /// iteration count. Each row's Σ_y W log W is computed once, so an
-  /// iteration costs |Y| logs plus O(|X|·|Y|) multiply-adds. Errors on
-  /// invalid parameters (including a NaN `tol`).
+  /// Channel capacity max_px I(X;Y) via over-relaxed Blahut–Arimoto: the
+  /// step px ∝ px·exp(μ·D) grows μ by 1.1× (up to 64) after each iteration
+  /// whose lower bound I(px) did not fall, and resets it to the plain μ = 1
+  /// after one where it fell. The stopping rule max_x D ≥ C ≥ Σ px·D holds
+  /// for any px, so the result is within `tol` of C whatever the steps
+  /// were: `tol` is the convergence threshold on that bound gap, and the
+  /// returned value is its lower end. `max_iters` caps the iteration count;
+  /// running out of it is an INTERNAL error. Each row's Σ_y W log W is
+  /// computed once, so an iteration costs |Y| logs plus O(|X|·|Y|)
+  /// multiply-adds. Errors on invalid parameters (including a NaN `tol`).
   StatusOr<double> Capacity(double tol = 1e-9, std::size_t max_iters = 10000) const;
 
  private:

@@ -3,7 +3,66 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/content_hash.h"
+
 namespace dplearn {
+
+std::uint64_t Dataset::NextGeneration() {
+  // Starts at 1: 0 marks an empty content_hash() memo.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Dataset::CopyHashMemo(const Dataset& other) {
+  const std::uint64_t hashed = other.hashed_generation_.load(std::memory_order_acquire);
+  if (hashed != other.generation_) return;
+  hash_.store(other.hash_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  hashed_generation_.store(hashed, std::memory_order_release);
+}
+
+Dataset::Dataset(const Dataset& other)
+    : examples_(other.examples_), generation_(other.generation_) {
+  CopyHashMemo(other);
+}
+
+Dataset::Dataset(Dataset&& other) noexcept
+    : examples_(std::move(other.examples_)), generation_(other.generation_) {
+  CopyHashMemo(other);
+  other.examples_.clear();
+  other.generation_ = NextGeneration();
+}
+
+Dataset& Dataset::operator=(const Dataset& other) {
+  if (this == &other) return *this;
+  examples_ = other.examples_;
+  generation_ = other.generation_;
+  CopyHashMemo(other);
+  return *this;
+}
+
+Dataset& Dataset::operator=(Dataset&& other) noexcept {
+  if (this == &other) return *this;
+  examples_ = std::move(other.examples_);
+  generation_ = other.generation_;
+  CopyHashMemo(other);
+  other.examples_.clear();
+  other.generation_ = NextGeneration();
+  return *this;
+}
+
+std::uint64_t Dataset::content_hash() const {
+  if (hashed_generation_.load(std::memory_order_acquire) == generation_) {
+    return hash_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t h = HashMix(0x2545f4914f6cdd1dULL, examples_.size());
+  for (const Example& z : examples_) {
+    h = HashDoubles(h, z.features.data(), z.features.size());
+    h = HashMix(h, DoubleBits(z.label));
+  }
+  hash_.store(h, std::memory_order_relaxed);
+  hashed_generation_.store(generation_, std::memory_order_release);
+  return h;
+}
 
 StatusOr<Dataset> Dataset::ReplaceExample(std::size_t index, Example replacement) const {
   if (index >= examples_.size()) {

@@ -1,6 +1,7 @@
 #ifndef DPLEARN_LEARNING_DATASET_H_
 #define DPLEARN_LEARNING_DATASET_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -30,8 +31,16 @@ struct Example {
 /// in exactly one example.
 class Dataset {
  public:
-  Dataset() = default;
-  explicit Dataset(std::vector<Example> examples) : examples_(std::move(examples)) {}
+  Dataset() : generation_(NextGeneration()) {}
+  explicit Dataset(std::vector<Example> examples)
+      : examples_(std::move(examples)), generation_(NextGeneration()) {}
+
+  /// A copy keeps its source's generation(). A move hands the generation
+  /// to its target; the moved-from dataset is left empty with a fresh one.
+  Dataset(const Dataset& other);
+  Dataset(Dataset&& other) noexcept;
+  Dataset& operator=(const Dataset& other);
+  Dataset& operator=(Dataset&& other) noexcept;
 
   std::size_t size() const { return examples_.size(); }
   bool empty() const { return examples_.empty(); }
@@ -41,7 +50,7 @@ class Dataset {
   /// Appends an example.
   void Add(Example example) {
     examples_.push_back(std::move(example));
-    ++generation_;
+    generation_ = NextGeneration();
   }
 
   /// Returns a neighbor: this dataset with example `index` replaced by
@@ -57,18 +66,26 @@ class Dataset {
       return InvalidArgumentError("Dataset::SetLabel: index out of range");
     }
     examples_[index].label = label;
-    ++generation_;
+    generation_ = NextGeneration();
     return Status::Ok();
   }
 
-  /// Mutation counter: bumped by every in-place content change (Add,
-  /// SetLabel). Content-keyed consumers — the risk-profile cache above all —
-  /// snapshot it around a hash-then-compute window to detect a dataset
-  /// mutated mid-flight (e.g. a concurrent SetLabel walk like the channel
-  /// builder's) and refuse to memoize the torn result. Two generations being
-  /// equal on one object means its content is unchanged; the counter says
-  /// nothing across distinct Dataset objects.
+  /// Content identity, unique across the process: every constructor, Add,
+  /// SetLabel and the moved-from side of a move take a fresh value from one
+  /// process-wide counter, and only copies (and move targets) share one. So
+  /// two datasets with equal generations hold bitwise-equal examples, even
+  /// when they are distinct objects. The risk-profile cache relies on both
+  /// halves: it snapshots the generation around a hash-then-compute window
+  /// to refuse memoizing a fill torn by an in-place mutation, and a
+  /// generation an entry has already verified proves a later hit equal
+  /// without comparing the examples again.
   std::uint64_t generation() const { return generation_; }
+
+  /// A 64-bit hash of the examples' bits (the Ẑ half of the risk-profile
+  /// cache's key). Computed on first use and memoized per generation, so
+  /// Add and SetLabel stay O(1); concurrent first calls on a const dataset
+  /// compute and store the same value.
+  std::uint64_t content_hash() const;
 
   /// Returns true iff `other` is a neighbor of this dataset (same size,
   /// exactly one differing example).
@@ -88,8 +105,16 @@ class Dataset {
   }
 
  private:
+  static std::uint64_t NextGeneration();
+  /// Copies `other`'s content_hash() memo, if it describes its generation.
+  void CopyHashMemo(const Dataset& other);
+
   std::vector<Example> examples_;
-  std::uint64_t generation_ = 0;
+  std::uint64_t generation_;
+  /// content_hash() memo: `hash_` is the hash at generation
+  /// `hashed_generation_` (0, which no dataset has, until the first call).
+  mutable std::atomic<std::uint64_t> hashed_generation_{0};
+  mutable std::atomic<std::uint64_t> hash_{0};
 };
 
 /// Enumerates all neighbors of `dataset` obtainable by replacing one example

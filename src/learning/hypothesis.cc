@@ -1,10 +1,32 @@
 #include "learning/hypothesis.h"
 
 #include <algorithm>
+#include <atomic>
 
+#include "util/content_hash.h"
 #include "util/math_util.h"
 
 namespace dplearn {
+namespace {
+
+std::uint64_t NextClassId() {
+  // Starts at 1: 0 is the risk-profile cache's "no class" id.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+std::uint64_t ThetaContentHash(const std::vector<Vector>& thetas) {
+  std::uint64_t h = HashMix(0x2545f4914f6cdd1dULL, thetas.size());
+  for (const Vector& theta : thetas) h = HashDoubles(h, theta.data(), theta.size());
+  return h;
+}
+
+FiniteHypothesisClass::FiniteHypothesisClass(std::vector<Vector> thetas)
+    : thetas_(std::make_shared<const std::vector<Vector>>(std::move(thetas))),
+      id_(NextClassId()),
+      content_hash_(ThetaContentHash(*thetas_)) {}
 
 StatusOr<FiniteHypothesisClass> FiniteHypothesisClass::Create(std::vector<Vector> thetas) {
   if (thetas.empty()) {

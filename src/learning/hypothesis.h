@@ -2,6 +2,8 @@
 #define DPLEARN_LEARNING_HYPOTHESIS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/matrix.h"
@@ -14,6 +16,12 @@ namespace dplearn {
 /// I(Ẑ;θ) — is *exactly* computable, making theorem checks sharp. Continuous
 /// Θ is handled by gridding (this class, via ScalarGrid) or MCMC
 /// (core/gibbs_estimator.h).
+///
+/// The θ list is immutable and shared: copies (and moves, which copy) share
+/// one list, one process-unique id() and one content_hash(), all fixed at
+/// creation. Copying a class — once per served Gibbs request, into its
+/// GibbsEstimator — therefore allocates nothing, and the risk-profile cache
+/// can take an id it has already verified as proof that Θ is unchanged.
 class FiniteHypothesisClass {
  public:
   /// Wraps an explicit list of parameter vectors. Error if empty or if the
@@ -25,9 +33,19 @@ class FiniteHypothesisClass {
   /// arguments.
   static StatusOr<FiniteHypothesisClass> ScalarGrid(double lo, double hi, std::size_t count);
 
-  std::size_t size() const { return thetas_.size(); }
-  const Vector& at(std::size_t i) const { return thetas_[i]; }
-  const std::vector<Vector>& thetas() const { return thetas_; }
+  // No move operations: a moved-from class must keep its list, so a move
+  // copies the shared pointer.
+  FiniteHypothesisClass(const FiniteHypothesisClass&) = default;
+  FiniteHypothesisClass& operator=(const FiniteHypothesisClass&) = default;
+
+  std::size_t size() const { return thetas_->size(); }
+  const Vector& at(std::size_t i) const { return (*thetas_)[i]; }
+  const std::vector<Vector>& thetas() const { return *thetas_; }
+
+  /// Unique per Create/ScalarGrid call across the process; shared by copies.
+  std::uint64_t id() const { return id_; }
+  /// ThetaContentHash(thetas()), computed once at creation.
+  std::uint64_t content_hash() const { return content_hash_; }
 
   /// The uniform prior over this class — the default base measure π of the
   /// exponential mechanism when no domain knowledge is supplied.
@@ -38,10 +56,16 @@ class FiniteHypothesisClass {
   StatusOr<std::size_t> ArgMin(const std::vector<double>& scores) const;
 
  private:
-  explicit FiniteHypothesisClass(std::vector<Vector> thetas) : thetas_(std::move(thetas)) {}
+  explicit FiniteHypothesisClass(std::vector<Vector> thetas);
 
-  std::vector<Vector> thetas_;
+  std::shared_ptr<const std::vector<Vector>> thetas_;
+  std::uint64_t id_;
+  std::uint64_t content_hash_;
 };
+
+/// A 64-bit hash of Θ's bits (the Θ half of the risk-profile cache's key),
+/// for callers that hold a bare list rather than a FiniteHypothesisClass.
+std::uint64_t ThetaContentHash(const std::vector<Vector>& thetas);
 
 }  // namespace dplearn
 

@@ -8,44 +8,24 @@
 
 #include "learning/risk.h"
 #include "simd/dispatch.h"
+#include "util/content_hash.h"
 
 namespace dplearn {
 namespace {
 
-/// splitmix64 finalizer — same mixer as the risk-profile cache, so a slot's
-/// content hash is cheap and collision-resistant; a hash match alone never
-/// removes (the bitwise compare below decides).
-std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
-  std::uint64_t z = h + 0x9e3779b97f4a7c15ULL + v;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t DoubleBits(double x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits;
-}
-
+/// A slot's content hash: cheap and collision-resistant; a hash match alone
+/// never removes (the bitwise compare below decides).
 std::uint64_t HashExample(const Example& z) {
-  std::uint64_t h = 0x2545f4914f6cdd1dULL;
-  h = Mix(h, z.features.size());
-  for (std::size_t j = 0; j < z.features.size(); ++j) {
-    h = Mix(h, DoubleBits(z.features[j]));
-  }
-  return Mix(h, DoubleBits(z.label));
+  const std::uint64_t h =
+      HashDoubles(0x2545f4914f6cdd1dULL, z.features.data(), z.features.size());
+  return HashMix(h, DoubleBits(z.label));
 }
 
 /// Bitwise content equality (memcmp semantics: NaN payloads and ±0.0 are
 /// distinct) — must agree with HashExample so equal content implies equal
 /// hash.
 bool BitwiseExampleEqual(const Example& a, const Example& b) {
-  if (a.features.size() != b.features.size()) return false;
-  if (DoubleBits(a.label) != DoubleBits(b.label)) return false;
-  return a.features.empty() ||
-         std::memcmp(a.features.data(), b.features.data(),
-                     a.features.size() * sizeof(double)) == 0;
+  return DoubleBits(a.label) == DoubleBits(b.label) && BitwiseEqual(a.features, b.features);
 }
 
 /// The shared delta-row core: validates `z` and writes l_{θ_i}(z) into

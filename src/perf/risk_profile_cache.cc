@@ -6,61 +6,46 @@
 #include <utility>
 
 #include "learning/risk.h"
-#include "simd/dispatch.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "simd/dispatch.h"
+#include "util/content_hash.h"
 
 namespace dplearn {
 namespace perf {
 namespace {
 
-/// splitmix64 finalizer — the same mixer the Rng seeding uses; good
-/// avalanche for sequential combining.
-std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
-  std::uint64_t z = h + 0x9e3779b97f4a7c15ULL + v;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t DoubleBits(double x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits;
-}
-
-std::uint64_t HashDoubles(std::uint64_t h, const double* data, std::size_t n) {
-  h = Mix(h, n);
-  for (std::size_t i = 0; i < n; ++i) h = Mix(h, DoubleBits(data[i]));
-  return h;
-}
-
-std::uint64_t KeyHash(std::uint64_t simd_flavor, const LossFunction& loss,
-                      const std::vector<Vector>& thetas, const Dataset& data) {
+std::uint64_t KeyHash(std::uint64_t simd_flavor, const std::string& loss_name,
+                      const LossFunction& loss, std::uint64_t theta_hash,
+                      std::uint64_t data_hash) {
   std::uint64_t h = 0x2545f4914f6cdd1dULL;
   // Scalar- and simd-computed profiles are distinct cache keys: they are
   // ULP-equivalent, not bitwise-equal, so a mid-process DPLEARN_SIMD toggle
   // must miss rather than serve the other mode's bits.
-  h = Mix(h, simd_flavor);
-  for (const char c : loss.Name()) h = Mix(h, static_cast<unsigned char>(c));
-  h = Mix(h, DoubleBits(loss.UpperBound()));
-  h = Mix(h, DoubleBits(loss.ParameterFingerprint()));
-  h = Mix(h, thetas.size());
-  for (const Vector& theta : thetas) h = HashDoubles(h, theta.data(), theta.size());
-  h = Mix(h, data.size());
-  for (const Example& z : data.examples()) {
-    h = HashDoubles(h, z.features.data(), z.features.size());
-    h = Mix(h, DoubleBits(z.label));
-  }
-  return h;
+  h = HashMix(h, simd_flavor);
+  for (const char c : loss_name) h = HashMix(h, static_cast<unsigned char>(c));
+  h = HashMix(h, DoubleBits(loss.UpperBound()));
+  h = HashMix(h, DoubleBits(loss.ParameterFingerprint()));
+  h = HashMix(h, theta_hash);
+  return HashMix(h, data_hash);
 }
 
-/// Bitwise double-vector equality: memcmp distinguishes NaN payloads and
-/// ±0.0, exactly matching the "same bits in, same bits out" cache contract.
-bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+bool ThetasEqual(const std::vector<Vector>& a, const std::vector<Vector>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!BitwiseEqual(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool ExamplesEqual(const std::vector<Example>& a, const std::vector<Example>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!BitwiseEqual(a[i].features, b[i].features)) return false;
+    if (DoubleBits(a[i].label) != DoubleBits(b[i].label)) return false;
+  }
+  return true;
 }
 
 std::atomic<bool>& EnabledFlag() {
@@ -98,24 +83,27 @@ RiskProfileCache& RiskProfileCache::Global() {
 }
 
 bool RiskProfileCache::Matches(const Entry& entry, std::uint64_t hash,
-                               std::uint64_t simd_flavor, const LossFunction& loss,
-                               const std::vector<Vector>& thetas, const Dataset& data) {
+                               std::uint64_t simd_flavor, const std::string& loss_name,
+                               const LossFunction& loss, const std::vector<Vector>& thetas,
+                               std::uint64_t class_id, const Dataset& data,
+                               std::uint64_t generation) {
   if (entry.hash != hash) return false;
   if (entry.simd_flavor != simd_flavor) return false;
-  if (entry.loss_name != loss.Name()) return false;
+  if (entry.loss_name != loss_name) return false;
   if (DoubleBits(entry.loss_bound) != DoubleBits(loss.UpperBound())) return false;
   if (DoubleBits(entry.loss_fingerprint) != DoubleBits(loss.ParameterFingerprint())) {
     return false;
   }
-  if (entry.thetas.size() != thetas.size() || entry.examples.size() != data.size()) {
-    return false;
+  // A class id or generation this entry has verified proves its half of
+  // the key equal; anything else is compared bitwise and, if equal,
+  // recorded for the next hit.
+  if (class_id == 0 || entry.verified_class_id.load(std::memory_order_relaxed) != class_id) {
+    if (!ThetasEqual(entry.thetas, thetas)) return false;
+    if (class_id != 0) entry.verified_class_id.store(class_id, std::memory_order_relaxed);
   }
-  for (std::size_t i = 0; i < thetas.size(); ++i) {
-    if (!BitwiseEqual(entry.thetas[i], thetas[i])) return false;
-  }
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (!BitwiseEqual(entry.examples[i].features, data.at(i).features)) return false;
-    if (DoubleBits(entry.examples[i].label) != DoubleBits(data.at(i).label)) return false;
+  if (entry.verified_generation.load(std::memory_order_relaxed) != generation) {
+    if (!ExamplesEqual(entry.examples, data.examples())) return false;
+    entry.verified_generation.store(generation, std::memory_order_relaxed);
   }
   return true;
 }
@@ -135,14 +123,28 @@ void RiskProfileCache::InsertLocked(EntryPtr entry) {
 }
 
 StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
+    const LossFunction& loss, const FiniteHypothesisClass& hclass, const Dataset& data) {
+  return Lookup(loss, hclass.thetas(), hclass.content_hash(), hclass.id(), data);
+}
+
+StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
     const LossFunction& loss, const std::vector<Vector>& thetas, const Dataset& data) {
+  return Lookup(loss, thetas, ThetaContentHash(thetas), /*class_id=*/0, data);
+}
+
+StatusOr<std::vector<double>> RiskProfileCache::Lookup(const LossFunction& loss,
+                                                       const std::vector<Vector>& thetas,
+                                                       std::uint64_t theta_hash,
+                                                       std::uint64_t class_id,
+                                                       const Dataset& data) {
   // One flavor read per call: the hash, the match predicate, and the stored
   // entry must agree even if DPLEARN_SIMD toggles while we compute. The
   // generation snapshot brackets the hash→compute→insert window against
   // in-place SetLabel/Add mutation of `data` (the learning_channel walk).
   const std::uint64_t flavor = simd::ActiveSimdFlavorId();
   const std::uint64_t generation = data.generation();
-  const std::uint64_t hash = KeyHash(flavor, loss, thetas, data);
+  const std::string loss_name = loss.Name();
+  const std::uint64_t hash = KeyHash(flavor, loss_name, loss, theta_hash, data.content_hash());
   EntryPtr candidate;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -152,9 +154,11 @@ StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
       lru_.splice(lru_.begin(), lru_, found->second);  // move to MRU
     }
   }
-  // The entry is immutable and `candidate` keeps it alive through a
-  // concurrent eviction, so the verify and the copy need no lock.
-  if (candidate != nullptr && Matches(*candidate, hash, flavor, loss, thetas, data)) {
+  // `candidate` keeps the entry alive through a concurrent eviction, and
+  // the verify touches only its immutable fields and relaxed atomics, so
+  // the verify and the copy need no lock.
+  if (candidate != nullptr && Matches(*candidate, hash, flavor, loss_name, loss, thetas,
+                                      class_id, data, generation)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     CountHit(true);
     return candidate->risks;
@@ -172,12 +176,16 @@ StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
   auto entry = std::make_shared<Entry>();
   entry->hash = hash;
   entry->simd_flavor = flavor;
-  entry->loss_name = loss.Name();
+  entry->loss_name = loss_name;
   entry->loss_bound = loss.UpperBound();
   entry->loss_fingerprint = loss.ParameterFingerprint();
   entry->thetas = thetas;
   entry->examples = data.examples();
   entry->risks = risks;
+  // Filled from this class and, once the guard below passes, from the
+  // examples at this generation.
+  entry->verified_class_id.store(class_id, std::memory_order_relaxed);
+  entry->verified_generation.store(generation, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (data.generation() != generation) {
@@ -221,6 +229,13 @@ bool RiskCacheEnabled() { return EnabledFlag().load(std::memory_order_relaxed); 
 
 void SetRiskCacheEnabled(bool enabled) {
   EnabledFlag().store(enabled, std::memory_order_relaxed);
+}
+
+StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
+                                                const FiniteHypothesisClass& hclass,
+                                                const Dataset& data) {
+  if (!RiskCacheEnabled()) return EmpiricalRiskProfile(loss, hclass.thetas(), data);
+  return RiskProfileCache::Global().GetOrCompute(loss, hclass, data);
 }
 
 StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,

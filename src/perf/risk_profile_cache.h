@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "learning/dataset.h"
+#include "learning/hypothesis.h"
 #include "learning/loss.h"
 #include "util/matrix.h"
 #include "util/status.h"
@@ -35,13 +36,21 @@ namespace perf {
 /// downstream posterior, sample, and verdict. tests/perf_cache_equivalence
 /// proves this differentially against the uncached path.
 ///
-/// Correctness of keying: entries are keyed by a 64-bit content hash of
-/// (loss Name/UpperBound/ParameterFingerprint, Θ, Ẑ, simd flavor) but a
-/// hash match alone never serves a hit — the stored key copy is compared
-/// bitwise (memcmp on the doubles, so NaN payloads and signed zeros are
-/// distinguished) before the cached profile is returned. A collision
-/// therefore costs one compare and falls through to a recompute; it cannot
-/// produce a wrong result.
+/// Correctness of keying: entries are located by a 64-bit hash of (simd
+/// flavor, loss Name/UpperBound/ParameterFingerprint, Θ content hash, Ẑ
+/// content hash). Both content hashes are memoized — fixed at creation in
+/// FiniteHypothesisClass, per generation in Dataset — so a caller that
+/// passes the class walks neither Θ nor Ẑ per call. A hash match alone
+/// never serves a hit: each half of the stored key copy must be proven equal
+/// to the caller's, either by identity or bitwise (memcmp on the doubles,
+/// so NaN payloads and signed zeros are distinguished). Identity is a
+/// FiniteHypothesisClass::id() or Dataset::generation() that this entry has
+/// already verified bitwise (or was filled from): class lists are immutable
+/// and equal generations mean equal examples, so the compare is skipped.
+/// Anything else — a new id or generation, or a bare Θ list — is compared
+/// bitwise, and a successful compare records the id or generation. A
+/// collision therefore costs one compare and falls through to a recompute;
+/// it cannot produce a wrong result.
 ///
 /// The simd::ActiveSimdFlavorId() key component exists because the scalar
 /// and vectorized risk paths are only ULP-equivalent, not bitwise-equal,
@@ -60,23 +69,31 @@ class RiskProfileCache {
   /// DPLEARN_RISK_CACHE_CAP when set, else kDefaultCapacity.
   static RiskProfileCache& Global();
 
-  /// Returns the cached profile for (loss, thetas, data), computing and
+  /// Returns the cached profile for (loss, hclass, data), computing and
   /// inserting it on a miss. Thread-safe. The lock covers only the O(1)
-  /// lookup by key hash and the LRU splice: the bitwise key verify and the
-  /// copy of the risks run outside it on an immutable shared entry, which
-  /// stays alive even if a concurrent miss evicts it. A miss computes
-  /// outside the lock, so concurrent misses on the same key may compute
-  /// twice; the later insert replaces the earlier (bit-identical) entry.
-  /// Errors propagate from EmpiricalRiskProfile unchanged and are never
-  /// cached.
+  /// lookup by key hash and the LRU splice: the key verify and the copy of
+  /// the risks run outside it on a shared entry that is immutable except
+  /// for its verified id and generation, and stays alive even if a
+  /// concurrent miss evicts it. A miss computes outside the lock, so
+  /// concurrent misses on the same key may compute twice; the later insert
+  /// replaces the earlier (bit-identical) entry. Errors propagate from
+  /// EmpiricalRiskProfile unchanged and are never cached.
   ///
   /// Mutation guard: `data.generation()` is snapshotted before hashing and
   /// re-read before insertion — if the dataset was mutated in place (e.g. a
   /// SetLabel walk) while the profile computed, the fresh risks are still
   /// returned but the torn (hash ≠ content) entry is NOT memoized
   /// (stats().mutation_skips counts these). Sequential mutate-then-lookup
-  /// through one Dataset object is always safe: the content hash changes
-  /// with the content, so a stale entry can never match.
+  /// through one Dataset object is always safe: the mutation takes a fresh
+  /// generation, which no entry has verified, so the bitwise compare
+  /// decides and a stale entry can never match.
+  StatusOr<std::vector<double>> GetOrCompute(const LossFunction& loss,
+                                             const FiniteHypothesisClass& hclass,
+                                             const Dataset& data);
+
+  /// The same lookup for a bare Θ list: it hashes Θ per call with
+  /// ThetaContentHash, so it meets the class overload on one entry, and
+  /// always verifies Θ bitwise.
   StatusOr<std::vector<double>> GetOrCompute(const LossFunction& loss,
                                              const std::vector<Vector>& thetas,
                                              const Dataset& data);
@@ -101,7 +118,8 @@ class RiskProfileCache {
   static constexpr std::size_t kDefaultCapacity = 512;
 
  private:
-  /// Immutable once published: readers verify and copy it without the lock.
+  /// Immutable once published, except for the two verified_* records:
+  /// readers verify and copy it without the lock.
   struct Entry {
     std::uint64_t hash = 0;
     std::uint64_t simd_flavor = 0;
@@ -111,13 +129,24 @@ class RiskProfileCache {
     std::vector<Vector> thetas;
     std::vector<Example> examples;
     std::vector<double> risks;
+    /// The last class id and dataset generation proven to hold this entry's
+    /// Θ and Ẑ (0: none). Relaxed: a stale read only costs a compare.
+    mutable std::atomic<std::uint64_t> verified_class_id{0};
+    mutable std::atomic<std::uint64_t> verified_generation{0};
   };
   using EntryPtr = std::shared_ptr<const Entry>;
   using LruList = std::list<EntryPtr>;
 
+  /// Both overloads: `class_id` is 0 for a bare Θ list.
+  StatusOr<std::vector<double>> Lookup(const LossFunction& loss,
+                                       const std::vector<Vector>& thetas,
+                                       std::uint64_t theta_hash, std::uint64_t class_id,
+                                       const Dataset& data);
+
   static bool Matches(const Entry& entry, std::uint64_t hash, std::uint64_t simd_flavor,
-                      const LossFunction& loss, const std::vector<Vector>& thetas,
-                      const Dataset& data);
+                      const std::string& loss_name, const LossFunction& loss,
+                      const std::vector<Vector>& thetas, std::uint64_t class_id,
+                      const Dataset& data, std::uint64_t generation);
 
   void InsertLocked(EntryPtr entry);
 
@@ -143,8 +172,13 @@ void SetRiskCacheEnabled(bool enabled);
 
 /// The shared entry point: the global cache when RiskCacheEnabled(), the
 /// legacy direct EmpiricalRiskProfile computation otherwise. Call sites in
-/// core (Gibbs estimator, λ selection, channel builders) route through this
-/// so one env flag switches the whole library between paths.
+/// core (Gibbs estimator, channel builders) route through this so one env
+/// flag switches the whole library between paths.
+StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
+                                                const FiniteHypothesisClass& hclass,
+                                                const Dataset& data);
+
+/// The bare-Θ form, for callers without a FiniteHypothesisClass.
 StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
                                                 const std::vector<Vector>& thetas,
                                                 const Dataset& data);

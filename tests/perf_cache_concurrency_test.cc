@@ -1,8 +1,11 @@
 /// Concurrency of the src/perf risk-profile cache (DESIGN.md §10): a hit
 /// verifies and copies its entry outside the cache lock while misses on
-/// other threads evict that entry. Tagged TSAN, so it also runs under
-/// ThreadSanitizer.
+/// other threads evict that entry, and the identity records (an entry's
+/// verified class id and generation, a dataset's memoized content hash) are
+/// written by whichever thread gets there first. Tagged TSAN, so it also
+/// runs under ThreadSanitizer.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -67,6 +70,65 @@ TEST(RiskProfileCacheConcurrencyTest, HitsRacingEvictionsServeExactProfiles) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kCallsPerThread);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(cache.size(), kCapacity);
+}
+
+TEST(RiskProfileCacheConcurrencyTest, FirstContentHashesAndIdentityHitsRaceCleanly) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kDatasets = 6;
+  constexpr std::size_t kCapacity = 4;  // below kDatasets, so entries are refilled
+  constexpr std::size_t kCallsPerThread = 300;
+  ClippedSquaredLoss loss(1.0);
+  const auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value();
+  const auto task = BernoulliMeanTask::Create(0.4).value();
+  // Nobody hashes these before the threads start, so the threads' first
+  // content_hash() calls race on each one.
+  std::vector<Dataset> datasets;
+  std::vector<std::vector<double>> expected;
+  for (std::size_t i = 0; i < kDatasets; ++i) {
+    Rng rng(200 + i);
+    datasets.push_back(task.Sample(40, &rng).value());
+    expected.push_back(EmpiricalRiskProfile(loss, hclass.thetas(), datasets.back()).value());
+  }
+  const std::vector<Dataset>& shared = datasets;
+
+  perf::RiskProfileCache cache(kCapacity);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::vector<std::uint64_t>> hashes(kThreads);
+  std::vector<std::size_t> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const FiniteHypothesisClass mine = hclass;  // shares the id and the list
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (const Dataset& data : shared) hashes[t].push_back(data.content_hash());
+      Rng rng(17 + t);
+      for (std::size_t call = 0; call < kCallsPerThread; ++call) {
+        const std::size_t i = static_cast<std::size_t>(rng.NextBounded(kDatasets));
+        // Every third call takes the bare-Θ overload, which verifies Θ
+        // bitwise on the entries the class overload fills, and vice versa.
+        auto got = call % 3 == 0 ? cache.GetOrCompute(loss, mine.thetas(), shared[i])
+                                 : cache.GetOrCompute(loss, mine, shared[i]);
+        if (!got.ok() || got->size() != expected[i].size() ||
+            std::memcmp(got->data(), expected[i].data(), got->size() * sizeof(double)) != 0) {
+          ++wrong[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[t], 0u) << "thread " << t << " got a profile that is not bitwise exact";
+    for (std::size_t i = 0; i < kDatasets; ++i) {
+      EXPECT_EQ(hashes[t][i], Dataset(shared[i].examples()).content_hash())
+          << "thread " << t << ", dataset " << i;
+    }
+  }
+  const perf::RiskProfileCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kCallsPerThread);
+  EXPECT_GT(stats.hits, 0u);
   EXPECT_LE(cache.size(), kCapacity);
 }
 

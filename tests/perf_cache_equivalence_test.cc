@@ -497,5 +497,78 @@ TEST(RiskProfileCacheTest, SequentialSetLabelAlwaysMissesTheStaleEntry) {
   ExpectBitEqual(EmpiricalRiskProfile(loss, hclass.thetas(), data).value(), after);
 }
 
+// Identity (DESIGN.md §10.1): a class id or dataset generation that an
+// entry has verified proves its half of the key; anything else is
+// compared bitwise. Both paths must serve exactly the profile a fresh
+// compute returns, and neither may outlive a content change.
+
+TEST(RiskProfileCacheTest, CopiesAndEqualDatasetsBuiltApartHitOneEntry) {
+  perf::RiskProfileCache cache(/*capacity=*/8);
+  ClippedSquaredLoss loss(1.0);
+  const auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 11).value();
+  Dataset a = MakeData(30, 23);
+  const std::vector<double> expected = EmpiricalRiskProfile(loss, hclass.thetas(), a).value();
+
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, a).value());  // fills
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, a).value());  // identity
+  const Dataset copy = a;
+  ASSERT_EQ(copy.generation(), a.generation());
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, copy).value());
+  // Equal examples under a new generation: the bitwise path, which then
+  // records that generation.
+  const Dataset apart(a.examples());
+  ASSERT_NE(apart.generation(), a.generation());
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, apart).value());
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, apart).value());
+  // Θ built apart, and Θ as a bare list: both compare Θ bitwise.
+  const auto twin = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 11).value();
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, twin, apart).value());
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass.thetas(), copy).value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 6u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // A content-changing SetLabel misses, and the copy still hits.
+  ASSERT_TRUE(a.SetLabel(0, 1.0 - a.at(0).label).ok());
+  ExpectBitEqual(EmpiricalRiskProfile(loss, hclass.thetas(), a).value(),
+                 cache.GetOrCompute(loss, hclass, a).value());
+  EXPECT_EQ(cache.stats().misses, 2u);
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, copy).value());
+  EXPECT_EQ(cache.stats().hits, 7u);
+}
+
+TEST(RiskProfileCacheTest, MovedFromDatasetRefilledNeverGetsTheOldProfile) {
+  perf::RiskProfileCache cache(/*capacity=*/8);
+  ClippedSquaredLoss loss(1.0);
+  const auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 11).value();
+  std::vector<Example> zeros(20, Example{Vector{1.0}, 0.0});
+  std::vector<Example> ones(20, Example{Vector{1.0}, 1.0});
+  Dataset source(zeros);
+  const std::vector<double> old_profile = cache.GetOrCompute(loss, hclass, source).value();
+
+  Dataset target(std::move(source));
+  ExpectBitEqual(old_profile, cache.GetOrCompute(loss, hclass, target).value());
+  // Left empty, the moved-from side is a fresh dataset: no profile at all.
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  EXPECT_FALSE(cache.GetOrCompute(loss, hclass, source).ok());
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from side is refilled.
+  for (const Example& z : ones) source.Add(z);
+  const std::vector<double> expected = EmpiricalRiskProfile(loss, hclass.thetas(), source).value();
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, source).value());
+
+  // The same through move assignment.
+  Dataset assigned;
+  assigned = std::move(target);
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  EXPECT_FALSE(cache.GetOrCompute(loss, hclass, target).ok());
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from side is refilled.
+  for (const Example& z : ones) target.Add(z);
+  ExpectBitEqual(expected, cache.GetOrCompute(loss, hclass, target).value());
+  ExpectBitEqual(old_profile, cache.GetOrCompute(loss, hclass, assigned).value());
+  // Misses: the two fills and the two empty lookups.
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+}
+
 }  // namespace
 }  // namespace dplearn
