@@ -4,10 +4,12 @@
 /// Three claims, one per section:
 ///   A. Fidelity: replaying a many-tenant spend stream (with denials and
 ///      near-exhaustion crossings) through the release service's per-tenant
-///      ledger (service::ShardedPrivacyAccountant) leaves every tenant's
-///      gauges BITWISE equal to its ledger totals, every ledger
-///      replay-clean, and exactly one near-exhaustion event per tenant —
-///      the ReplayVerifyAll contract under parallel load.
+///      ledger (service::ShardedPrivacyAccountant) leaves every
+///      near-exhausted tenant's gauges BITWISE equal to its ledger totals,
+///      every ledger replay-clean, and exactly one near-exhaustion event per
+///      crossing tenant — the ReplayVerifyAll contract under parallel load.
+///      Quiet tenants that stay below the line leave no series in the
+///      exposition, so its cardinality is bounded by the near set.
 ///   B. Overhead: the Gibbs posterior-sampling release path with metrics +
 ///      tracing + span recording fully armed costs under 10% over the same
 ///      path fully dark (lenient in-experiment bound; the strict <3% gate
@@ -50,9 +52,9 @@
 namespace dplearn {
 namespace {
 
-std::string TenantName(std::size_t t) {
+std::string TenantName(std::size_t t, const char* prefix = "tenant") {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "tenant_%03zu", t);
+  std::snprintf(buf, sizeof(buf), "%s_%03zu", prefix, t);
   return buf;
 }
 
@@ -60,6 +62,7 @@ void RunFidelitySection(Rng* rng) {
   bench::PrintSection("A: many-tenant spend replay (fidelity)");
 
   const std::size_t num_tenants = bench::SmokeMode() ? 8 : 64;
+  const std::size_t num_quiet = bench::SmokeMode() ? 4 : 16;
   const std::size_t grants_per_tenant = bench::SmokeMode() ? 50 : 400;
 
   service::ShardedPrivacyAccountant::Options options;
@@ -77,6 +80,11 @@ void RunFidelitySection(Rng* rng) {
     all_registered =
         all_registered &&
         tenants.RegisterTenant(TenantName(t), PrivacyBudget{1.0, 0.0}).ok();
+  }
+  for (std::size_t t = 0; t < num_quiet; ++t) {
+    all_registered =
+        all_registered &&
+        tenants.RegisterTenant(TenantName(t, "quiet"), PrivacyBudget{1.0, 0.0}).ok();
   }
   bench::Verdict(all_registered, "A: every tenant registers");
 
@@ -98,6 +106,15 @@ void RunFidelitySection(Rng* rng) {
         }
         return denials;
       });
+  // Quiet tenants spend 45% of their ε in the same slices and never reach
+  // the 80% line.
+  for (std::size_t t = 0; t < num_quiet; ++t) {
+    for (std::size_t s = 0; s < grants_per_tenant / 2; ++s) {
+      bench::Check(tenants.SpendOrReject(TenantName(t, "quiet"), PrivacyBudget{slice, 0.0},
+                                         "replay"),
+                   "quiet tenant spend");
+    }
+  }
 
   const Status replay = tenants.ReplayVerifyAll();
   if (!replay.ok()) std::printf("ReplayVerifyAll: %s\n", replay.ToString().c_str());
@@ -130,7 +147,26 @@ void RunFidelitySection(Rng* rng) {
   bench::Verdict(near_exhaustion_events == num_tenants,
                  "A: exactly one near-exhaustion event per tenant");
 
+  const std::string exposition = obs::GlobalMetrics().WriteExposition();
+  bool series_bounded = true;
+  for (std::size_t t = 0; t < num_tenants; ++t) {
+    const std::string label = "{tenant=\"" + TenantName(t) + "\"} ";
+    series_bounded =
+        series_bounded &&
+        exposition.find("dplearn_tenant_epsilon_remaining" + label) != std::string::npos &&
+        exposition.find("dplearn_tenant_epsilon_spent" + label) != std::string::npos;
+  }
+  for (std::size_t t = 0; t < num_quiet; ++t) {
+    series_bounded = series_bounded &&
+                     exposition.find("tenant=\"" + TenantName(t, "quiet") + "\"") ==
+                         std::string::npos;
+  }
+  bench::Verdict(series_bounded,
+                 "A: the exposition has series for every near-exhausted tenant and "
+                 "none for the quiet tenants");
+
   bench::RecordScalar("tenants", static_cast<double>(num_tenants));
+  bench::RecordScalar("quiet_tenants", static_cast<double>(num_quiet));
   bench::RecordScalar("grants_per_tenant", static_cast<double>(grants_per_tenant));
   bench::RecordScalar("total_epsilon_spent", total_spent);
   std::printf("tenants=%zu grants/tenant=%zu denials=%d near_exhaustion_events=%zu\n",

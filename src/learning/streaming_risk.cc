@@ -1,7 +1,6 @@
 #include "learning/streaming_risk.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -89,18 +88,6 @@ Status LossRow(const LossFunction& loss, const std::vector<Vector>& thetas,
   out->resize(thetas.size());
   thread_local simd::DatasetSoA soa;
   return FillLossRow(loss, spec, uniform, dim, thetas, z, &soa, out->data());
-}
-
-std::size_t StreamingRiskProfile::DefaultResyncEvery() {
-  static const std::size_t value = [] {
-    if (const char* env = std::getenv("DPLEARN_STREAM_RESYNC_EVERY")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0') return static_cast<std::size_t>(parsed);
-    }
-    return kDefaultResyncEvery;
-  }();
-  return value;
 }
 
 StreamingRiskProfile::StreamingRiskProfile(const LossFunction* loss,
@@ -272,53 +259,6 @@ Status StreamingRiskProfile::Resync() {
   synced_ = true;
   ++resyncs_;
   return Status::Ok();
-}
-
-SlidingWindowProfile::SlidingWindowProfile(StreamingRiskProfile profile,
-                                           std::size_t window)
-    : profile_(std::move(profile)), window_(window) {
-  ring_.resize(window_);
-}
-
-StatusOr<SlidingWindowProfile> SlidingWindowProfile::Create(
-    const LossFunction* loss, std::vector<Vector> thetas, std::size_t window,
-    StreamingRiskProfile::Options options) {
-  if (window == 0) {
-    return InvalidArgumentError("SlidingWindowProfile: window must be positive");
-  }
-  // Push admits before retiring, so occupancy transiently reaches window+1.
-  if (options.reserve_examples < window + 1) options.reserve_examples = window + 1;
-  DPLEARN_ASSIGN_OR_RETURN(StreamingRiskProfile profile,
-                           StreamingRiskProfile::Create(loss, std::move(thetas), options));
-  return SlidingWindowProfile(std::move(profile), window);
-}
-
-Status SlidingWindowProfile::Push(const Example& z) {
-  const bool full = profile_.size() == window_;
-  // Admit first: AddExample validates, so a rejected push leaves the window
-  // untouched; once it succeeds, retiring the matching oldest cannot fail.
-  DPLEARN_RETURN_IF_ERROR(profile_.AddExample(z));
-  if (full) {
-    DPLEARN_RETURN_IF_ERROR(profile_.RemoveExample(ring_[head_]));
-    ring_[head_] = z;  // copy-assign recycles the slot's feature capacity
-    head_ = (head_ + 1) % window_;
-  } else {
-    // Still filling: the (size-1)-th pushed example lands at slot size-1 and
-    // head_ stays at the oldest (slot 0).
-    ring_[profile_.size() - 1] = z;
-  }
-  return Status::Ok();
-}
-
-std::vector<Example> SlidingWindowProfile::WindowOldestFirst() const {
-  std::vector<Example> out;
-  const std::size_t n = profile_.size();
-  out.reserve(n);
-  const bool full = n == window_;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(full ? ring_[(head_ + i) % window_] : ring_[i]);
-  }
-  return out;
 }
 
 }  // namespace dplearn

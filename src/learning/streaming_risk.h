@@ -48,8 +48,8 @@ Status LossRow(const LossFunction& loss, const std::vector<Vector>& thetas,
 /// within kStreamingUlpBound(n, m) ULPs of the batch profile — in practice
 /// a handful of ULPs, because the compensated sum is usually CLOSER to the
 /// exact value than the batch path's blocked sum. Drift is capped by
-/// periodic resync: every `Options::resync_every` mutations (default from
-/// DPLEARN_STREAM_RESYNC_EVERY, 0 = never) the profile recomputes itself
+/// periodic resync: every `Options::resync_every` mutations (default
+/// kDefaultResyncEvery, 0 = never) the profile recomputes itself
 /// via EmpiricalRiskProfile, after which SnapshotInto() is BITWISE equal to
 /// the batch profile over LiveDataset() until the next mutation.
 ///
@@ -67,19 +67,15 @@ Status LossRow(const LossFunction& loss, const std::vector<Vector>& thetas,
 /// service holds its per-tenant mutex across stream mutations and draws).
 class StreamingRiskProfile {
  public:
+  static constexpr std::size_t kDefaultResyncEvery = 4096;
+
   struct Options {
     /// Full-recompute resync period in mutations; 0 disables auto-resync.
-    /// Defaults to DPLEARN_STREAM_RESYNC_EVERY (else kDefaultResyncEvery).
-    std::size_t resync_every = DefaultResyncEvery();
+    std::size_t resync_every = kDefaultResyncEvery;
     /// Pre-reserves slot storage for this many live examples, so a stream
     /// that never exceeds it is allocation-free from the first Add.
     std::size_t reserve_examples = 0;
   };
-
-  /// kDefaultResyncEvery unless DPLEARN_STREAM_RESYNC_EVERY overrides it
-  /// (parsed once; non-numeric values fall back to the default).
-  static std::size_t DefaultResyncEvery();
-  static constexpr std::size_t kDefaultResyncEvery = 4096;
 
   /// `loss` must outlive the profile. Errors if loss is null or thetas is
   /// empty or contains a non-finite coordinate. (The overload exists because
@@ -170,50 +166,6 @@ class StreamingRiskProfile {
   /// serves snapshots; cleared by the first mutation after a resync.
   bool synced_ = false;
   std::vector<double> resync_risks_;
-};
-
-/// Fixed-width sliding window over a stream: Push() appends the newest
-/// example and, once `window` examples are live, retires the oldest — the
-/// profile always covers exactly the last min(pushed, window) examples.
-/// The ring of example slots is sized at construction and recycled by
-/// copy-assignment, so a warmed window pushes allocation-free. Same error
-/// taxonomy and drift contract as StreamingRiskProfile (each Push is one or
-/// two mutations of the inner profile).
-class SlidingWindowProfile {
- public:
-  /// Errors if window == 0 or StreamingRiskProfile::Create rejects the
-  /// (loss, thetas) pair. `options.reserve_examples` is raised to window+1
-  /// (Push admits the newcomer before retiring the oldest, so occupancy
-  /// transiently reaches window+1).
-  static StatusOr<SlidingWindowProfile> Create(
-      const LossFunction* loss, std::vector<Vector> thetas, std::size_t window,
-      StreamingRiskProfile::Options options = StreamingRiskProfile::Options{});
-
-  /// Admits `z`; retires the oldest example when the window is full. On a
-  /// validation error (non-finite, ragged) the window is unchanged.
-  Status Push(const Example& z);
-
-  Status SnapshotInto(std::vector<double>* out) const {
-    return profile_.SnapshotInto(out);
-  }
-  StatusOr<std::vector<double>> Snapshot() const { return profile_.Snapshot(); }
-
-  std::size_t size() const { return profile_.size(); }
-  std::size_t window() const { return window_; }
-  const StreamingRiskProfile& profile() const { return profile_; }
-  StreamingRiskProfile& profile() { return profile_; }
-
-  /// The current window contents, oldest first. Allocates; test/diagnostic
-  /// convenience.
-  std::vector<Example> WindowOldestFirst() const;
-
- private:
-  SlidingWindowProfile(StreamingRiskProfile profile, std::size_t window);
-
-  StreamingRiskProfile profile_;
-  std::vector<Example> ring_;  // ring_[  (head_ + i) % window_ ] = i-th oldest
-  std::size_t window_;
-  std::size_t head_ = 0;  // index of the oldest live example once full
 };
 
 }  // namespace dplearn

@@ -23,7 +23,7 @@ namespace localdp {
 #define DPLEARN_LOCALDP_INSTRUMENT_PRIVATIZE(metric_prefix, epsilon)            \
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));              \
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(  \
-      metric_prefix ".release.us", obs::DefaultLatencyBucketsUs());             \
+      metric_prefix ".release.us");                                             \
   obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);        \
   if (obs::MetricsEnabled()) {                                                  \
     static obs::Counter* const releases =                                       \

@@ -99,7 +99,7 @@ StatusOr<std::size_t> ExponentialMechanism::Sample(const Dataset& data, Rng* rng
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
   obs::TraceSpan span("mechanism.exponential.sample");
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-      "mechanism.exponential.release.us", obs::DefaultLatencyBucketsUs());
+      "mechanism.exponential.release.us");
   obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
   if (obs::MetricsEnabled()) {
     static obs::Counter* const samples =
@@ -128,7 +128,7 @@ Status ExponentialMechanism::SampleBatch(const Dataset& data, Rng* rng, std::siz
     // caller batched or looped.
     DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
     static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-        "mechanism.exponential.release.us", obs::DefaultLatencyBucketsUs());
+        "mechanism.exponential.release.us");
     obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
     if (obs::MetricsEnabled()) {
       static obs::Counter* const samples =
@@ -168,7 +168,7 @@ StatusOr<ReportNoisyMax> ReportNoisyMax::Create(QualityFn quality, std::size_t n
 StatusOr<std::size_t> ReportNoisyMax::Sample(const Dataset& data, Rng* rng) const {
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-      "mechanism.report_noisy_max.release.us", obs::DefaultLatencyBucketsUs());
+      "mechanism.report_noisy_max.release.us");
   obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
   if (obs::MetricsEnabled()) {
     static obs::Counter* const samples =

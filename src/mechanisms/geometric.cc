@@ -69,7 +69,7 @@ StatusOr<GeometricMechanism> GeometricMechanism::Create(SensitiveQuery query,
 StatusOr<std::int64_t> GeometricMechanism::Release(const Dataset& data, Rng* rng) const {
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-      "mechanism.geometric.release.us", obs::DefaultLatencyBucketsUs());
+      "mechanism.geometric.release.us");
   obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
   if (obs::MetricsEnabled()) {
     static obs::Counter* const releases =

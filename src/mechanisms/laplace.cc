@@ -26,7 +26,7 @@ StatusOr<LaplaceMechanism> LaplaceMechanism::Create(SensitiveQuery query, double
 StatusOr<double> LaplaceMechanism::Release(const Dataset& data, Rng* rng) const {
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-      "mechanism.laplace.release.us", obs::DefaultLatencyBucketsUs());
+      "mechanism.laplace.release.us");
   obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
   if (obs::MetricsEnabled()) {
     static obs::Counter* const releases =
@@ -54,7 +54,7 @@ Status LaplaceMechanism::ReleaseBatch(const Dataset& data, Rng* rng, std::size_t
     // batched or looped.
     DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
     static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-        "mechanism.laplace.release.us", obs::DefaultLatencyBucketsUs());
+        "mechanism.laplace.release.us");
     obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
     if (obs::MetricsEnabled()) {
       static obs::Counter* const releases =
@@ -96,7 +96,7 @@ StatusOr<GaussianMechanism> GaussianMechanism::Create(SensitiveQuery query,
 StatusOr<double> GaussianMechanism::Release(const Dataset& data, Rng* rng) const {
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-      "mechanism.gaussian.release.us", obs::DefaultLatencyBucketsUs());
+      "mechanism.gaussian.release.us");
   obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
   if (obs::MetricsEnabled()) {
     static obs::Counter* const releases =
@@ -125,7 +125,7 @@ StatusOr<int> RandomizedResponse::Release(int true_bit, Rng* rng) const {
     return InvalidArgumentError("RandomizedResponse: bit must be 0 or 1");
   }
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-      "mechanism.randomized_response.release.us", obs::DefaultLatencyBucketsUs());
+      "mechanism.randomized_response.release.us");
   obs::LatencyTimer timer(obs::MetricsEnabled() ? release_us : nullptr);
   if (obs::MetricsEnabled()) {
     static obs::Counter* const releases =

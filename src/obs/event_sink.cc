@@ -1,7 +1,6 @@
 #include "obs/event_sink.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "obs/config.h"
 #include "obs/json_writer.h"
@@ -51,24 +50,8 @@ void InMemorySink::Clear() {
   events_.clear();
 }
 
-namespace {
-
-std::uint64_t SinkFlushEvery() {
-  static const std::uint64_t every = [] {
-    const char* env = std::getenv("DPLEARN_SINK_FLUSH_EVERY");
-    if (env != nullptr && *env != '\0') {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1) return static_cast<std::uint64_t>(parsed);
-    }
-    return std::uint64_t{32};
-  }();
-  return every;
-}
-
-}  // namespace
-
 JsonlFileSink::JsonlFileSink(std::FILE* file, std::string path)
-    : file_(file), path_(std::move(path)), flush_every_(SinkFlushEvery()) {}
+    : file_(file), path_(std::move(path)) {}
 
 StatusOr<std::unique_ptr<JsonlFileSink>> JsonlFileSink::Open(const std::string& path) {
   std::FILE* file = nullptr;
@@ -88,7 +71,7 @@ StatusOr<std::unique_ptr<JsonlFileSink>> JsonlFileSink::Open(const std::string& 
 JsonlFileSink::~JsonlFileSink() {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr) {
-    // Destructor flush: without it, up to flush_every_-1 buffered events
+    // Destructor flush: without it, up to kFlushEvery-1 buffered events
     // would be lost on fclose of a sink whose last batch never filled.
     if (pending_lines_ > 0) FlushWithRetryLocked();
     std::fclose(file_);
@@ -152,7 +135,7 @@ void JsonlFileSink::Emit(const Event& event) {
                       << " attempts: " << status;
     return;
   }
-  if (++pending_lines_ >= flush_every_) FlushWithRetryLocked();
+  if (++pending_lines_ >= kFlushEvery) FlushWithRetryLocked();
 }
 
 void JsonlFileSink::Flush() {

@@ -94,10 +94,10 @@ class InMemorySink final : public EventSink {
 
 /// Appends one JSON object per line (JSONL) to a file. Lines are written
 /// atomically under a mutex into the stdio buffer and flushed to the OS
-/// every flush_every events (DPLEARN_SINK_FLUSH_EVERY, default 32), on
-/// explicit Flush(), and in the destructor — so a clean shutdown loses
-/// nothing and a crash loses at most the last flush_every-1 events, while
-/// the hot path skips the per-event fflush syscall.
+/// every kFlushEvery (32) events, on explicit Flush(), and in the
+/// destructor — so a clean shutdown loses nothing and a crash loses at most
+/// the last kFlushEvery-1 events, while the hot path skips the per-event
+/// fflush syscall.
 ///
 /// Writes are hardened: a failed write (a real I/O error, or the
 /// `sink.write` fail point) is retried under a bounded-backoff RetryPolicy;
@@ -147,7 +147,7 @@ class JsonlFileSink final : public EventSink {
   std::mutex mu_;
   std::FILE* file_;
   std::string path_;
-  const std::uint64_t flush_every_;
+  static constexpr std::uint64_t kFlushEvery = 32;
   std::uint64_t pending_lines_ = 0;  // guarded by mu_
   std::atomic<std::uint64_t> dropped_events_{0};
   std::atomic<std::uint64_t> flush_failures_{0};

@@ -102,24 +102,34 @@ std::string MetricsRegistry::WriteExposition() const {
   return out;
 }
 
-Status WriteExpositionFile(const MetricsRegistry& registry, const std::string& path) {
-  const std::string text = registry.WriteExposition();
+namespace internal {
+
+Status WriteFileAtomically(const std::string& path, std::string_view text,
+                           std::string_view writer) {
   const std::string tmp = path + ".tmp";
+  const std::string who(writer);
   std::FILE* file = std::fopen(tmp.c_str(), "w");
   if (file == nullptr) {
-    return UnavailableError("WriteExpositionFile: cannot open '" + tmp + "'");
+    return UnavailableError(who + ": cannot open '" + tmp + "'");
   }
   const bool wrote = std::fwrite(text.data(), 1, text.size(), file) == text.size();
   const bool closed = std::fclose(file) == 0;
   if (!wrote || !closed) {
     std::remove(tmp.c_str());
-    return UnavailableError("WriteExpositionFile: write failed for '" + tmp + "'");
+    return UnavailableError(who + ": write failed for '" + tmp + "'");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    return UnavailableError("WriteExpositionFile: rename to '" + path + "' failed");
+    return UnavailableError(who + ": rename to '" + path + "' failed");
   }
   return Status::Ok();
+}
+
+}  // namespace internal
+
+Status WriteExpositionFile(const MetricsRegistry& registry, const std::string& path) {
+  return internal::WriteFileAtomically(path, registry.WriteExposition(),
+                                       "WriteExpositionFile");
 }
 
 }  // namespace obs

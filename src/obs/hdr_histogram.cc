@@ -115,12 +115,5 @@ double HdrHistogram::Snapshot::Quantile(double q) const {
   return max;  // unreachable when counts are consistent with count
 }
 
-std::vector<double> HdrHistogram::Snapshot::Deciles() const {
-  std::vector<double> out;
-  out.reserve(9);
-  for (int d = 1; d <= 9; ++d) out.push_back(Quantile(0.1 * d));
-  return out;
-}
-
 }  // namespace obs
 }  // namespace dplearn

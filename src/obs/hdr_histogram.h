@@ -55,9 +55,6 @@ class HdrHistogram {
     /// the ceil(q*count)-th smallest recording, clamped to [min, max].
     /// Returns 0 when empty. Deterministic given `counts`.
     double Quantile(double q) const;
-    /// The nine deciles p10..p90, in order. For the snapshot consumers that
-    /// want the full shape rather than the tail.
-    std::vector<double> Deciles() const;
   };
 
   HdrHistogram();

@@ -124,12 +124,6 @@ JsonWriter& JsonWriter::Value(bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::Raw(std::string_view json) {
   BeforeValue();
   out_ += json;

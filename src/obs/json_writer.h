@@ -38,7 +38,6 @@ class JsonWriter {
   JsonWriter& Value(std::int64_t value);
   JsonWriter& Value(int value);
   JsonWriter& Value(bool value);
-  JsonWriter& Null();
 
   /// Splices pre-serialized JSON in value position (for embedding documents
   /// produced by other exporters). The caller guarantees validity.

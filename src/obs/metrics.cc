@@ -1,47 +1,25 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
 #include "obs/json_writer.h"
 #include "util/logging.h"
 
 namespace dplearn {
 namespace obs {
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : upper_bounds_(std::move(upper_bounds)),
-      buckets_(new std::atomic<std::uint64_t>[upper_bounds_.size() + 1]) {
-  for (std::size_t i = 0; i <= upper_bounds_.size(); ++i) buckets_[i].store(0);
-}
-
 void Histogram::Observe(double value) {
-  // First bound >= value; past-the-end is the overflow bucket.
-  const auto it = std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), value);
-  const std::size_t bucket = static_cast<std::size_t>(it - upper_bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&sum_, value);
   hdr_.Record(value);
 }
 
 Histogram::Snapshot Histogram::GetSnapshot() const {
   Snapshot snap;
-  snap.upper_bounds = upper_bounds_;
-  snap.bucket_counts.resize(upper_bounds_.size() + 1);
-  for (std::size_t i = 0; i <= upper_bounds_.size(); ++i) {
-    snap.bucket_counts[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
   snap.hdr = hdr_.GetSnapshot();
+  snap.count = snap.hdr.count;
   return snap;
 }
 
 void Histogram::Reset() {
-  for (std::size_t i = 0; i <= upper_bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
   hdr_.Reset();
 }
@@ -91,20 +69,12 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return it->second.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::vector<double>& upper_bounds) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     CheckNameFree(name, &histograms_);
-    DPLEARN_CHECK(!upper_bounds.empty()) << "histogram '" << name << "' needs buckets";
-    DPLEARN_CHECK(std::is_sorted(upper_bounds.begin(), upper_bounds.end()) &&
-                  std::adjacent_find(upper_bounds.begin(), upper_bounds.end()) ==
-                      upper_bounds.end())
-        << "histogram '" << name << "' bounds must be strictly increasing";
-    it = histograms_
-             .emplace(name, std::unique_ptr<Histogram>(new Histogram(upper_bounds)))
-             .first;
+    it = histograms_.emplace(name, std::unique_ptr<Histogram>(new Histogram())).first;
   }
   return it->second.get();
 }
@@ -134,27 +104,6 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
-std::string MetricsRegistry::ExportText() const {
-  const Snapshot snap = GetSnapshot();
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    out += "counter " + name + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    out += "gauge " + name + " " + buf + "\n";
-  }
-  for (const auto& [name, hist] : snap.histograms) {
-    char buf[192];
-    std::snprintf(buf, sizeof(buf), "%llu mean=%.6g p50=%.6g p99=%.6g p999=%.6g",
-                  static_cast<unsigned long long>(hist.count), hist.Mean(),
-                  hist.Quantile(0.5), hist.Quantile(0.99), hist.Quantile(0.999));
-    out += "histogram " + name + " count=" + buf + "\n";
-  }
-  return out;
-}
-
 std::string MetricsRegistry::ExportJson() const {
   const Snapshot snap = GetSnapshot();
   JsonWriter w;
@@ -179,12 +128,6 @@ std::string MetricsRegistry::ExportJson() const {
     w.Key("p90").Value(hist.Quantile(0.9));
     w.Key("p99").Value(hist.Quantile(0.99));
     w.Key("p999").Value(hist.Quantile(0.999));
-    w.Key("upper_bounds").BeginArray();
-    for (const double b : hist.upper_bounds) w.Value(b);
-    w.EndArray();
-    w.Key("bucket_counts").BeginArray();
-    for (const std::uint64_t c : hist.bucket_counts) w.Value(c);
-    w.EndArray();
     w.EndObject();
   }
   w.EndObject();

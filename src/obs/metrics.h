@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/hdr_histogram.h"
@@ -52,15 +53,9 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// A latency histogram with two lock-free bucket layers fed by one
-/// Observe():
-///
-///   * the caller-configured coarse buckets (bucket i counts observations
-///     with value <= upper_bounds[i], one implicit overflow bucket) — the
-///     exact, pinned exposition shape older consumers rely on, and
-///   * HDR-style log buckets (see obs/hdr_histogram.h) powering the
-///     quantile snapshot — p50/deciles/p99/p99.9 with relative error
-///     bounded by 1/64 and exact min/max.
+/// A latency histogram: the HDR-style log buckets of obs/hdr_histogram.h,
+/// which give p50/p99/p99.9 with relative error bounded by 1/64, the exact
+/// count and exact min/max, plus a running sum for the mean.
 ///
 /// Observe() is lock-free; GetSnapshot() reads the atomics without stopping
 /// writers, so a snapshot taken during concurrent observation is
@@ -70,11 +65,9 @@ class Gauge {
 class Histogram {
  public:
   struct Snapshot {
-    std::vector<double> upper_bounds;        // as configured
-    std::vector<std::uint64_t> bucket_counts;  // upper_bounds.size() + 1 cells
-    std::uint64_t count = 0;
+    std::uint64_t count = 0;   // hdr.count
     double sum = 0.0;
-    HdrHistogram::Snapshot hdr;              // quantile layer
+    HdrHistogram::Snapshot hdr;
     double Mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
     /// Quantile from the HDR layer (see HdrHistogram::Snapshot::Quantile).
     double Quantile(double q) const { return hdr.Quantile(q); }
@@ -86,17 +79,10 @@ class Histogram {
   Snapshot GetSnapshot() const;
   void Reset();
 
-  const std::vector<double>& upper_bounds() const { return upper_bounds_; }
-
  private:
   friend class MetricsRegistry;
-  /// `upper_bounds` must be non-empty and strictly increasing (checked by
-  /// the registry on creation).
-  explicit Histogram(std::vector<double> upper_bounds);
+  Histogram() = default;
 
-  std::vector<double> upper_bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // upper_bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   HdrHistogram hdr_;
 };
@@ -124,8 +110,7 @@ class LatencyTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Exponential latency buckets in microseconds: 1, 2, 5, 10, ... 5e6. The
-/// default for TraceSpan duration histograms.
+/// Bounds that GetHistogram ignores, kept for perfbench/service.cc, the only caller.
 const std::vector<double>& DefaultLatencyBucketsUs();
 
 /// A process-wide name → metric table. Registration (GetCounter/GetGauge/
@@ -149,16 +134,16 @@ class MetricsRegistry {
   /// error and aborts.
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// `upper_bounds` applies on first creation only (must be non-empty,
-  /// strictly increasing); later calls return the existing histogram.
-  Histogram* GetHistogram(const std::string& name, const std::vector<double>& upper_bounds);
+  Histogram* GetHistogram(const std::string& name);
+  /// Ignores the bounds; perfbench/service.cc is the only caller.
+  Histogram* GetHistogram(const std::string& name, const std::vector<double>& /*bounds*/) {
+    return GetHistogram(name);
+  }
 
   Snapshot GetSnapshot() const;
   /// Zeroes every value; registered metrics (and cached pointers) survive.
   void ResetAll();
 
-  /// One metric per line: "counter mechanism.laplace.releases 42".
-  std::string ExportText() const;
   /// {"counters":{...},"gauges":{...},"histograms":{name:{...}}}
   std::string ExportJson() const;
 
@@ -183,11 +168,21 @@ class MetricsRegistry {
 /// The registry all library instrumentation writes to.
 MetricsRegistry& GlobalMetrics();
 
-/// Writes `registry`'s Prometheus exposition to `path` atomically: the text
-/// goes to `path.tmp` first and is renamed into place, so a scraper (or the
-/// node-exporter textfile collector pattern) never reads a torn dump.
-/// UNAVAILABLE on I/O failure. Implemented in obs/exposition.cc.
+/// Writes `registry`'s Prometheus exposition to `path` atomically (see
+/// internal::WriteFileAtomically). UNAVAILABLE on I/O failure.
 Status WriteExpositionFile(const MetricsRegistry& registry, const std::string& path);
+
+namespace internal {
+
+/// Writes `text` to `path` atomically: the text goes to `path.tmp` first and
+/// is renamed into place, so a reader (a scraper, the node-exporter textfile
+/// collector, a trace viewer) never sees a torn file. UNAVAILABLE on I/O
+/// failure, with `writer` naming the caller. Shared by WriteExpositionFile
+/// and WriteChromeTrace; implemented in obs/exposition.cc.
+Status WriteFileAtomically(const std::string& path, std::string_view text,
+                           std::string_view writer);
+
+}  // namespace internal
 
 }  // namespace obs
 }  // namespace dplearn

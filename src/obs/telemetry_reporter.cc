@@ -99,11 +99,6 @@ TelemetryReporter& GlobalTelemetryReporter() {
     TelemetryReporter::Options options;
     options.metrics_path = env_str("DPLEARN_METRICS_FILE");
     options.trace_path = env_str("DPLEARN_TRACE_FILE");
-    const std::string interval = env_str("DPLEARN_TELEMETRY_INTERVAL_MS");
-    if (!interval.empty()) {
-      const long parsed = std::strtol(interval.c_str(), nullptr, 10);
-      if (parsed > 0) options.interval_ms = static_cast<int>(parsed);
-    }
     if (!options.trace_path.empty()) {
       SetTracingEnabled(true);
       SetTraceBufferEnabled(true);

@@ -28,13 +28,12 @@ namespace obs {
 /// happened before the call. No sleeping-thread races, no partially
 /// written files (flushes go through tmp+rename).
 ///
-/// The process-wide instance (GlobalTelemetryReporter) is configured from
-/// the environment:
+/// The process-wide instance (GlobalTelemetryReporter) flushes every
+/// second and is configured from the environment:
 ///
-///   DPLEARN_METRICS_FILE           exposition path (enables metrics flush)
-///   DPLEARN_TRACE_FILE             Chrome trace path (also switches
-///                                  tracing AND span recording on)
-///   DPLEARN_TELEMETRY_INTERVAL_MS  flush cadence, default 1000
+///   DPLEARN_METRICS_FILE  exposition path (enables metrics flush)
+///   DPLEARN_TRACE_FILE    Chrome trace path (also switches tracing AND
+///                         span recording on)
 ///
 /// The experiment harness starts the global reporter in PrintHeader() and
 /// shuts it down in its exit hook, so `DPLEARN_TRACE_FILE=t.json ./exp_*`

@@ -39,8 +39,7 @@ Histogram* HistogramForSpan(const char* name) {
   for (const auto& entry : t_cache) {
     if (entry.first == name) return entry.second;
   }
-  Histogram* histogram = GlobalMetrics().GetHistogram(
-      std::string("span.") + name + ".us", DefaultLatencyBucketsUs());
+  Histogram* histogram = GlobalMetrics().GetHistogram(std::string("span.") + name + ".us");
   t_cache.emplace_back(name, histogram);
   return histogram;
 }

@@ -107,10 +107,6 @@ class TraceSpan {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// The ISSUE-facing alias: a ScopedTimer is a TraceSpan whose only consumer
-/// is the duration histogram.
-using ScopedTimer = TraceSpan;
-
 }  // namespace obs
 }  // namespace dplearn
 

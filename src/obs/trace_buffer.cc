@@ -2,28 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 
 #include "obs/json_writer.h"
+#include "obs/metrics.h"
 
 namespace dplearn {
 namespace obs {
 namespace {
 
-std::size_t RingCapacity() {
-  static const std::size_t capacity = [] {
-    const char* env = std::getenv("DPLEARN_TRACE_BUFFER_CAP");
-    if (env != nullptr && *env != '\0') {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 64) return static_cast<std::size_t>(parsed);
-    }
-    return static_cast<std::size_t>(16384);
-  }();
-  return capacity;
-}
+constexpr std::size_t kRingCapacity = 16384;  // spans per thread
 
 std::atomic<bool>& EnabledFlag() {
   // Setting DPLEARN_TRACE_FILE implies "record spans": the reporter that
@@ -48,14 +38,12 @@ std::atomic<std::uint64_t>& Generation() {
 class SpanRing {
  public:
   explicit SpanRing(std::uint32_t thread_index)
-      : thread_index_(thread_index),
-        capacity_(RingCapacity()),
-        slots_(new Slot[RingCapacity()]) {}
+      : thread_index_(thread_index), slots_(new Slot[kRingCapacity]) {}
 
   void Push(const char* name, std::uint64_t span_id, std::uint64_t parent_id,
             double start_us, double dur_us) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[head % capacity_];
+    Slot& slot = slots_[head % kRingCapacity];
     slot.name.store(name, std::memory_order_relaxed);
     slot.span_id.store(span_id, std::memory_order_relaxed);
     slot.parent_id.store(parent_id, std::memory_order_relaxed);
@@ -68,9 +56,9 @@ class SpanRing {
 
   void Collect(std::uint64_t generation, std::vector<SpanRecord>* out) const {
     const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t n = std::min<std::uint64_t>(head, capacity_);
+    const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
     for (std::uint64_t i = head - n; i < head; ++i) {
-      const Slot& slot = slots_[i % capacity_];
+      const Slot& slot = slots_[i % kRingCapacity];
       if (slot.generation.load(std::memory_order_relaxed) != generation) continue;
       SpanRecord record;
       record.name = slot.name.load(std::memory_order_relaxed);
@@ -101,7 +89,6 @@ class SpanRing {
   };
 
   const std::uint32_t thread_index_;
-  const std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> head_{0};
 };
@@ -154,7 +141,7 @@ void RecordSpan(const char* name, std::uint64_t span_id, std::uint64_t parent_id
 
 TraceBufferStats GetTraceBufferStats() {
   TraceBufferStats stats;
-  stats.capacity = RingCapacity();
+  stats.capacity = kRingCapacity;
   std::vector<SpanRing*> rings;
   {
     std::lock_guard<std::mutex> lock(RegistryMutex());
@@ -277,23 +264,7 @@ std::string ChromeTraceJson() {
 }
 
 Status WriteChromeTrace(const std::string& path) {
-  const std::string json = ChromeTraceJson();
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file == nullptr) {
-    return UnavailableError("WriteChromeTrace: cannot open '" + tmp + "'");
-  }
-  const bool wrote = std::fwrite(json.data(), 1, json.size(), file) == json.size();
-  const bool closed = std::fclose(file) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return UnavailableError("WriteChromeTrace: write failed for '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return UnavailableError("WriteChromeTrace: rename to '" + path + "' failed");
-  }
-  return Status::Ok();
+  return internal::WriteFileAtomically(path, ChromeTraceJson(), "WriteChromeTrace");
 }
 
 }  // namespace obs

@@ -23,13 +23,12 @@ struct SpanRecord {
 };
 
 /// Trace recording keeps closed spans in a fixed-capacity ring buffer per
-/// thread (capacity DPLEARN_TRACE_BUFFER_CAP, default 16384): recording is
-/// a single-producer append of relaxed atomics — no lock, no allocation —
-/// so it stays off the release hot path, and the newest `capacity` spans
-/// per thread survive for export. Recording is off by default; it is
-/// enabled explicitly or implicitly by DPLEARN_TRACE_FILE (see
-/// TelemetryReporter). Spans are only recorded while TracingEnabled() is
-/// also on — the buffer consumes TraceSpan closes.
+/// thread (16384 spans): recording is a single-producer append of relaxed
+/// atomics — no lock, no allocation — so it stays off the release hot path,
+/// and the newest `capacity` spans per thread survive for export. Recording
+/// is off by default; it is enabled explicitly or implicitly by
+/// DPLEARN_TRACE_FILE (see TelemetryReporter). Spans are only recorded
+/// while TracingEnabled() is also on — the buffer consumes TraceSpan closes.
 bool TraceBufferEnabled();
 void SetTraceBufferEnabled(bool enabled);
 

@@ -96,8 +96,7 @@ void ThreadPool::WorkerLoop() {
     }
     if (obs::MetricsEnabled()) {
       static obs::Gauge* const depth = obs::GlobalMetrics().GetGauge("pool.queue_depth");
-      static obs::Histogram* const task_us = obs::GlobalMetrics().GetHistogram(
-          "pool.task.us", obs::DefaultLatencyBucketsUs());
+      static obs::Histogram* const task_us = obs::GlobalMetrics().GetHistogram("pool.task.us");
       depth->Add(-1.0);
       const auto start = std::chrono::steady_clock::now();
       task();  // packaged_task captures exceptions into the future

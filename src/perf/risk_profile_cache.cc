@@ -1,8 +1,6 @@
 #include "perf/risk_profile_cache.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "learning/risk.h"
@@ -49,10 +47,7 @@ bool ExamplesEqual(const std::vector<Example>& a, const std::vector<Example>& b)
 }
 
 std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> enabled = [] {
-    const char* env = std::getenv("DPLEARN_RISK_CACHE");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }();
+  static std::atomic<bool> enabled{true};
   return enabled;
 }
 
@@ -71,14 +66,7 @@ RiskProfileCache::RiskProfileCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 RiskProfileCache& RiskProfileCache::Global() {
-  static RiskProfileCache* const cache = [] {
-    std::size_t capacity = kDefaultCapacity;
-    if (const char* env = std::getenv("DPLEARN_RISK_CACHE_CAP")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) capacity = static_cast<std::size_t>(parsed);
-    }
-    return new RiskProfileCache(capacity);
-  }();
+  static RiskProfileCache* const cache = new RiskProfileCache(kDefaultCapacity);
   return *cache;
 }
 

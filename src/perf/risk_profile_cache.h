@@ -65,8 +65,8 @@ class RiskProfileCache {
   /// key material, so capacity also bounds memory.
   explicit RiskProfileCache(std::size_t capacity = kDefaultCapacity);
 
-  /// The process-wide instance every library call site shares. Capacity is
-  /// DPLEARN_RISK_CACHE_CAP when set, else kDefaultCapacity.
+  /// The process-wide instance every library call site shares, at
+  /// kDefaultCapacity.
   static RiskProfileCache& Global();
 
   /// Returns the cached profile for (loss, hclass, data), computing and
@@ -165,15 +165,15 @@ class RiskProfileCache {
 };
 
 /// Whether library call sites consult the global cache. Defaults to enabled;
-/// DPLEARN_RISK_CACHE=0 disables it at startup, and tests/benchmarks flip it
-/// at runtime to compare the fast path against the legacy path in-process.
+/// tests and benchmarks switch it off at runtime to compare the fast path
+/// against the legacy path in-process.
 bool RiskCacheEnabled();
 void SetRiskCacheEnabled(bool enabled);
 
 /// The shared entry point: the global cache when RiskCacheEnabled(), the
 /// legacy direct EmpiricalRiskProfile computation otherwise. Call sites in
-/// core (Gibbs estimator, channel builders) route through this so one env
-/// flag switches the whole library between paths.
+/// core (Gibbs estimator, channel builders) route through this so one flag
+/// switches the whole library between paths.
 StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
                                                 const FiniteHypothesisClass& hclass,
                                                 const Dataset& data);

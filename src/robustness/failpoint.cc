@@ -31,15 +31,6 @@ std::uint64_t Fnv1a(const std::string& s) {
   return h;
 }
 
-std::uint64_t GlobalSeed() {
-  static const std::uint64_t seed = [] {
-    const char* env = std::getenv("DPLEARN_FAILPOINTS_SEED");
-    if (env == nullptr || *env == '\0') return std::uint64_t{0};
-    return static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
-  }();
-  return seed;
-}
-
 /// Count of armed fail points; the FailPointsEnabled() fast path.
 std::atomic<int>& ArmedCount() {
   static std::atomic<int> count{0};
@@ -61,7 +52,7 @@ bool Fires(const std::string& name, const FailPointSpec& spec, std::uint64_t hit
     case FailPointSpec::Trigger::kProbability: {
       if (spec.probability <= 0.0) return false;
       if (spec.probability >= 1.0) return true;
-      const std::uint64_t h = Mix64(Fnv1a(name) ^ Mix64(hit_index ^ GlobalSeed()));
+      const std::uint64_t h = Mix64(Fnv1a(name) ^ Mix64(hit_index));
       return static_cast<double>(h >> 11) * 0x1.0p-53 < spec.probability;
     }
     case FailPointSpec::Trigger::kEveryN:

@@ -43,8 +43,8 @@ namespace robustness {
 ///   always     fire on every hit
 ///   off        never fire (but still count hits)
 ///   prob:P     fire pseudo-randomly with probability P in [0,1]; the
-///              decision is a deterministic hash of (name, hit index, seed),
-///              so a given configuration fires on the same hit indices in
+///              decision is a deterministic hash of (name, hit index), so
+///              a given configuration fires on the same hit indices in
 ///              every run
 ///   every:N    fire on every N-th hit (hits N, 2N, 3N, ...)
 ///   after:N    fire on every hit after the first N
@@ -53,7 +53,6 @@ namespace robustness {
 /// DPLEARN_FAILPOINTS holds a ';'- or ','-separated list of `name=spec`
 /// entries (bare `name` means `always`), e.g.
 ///   DPLEARN_FAILPOINTS='sink.write=prob:0.3;mechanism.sample=every:97'
-/// DPLEARN_FAILPOINTS_SEED (optional, default 0) perturbs the prob: hash.
 struct FailPointSpec {
   enum class Trigger {
     kAlways,

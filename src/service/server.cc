@@ -493,10 +493,9 @@ std::size_t DpReleaseServer::ProcessRun(const std::vector<Request>& requests,
   // per-draw calls, so the split-back below is bitwise what serial
   // processing would have produced.
   if (total_draws > 0) {
-    static obs::Histogram* const gibbs_us = obs::GlobalMetrics().GetHistogram(
-        "service.gibbs.us", obs::DefaultLatencyBucketsUs());
+    static obs::Histogram* const gibbs_us = obs::GlobalMetrics().GetHistogram("service.gibbs.us");
     static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
-        "service.release.us", obs::DefaultLatencyBucketsUs());
+        "service.release.us");
     Status sampled = Status::Ok();
     std::size_t produced = 0;
     std::vector<std::size_t> gibbs_draws;

@@ -1,10 +1,8 @@
 #include "service/sharded_accountant.h"
 
 #include <array>
-#include <chrono>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "obs/event_sink.h"
@@ -15,31 +13,22 @@ namespace dplearn {
 namespace service {
 
 struct ShardedPrivacyAccountant::Tenant {
-  Tenant(const std::string& id, const PrivacyBudget& budget)
-      : total(budget),
-        epsilon_remaining(obs::GlobalMetrics().GetGauge("tenant." + id + ".epsilon_remaining")),
-        epsilon_spent(obs::GlobalMetrics().GetGauge("tenant." + id + ".epsilon_spent")),
-        epsilon_spend_rate(
-            obs::GlobalMetrics().GetGauge("tenant." + id + ".epsilon_spend_rate")) {
-    epsilon_remaining->Set(total.epsilon);
-    epsilon_spent->Set(0.0);
-    epsilon_spend_rate->Set(0.0);
-  }
+  explicit Tenant(const PrivacyBudget& budget) : total(budget) {}
 
   PrivacyBudget Spent() const {
     return PrivacyBudget{ledger.cumulative_epsilon(), ledger.cumulative_delta()};
   }
+  bool near_exhaustion() const { return epsilon_spent != nullptr; }
 
   const PrivacyBudget total;
   /// Its Kahan pair is the tenant's only stored spent total.
   obs::BudgetAuditLog ledger;
-  obs::Gauge* const epsilon_remaining;
-  obs::Gauge* const epsilon_spent;
-  obs::Gauge* const epsilon_spend_rate;
+  /// Null until the tenant enters the near-exhaustion set; from then on
+  /// every spend stores the ledger totals into them.
+  obs::Gauge* epsilon_remaining = nullptr;
+  obs::Gauge* epsilon_spent = nullptr;
   std::uint64_t spends = 0;
   std::uint64_t denials = 0;
-  bool near_exhaustion_fired = false;
-  std::optional<std::chrono::steady_clock::time_point> first_spend;
 };
 
 struct ShardedPrivacyAccountant::Shard {
@@ -100,7 +89,7 @@ Status ShardedPrivacyAccountant::RegisterTenant(const std::string& tenant_id,
     return FailedPreconditionError("RegisterTenant: tenant '" + tenant_id +
                                    "' already registered");
   }
-  shard.tenants.emplace(tenant_id, std::make_unique<Tenant>(tenant_id, total));
+  shard.tenants.emplace(tenant_id, std::make_unique<Tenant>(total));
   return Status::Ok();
 }
 
@@ -120,14 +109,11 @@ Status ShardedPrivacyAccountant::SpendOrReject(const std::string& tenant_id,
     // First contact: clients need no registration handshake.
     DPLEARN_RETURN_IF_ERROR(ValidateBudget(options_.default_tenant_budget));
     it = shard.tenants
-             .emplace(tenant_id,
-                      std::make_unique<Tenant>(tenant_id, options_.default_tenant_budget))
+             .emplace(tenant_id, std::make_unique<Tenant>(options_.default_tenant_budget))
              .first;
   }
   Tenant& tenant = *it->second;
 
-  const auto now = std::chrono::steady_clock::now();
-  if (!tenant.first_spend) tenant.first_spend = now;
   const obs::BudgetAuditEntry entry = tenant.ledger.RecordSpend(
       mechanism, cost.epsilon, cost.delta, [&](double spent_epsilon, double spent_delta) {
         return WithinBudget(PrivacyBudget{spent_epsilon, spent_delta}, cost, tenant.total);
@@ -143,15 +129,14 @@ Status ShardedPrivacyAccountant::SpendOrReject(const std::string& tenant_id,
   }
 
   const PrivacyBudget spent{entry.cumulative_epsilon, entry.cumulative_delta};
-  const double remaining_epsilon = RemainingBudget(tenant.total, spent).epsilon;
-  tenant.epsilon_remaining->Set(remaining_epsilon);
-  tenant.epsilon_spent->Set(spent.epsilon);
-  const double seconds = std::chrono::duration<double>(now - *tenant.first_spend).count();
-  tenant.epsilon_spend_rate->Set(seconds > 0.0 ? spent.epsilon / seconds : 0.0);
-
-  if (!tenant.near_exhaustion_fired &&
+  if (!tenant.near_exhaustion() &&
       spent.epsilon >= options_.near_exhaustion_fraction * tenant.total.epsilon) {
-    tenant.near_exhaustion_fired = true;
+    // Only tenants in the near-exhaustion set own gauges, so the exported
+    // series stay bounded however many tenants spend. Created under the
+    // shard lock: the lock order is shard, then registry.
+    tenant.epsilon_remaining =
+        obs::GlobalMetrics().GetGauge("tenant." + tenant_id + ".epsilon_remaining");
+    tenant.epsilon_spent = obs::GlobalMetrics().GetGauge("tenant." + tenant_id + ".epsilon_spent");
     static obs::Counter* const events =
         obs::GlobalMetrics().GetCounter("tenant.near_exhaustion.events");
     events->Increment();
@@ -162,10 +147,15 @@ Status ShardedPrivacyAccountant::SpendOrReject(const std::string& tenant_id,
       event.With("tenant", obs::EventValue::Str(tenant_id))
           .With("epsilon_spent", obs::EventValue::Num(spent.epsilon))
           .With("epsilon_total", obs::EventValue::Num(tenant.total.epsilon))
-          .With("epsilon_remaining", obs::EventValue::Num(remaining_epsilon))
+          .With("epsilon_remaining",
+                obs::EventValue::Num(RemainingBudget(tenant.total, spent).epsilon))
           .With("threshold", obs::EventValue::Num(options_.near_exhaustion_fraction));
       obs::EmitEvent(event);
     }
+  }
+  if (tenant.near_exhaustion()) {
+    tenant.epsilon_remaining->Set(RemainingBudget(tenant.total, spent).epsilon);
+    tenant.epsilon_spent->Set(spent.epsilon);
   }
   // Retrying cannot succeed until the quota is raised: RESOURCE_EXHAUSTED.
   return entry.granted ? Status::Ok() : ResourceExhaustedError(kOverBudgetMessage);
@@ -186,8 +176,7 @@ StatusOr<ShardedPrivacyAccountant::TenantView> ShardedPrivacyAccountant::View(
   view.remaining = RemainingBudget(tenant.total, view.spent);
   view.spends = tenant.spends;
   view.denials = tenant.denials;
-  view.epsilon_spend_rate = tenant.epsilon_spend_rate->Value();
-  view.near_exhaustion = tenant.near_exhaustion_fired;
+  view.near_exhaustion = tenant.near_exhaustion();
   return view;
 }
 
@@ -196,6 +185,7 @@ Status ShardedPrivacyAccountant::ReplayVerifyAll() const {
     std::lock_guard<std::mutex> lock(shards_[s].mu);
     for (const auto& [id, tenant] : shards_[s].tenants) {
       DPLEARN_RETURN_IF_ERROR(tenant->ledger.ReplayVerify());
+      if (!tenant->near_exhaustion()) continue;  // a healthy tenant has no gauges
       // The gauges are stores of the ledger's own totals, so == is the
       // right comparison, not a tolerance.
       const PrivacyBudget spent = tenant->Spent();

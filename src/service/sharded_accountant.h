@@ -22,20 +22,21 @@ namespace service {
 /// the same sequential-composition rule PrivacyAccountant applies. Granted
 /// and denied spends are both appended to the ledger.
 ///
-/// Every spend refreshes GlobalMetrics() gauges:
+/// Every spend counts into the process-wide counters tenant.spends,
+/// tenant.denials and tenant.near_exhaustion.events. When a tenant's spent ε
+/// first reaches near_exhaustion_fraction of its total, the tenant enters
+/// the near-exhaustion set: a "budget"/"near_exhaustion" event goes to the
+/// global sinks, once per tenant, and the tenant gets two GlobalMetrics()
+/// gauges, stored on that spend and on every later one:
 ///
 ///   tenant.<id>.epsilon_remaining   total − spent ε, clamped at zero
 ///   tenant.<id>.epsilon_spent       spent ε (bitwise the ledger total)
-///   tenant.<id>.epsilon_spend_rate  spent ε per wall-clock second since
-///                                   the tenant's first spend
 ///
-/// plus the process-wide counters tenant.spends, tenant.denials and
-/// tenant.near_exhaustion.events. The exposition writer renders the gauges
-/// as one Prometheus family per field with a tenant="<id>" label
-/// (obs/exposition.cc), which is why tenant ids must match [A-Za-z0-9_-]+.
-/// When a tenant's spent ε first reaches near_exhaustion_fraction of its
-/// total, a "budget"/"near_exhaustion" event goes to the global sinks, once
-/// per tenant.
+/// A healthy tenant touches no registry state, so the metric series stay
+/// bounded by the near-exhaustion set however many tenants there are. The
+/// exposition writer renders the gauges as one Prometheus family per field
+/// with a tenant="<id>" label (obs/exposition.cc), which is why tenant ids
+/// must match [A-Za-z0-9_-]+.
 ///
 /// Thread-safety: tenants hash onto shard_count independently locked shards,
 /// so spends by different tenants rarely contend; spends by one tenant
@@ -47,7 +48,7 @@ class ShardedPrivacyAccountant {
     /// Budget granted to tenants that are auto-registered on first spend.
     PrivacyBudget default_tenant_budget{5.0, 1e-6};
     std::size_t shard_count = 16;
-    /// Spent-ε fraction that triggers the near-exhaustion event.
+    /// Spent-ε fraction at which a tenant enters the near-exhaustion set.
     double near_exhaustion_fraction = 0.9;
   };
 
@@ -63,7 +64,7 @@ class ShardedPrivacyAccountant {
   /// SpendOrReject answers.
   static Status ValidateTenantId(const std::string& tenant_id);
 
-  /// Registers `tenant_id` with an explicit quota and zeroes its gauges.
+  /// Registers `tenant_id` with an explicit quota.
   /// INVALID_ARGUMENT on a malformed id or budget, FAILED_PRECONDITION when
   /// already registered.
   Status RegisterTenant(const std::string& tenant_id, const PrivacyBudget& total);
@@ -87,16 +88,15 @@ class ShardedPrivacyAccountant {
     PrivacyBudget remaining;
     std::uint64_t spends = 0;   // granted
     std::uint64_t denials = 0;  // refused over-budget
-    double epsilon_spend_rate = 0.0;
     bool near_exhaustion = false;
   };
   /// NOT_FOUND for an unregistered tenant.
   StatusOr<TenantView> View(const std::string& tenant_id) const;
 
   /// Checks every tenant: its ledger replays clean
-  /// (BudgetAuditLog::ReplayVerify), and its spent/remaining gauges are
-  /// bitwise equal to the ledger totals. Returns the first failure, an
-  /// InternalError.
+  /// (BudgetAuditLog::ReplayVerify), and, for a tenant in the
+  /// near-exhaustion set, its spent/remaining gauges are bitwise equal to the
+  /// ledger totals. Returns the first failure, an InternalError.
   Status ReplayVerifyAll() const;
 
   /// The tenant's private audit ledger (NOT_FOUND when unregistered). The

@@ -26,7 +26,7 @@ namespace simd {
 /// Orthogonally, the runtime knob DPLEARN_SIMD (default on; "0" disables)
 /// switches the library call sites between the kernel path and the legacy
 /// scalar path, so one process can run both for differential testing — the
-/// same shape as DPLEARN_RISK_CACHE. The flavor of the *enabled* path is a
+/// same shape as SetRiskCacheEnabled. The flavor of the *enabled* path is a
 /// property of the build; the disabled path is always the legacy scalar
 /// code.
 #if defined(__AVX2__)

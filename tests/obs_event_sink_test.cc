@@ -102,8 +102,8 @@ TEST(ObsJsonlFileSinkTest, BatchFlushFiresAtThreshold) {
   const std::string path = ::testing::TempDir() + "/obs_event_sink_batch.jsonl";
   std::remove(path.c_str());
   auto sink = JsonlFileSink::Open(path).value();
-  // Default DPLEARN_SINK_FLUSH_EVERY is 32: 31 events stay buffered, the
-  // 32nd triggers the batch flush.
+  // The sink flushes every 32 events: 31 events stay buffered, the 32nd
+  // triggers the batch flush.
   for (int i = 0; i < 31; ++i) sink->Emit(Event{"span", "batch", {}});
   EXPECT_EQ(ReadLines(path).size(), 0u);
   sink->Emit(Event{"span", "batch", {}});

@@ -47,38 +47,37 @@ TEST(ObsMetricsRegistryTest, CreateOnFirstUseReturnsStableHandles) {
   Gauge* g2 = registry.GetGauge("test.gauge");
   EXPECT_EQ(g1, g2);
 
-  Histogram* h1 = registry.GetHistogram("test.histogram", {1.0, 2.0});
-  Histogram* h2 = registry.GetHistogram("test.histogram", {999.0});  // ignored
+  Histogram* h1 = registry.GetHistogram("test.histogram");
+  Histogram* h2 = registry.GetHistogram("test.histogram");
   EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h2->upper_bounds().size(), 2u);
 }
 
 TEST(ObsMetricsRegistryTest, HistogramBucketBoundaries) {
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.latency", {1.0, 2.0, 5.0});
-  // Bucket i counts value <= upper_bounds[i] (first match); last cell is
-  // the overflow bucket.
-  h->Observe(0.5);   // bucket 0
-  h->Observe(1.0);   // bucket 0 (inclusive bound)
-  h->Observe(1.5);   // bucket 1
-  h->Observe(5.0);   // bucket 2
-  h->Observe(7.0);   // overflow
-  Histogram::Snapshot snapshot = h->GetSnapshot();
-  ASSERT_EQ(snapshot.bucket_counts.size(), 4u);
-  EXPECT_EQ(snapshot.bucket_counts[0], 2u);
-  EXPECT_EQ(snapshot.bucket_counts[1], 1u);
-  EXPECT_EQ(snapshot.bucket_counts[2], 1u);
-  EXPECT_EQ(snapshot.bucket_counts[3], 1u);
-  EXPECT_EQ(snapshot.count, 5u);
-  EXPECT_DOUBLE_EQ(snapshot.sum, 15.0);
-  EXPECT_DOUBLE_EQ(snapshot.Mean(), 3.0);
+  Histogram* h = registry.GetHistogram("test.latency");
+  // Every observation lands in the HDR bucket BucketIndex names: 0.5 in the
+  // underflow bucket, 1.0 and 1.01 share the first sub-bucket of octave 0,
+  // and 7.0 is recorded twice.
+  const std::vector<double> values = {0.5, 1.0, 1.01, 1.5, 5.0, 7.0, 7.0};
+  for (const double v : values) h->Observe(v);
+  const Histogram::Snapshot snapshot = h->GetSnapshot();
+  std::vector<std::uint64_t> expected(HdrHistogram::kBucketCount, 0);
+  for (const double v : values) ++expected[HdrHistogram::BucketIndex(v)];
+  EXPECT_EQ(snapshot.hdr.counts, expected);
+  EXPECT_EQ(snapshot.hdr.counts[0], 1u);
+  EXPECT_EQ(snapshot.hdr.counts[HdrHistogram::BucketIndex(1.0)], 2u);
+  EXPECT_EQ(snapshot.hdr.counts[HdrHistogram::BucketIndex(7.0)], 2u);
+  EXPECT_EQ(snapshot.count, 7u);
+  EXPECT_EQ(snapshot.sum, 0.5 + 1.0 + 1.01 + 1.5 + 5.0 + 7.0 + 7.0);
+  EXPECT_EQ(snapshot.Min(), 0.5);
+  EXPECT_EQ(snapshot.Max(), 7.0);
 }
 
 TEST(ObsMetricsRegistryTest, SnapshotAndResetAll) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.counter");
   Gauge* g = registry.GetGauge("test.gauge");
-  Histogram* h = registry.GetHistogram("test.histogram", {1.0});
+  Histogram* h = registry.GetHistogram("test.histogram");
   c->Increment(7);
   g->Set(3.25);
   h->Observe(0.5);
@@ -103,22 +102,19 @@ TEST(ObsMetricsRegistryTest, ExportFormats) {
   MetricsRegistry registry;
   registry.GetCounter("test.counter")->Increment(3);
   registry.GetGauge("test.gauge")->Set(0.5);
-  registry.GetHistogram("test.histogram", {1.0})->Observe(2.0);
-
-  const std::string text = registry.ExportText();
-  EXPECT_NE(text.find("counter test.counter 3"), std::string::npos);
-  EXPECT_NE(text.find("gauge test.gauge"), std::string::npos);
+  registry.GetHistogram("test.histogram")->Observe(2.0);
 
   const std::string json = registry.ExportJson();
   EXPECT_NE(json.find("\"test.counter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"p99\":2"), std::string::npos);
 }
 
 TEST(ObsMetricsRegistryTest, ConcurrentIncrementsAreLossless) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("test.concurrent");
   Gauge* gauge = registry.GetGauge("test.concurrent_gauge");
-  Histogram* histogram = registry.GetHistogram("test.concurrent_histogram", {0.5});
+  Histogram* histogram = registry.GetHistogram("test.concurrent_histogram");
 
   constexpr int kThreads = 8;
   constexpr int kIncrementsPerThread = 20000;
@@ -144,7 +140,8 @@ TEST(ObsMetricsRegistryTest, ConcurrentIncrementsAreLossless) {
   EXPECT_DOUBLE_EQ(gauge->Value(), static_cast<double>(expected));
   Histogram::Snapshot snapshot = histogram->GetSnapshot();
   EXPECT_EQ(snapshot.count, expected);
-  EXPECT_EQ(snapshot.bucket_counts[1], expected);  // 1.0 > bound 0.5: overflow
+  EXPECT_EQ(snapshot.hdr.counts[HdrHistogram::BucketIndex(1.0)], expected);
+  EXPECT_EQ(snapshot.sum, static_cast<double>(expected));
 }
 
 TEST(ObsHdrHistogramTest, BucketEdgesBoundRelativeError) {
@@ -177,10 +174,8 @@ TEST(ObsHdrHistogramTest, QuantilesWithinDocumentedError) {
     const double exact = q * kN;
     EXPECT_NEAR(snap.Quantile(q), exact, exact / 32.0) << "q=" << q;
   }
-  const std::vector<double> deciles = snap.Deciles();
-  ASSERT_EQ(deciles.size(), 9u);
-  for (std::size_t i = 1; i < deciles.size(); ++i) {
-    EXPECT_LE(deciles[i - 1], deciles[i]);
+  for (int d = 1; d < 10; ++d) {
+    EXPECT_LE(snap.Quantile(0.1 * d), snap.Quantile(0.1 * (d + 1))) << "decile " << d;
   }
 }
 
@@ -194,19 +189,19 @@ TEST(ObsHdrHistogramTest, SnapshotQuantilesAreBitwiseStable) {
   for (const double q : {0.1, 0.5, 0.9, 0.99, 0.999}) {
     EXPECT_EQ(a.Quantile(q), b.Quantile(q));
   }
-  EXPECT_EQ(a.Deciles(), b.Deciles());
 }
 
 TEST(ObsMetricsRegistryTest, HistogramSnapshotExposesHdrQuantiles) {
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.quantiles.us", {10.0, 100.0});
+  Histogram* h = registry.GetHistogram("test.quantiles.us");
   for (int i = 1; i <= 1000; ++i) h->Observe(static_cast<double>(i));
   const Histogram::Snapshot snap = h->GetSnapshot();
   EXPECT_DOUBLE_EQ(snap.Min(), 1.0);
   EXPECT_DOUBLE_EQ(snap.Max(), 1000.0);
   EXPECT_NEAR(snap.Quantile(0.5), 500.0, 500.0 / 32.0);
   EXPECT_NEAR(snap.Quantile(0.99), 990.0, 990.0 / 32.0);
-  // Both layers see every observation.
+  // The count is the HDR layer's: every observation, once.
+  EXPECT_EQ(snap.count, 1000u);
   EXPECT_EQ(snap.hdr.count, snap.count);
 }
 
@@ -215,7 +210,7 @@ TEST(ObsExpositionTest, WriteExpositionRendersAllFamilies) {
   registry.GetCounter("test.releases")->Increment(3);
   registry.GetGauge("test.acceptance_rate")->Set(0.25);
   registry.GetGauge("tenant.acme-01.epsilon_remaining")->Set(0.75);
-  Histogram* h = registry.GetHistogram("test.release.us", {10.0});
+  Histogram* h = registry.GetHistogram("test.release.us");
   for (int i = 1; i <= 100; ++i) h->Observe(static_cast<double>(i));
 
   const std::string out = registry.WriteExposition();
@@ -259,11 +254,12 @@ TEST(ObsExpositionTest, WriteExpositionFileIsAtomicAndComplete) {
   std::remove(path.c_str());
 }
 
+// Every latency histogram buckets by the HDR layer; its upper edges must
+// increase strictly, or Quantile's cumulative walk would misreport.
 TEST(ObsDefaultLatencyBucketsTest, StrictlyIncreasing) {
-  const std::vector<double>& buckets = DefaultLatencyBucketsUs();
-  ASSERT_GE(buckets.size(), 2u);
-  for (std::size_t i = 1; i < buckets.size(); ++i) {
-    EXPECT_LT(buckets[i - 1], buckets[i]);
+  for (std::size_t i = 1; i < HdrHistogram::kBucketCount; ++i) {
+    ASSERT_LT(HdrHistogram::BucketUpperEdge(i - 1), HdrHistogram::BucketUpperEdge(i))
+        << "bucket " << i;
   }
 }
 

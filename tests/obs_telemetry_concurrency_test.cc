@@ -122,8 +122,7 @@ TEST_F(ObsTelemetryConcurrencyTest, HdrHistogramConcurrentRecordsAreLossless) {
 }
 
 TEST_F(ObsTelemetryConcurrencyTest, RegistryHistogramConcurrentObserve) {
-  Histogram* histogram = GlobalMetrics().GetHistogram(
-      "telemetry_concurrency.histogram.us", DefaultLatencyBucketsUs());
+  Histogram* histogram = GlobalMetrics().GetHistogram("telemetry_concurrency.histogram.us");
   histogram->Reset();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
@@ -153,8 +152,7 @@ TEST_F(ObsTelemetryConcurrencyTest, ReporterFlushThreadRacesMetricUpdatesCleanly
   EXPECT_TRUE(reporter.running());
 
   Counter* counter = GlobalMetrics().GetCounter("telemetry_concurrency.flushed");
-  Histogram* histogram = GlobalMetrics().GetHistogram(
-      "telemetry_concurrency.flushed.us", DefaultLatencyBucketsUs());
+  Histogram* histogram = GlobalMetrics().GetHistogram("telemetry_concurrency.flushed.us");
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([counter, histogram] {

@@ -57,8 +57,7 @@ TEST_F(ObsTraceTest, SpansNestOnThePerThreadStack) {
 TEST_F(ObsTraceTest, ClosedSpanFeedsDurationHistogram) {
   { TraceSpan span("obs_trace_test.timed"); }
   { TraceSpan span("obs_trace_test.timed"); }
-  Histogram* histogram = GlobalMetrics().GetHistogram("span.obs_trace_test.timed.us",
-                                                      DefaultLatencyBucketsUs());
+  Histogram* histogram = GlobalMetrics().GetHistogram("span.obs_trace_test.timed.us");
   Histogram::Snapshot snapshot = histogram->GetSnapshot();
   EXPECT_EQ(snapshot.count, 2u);
   EXPECT_GE(snapshot.sum, 0.0);

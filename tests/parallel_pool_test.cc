@@ -156,8 +156,7 @@ TEST(ThreadPoolTest, MetricsBalanceAfterQuiescence) {
   const bool was_enabled = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
   obs::Gauge* depth = obs::GlobalMetrics().GetGauge("pool.queue_depth");
-  obs::Histogram* task_us =
-      obs::GlobalMetrics().GetHistogram("pool.task.us", obs::DefaultLatencyBucketsUs());
+  obs::Histogram* task_us = obs::GlobalMetrics().GetHistogram("pool.task.us");
   depth->Reset();
   const std::uint64_t tasks_before = task_us->GetSnapshot().count;
   {

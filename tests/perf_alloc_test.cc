@@ -188,33 +188,6 @@ TEST(PerfAllocTest, StreamingAddRemoveAndSampleAreAllocationFreeInSteadyState) {
   EXPECT_EQ(allocs, 0u);
 }
 
-TEST(PerfAllocTest, SlidingWindowPushIsAllocationFreeOnceWarm) {
-  const ClippedSquaredLoss loss(1.0);
-  auto grid = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 33).value();
-  StreamingRiskProfile::Options options;
-  options.resync_every = 0;
-  auto sliding =
-      SlidingWindowProfile::Create(&loss, grid.thetas(), 64, options).value();
-  Example z;
-  z.features = {1.0};
-  // Warm-up: fill the window past capacity so every ring slot's feature
-  // vector has been sized, then pin that further pushes never allocate.
-  for (std::size_t i = 0; i < 80; ++i) {
-    z.label = (i % 2 == 0) ? 1.0 : 0.0;
-    ASSERT_TRUE(sliding.Push(z).ok());
-  }
-  std::vector<double> snapshot(grid.size());
-  ASSERT_TRUE(sliding.SnapshotInto(&snapshot).ok());
-  const std::uint64_t allocs = CountAllocations([&] {
-    for (std::size_t j = 0; j < 200; ++j) {
-      z.label = (j % 2 == 0) ? 1.0 : 0.0;
-      ASSERT_TRUE(sliding.Push(z).ok());
-      ASSERT_TRUE(sliding.SnapshotInto(&snapshot).ok());
-    }
-  });
-  EXPECT_EQ(allocs, 0u);
-}
-
 TEST(PerfAllocTest, AliasBatchIsAllocationFreeWithPreparedOutput) {
   std::vector<double> p(64, 1.0 / 64.0);
   auto sampler = AliasSampler::Create(p).value();

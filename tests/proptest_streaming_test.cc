@@ -2,8 +2,7 @@
 // random add/remove/query interleavings track a multiset model and stay
 // within the drift bound of a full recompute, structural edges (remove of a
 // never-added example, empty-stream queries) are rejected with the typed
-// Status taxonomy and mutate nothing, and a sliding window always covers
-// exactly the last W pushes.
+// Status taxonomy and mutate nothing.
 
 #include <algorithm>
 #include <cmath>
@@ -199,69 +198,6 @@ TEST(ProptestStreaming, RandomInterleavingsMatchFullRecompute) {
   };
   DPLEARN_EXPECT_PROPERTY(Check("streaming_interleavings", ArbitraryStreamInstance(),
                                 property, SuiteConfig(501)));
-}
-
-// --------------------------------------------------------------------------
-// Sliding window: after every push the window is exactly the last
-// min(pushed, W) examples, in order, and pushes past capacity keep the size
-// pinned at W.
-
-struct WindowInstance {
-  std::uint64_t seed = 0;
-  std::size_t dim = 1;
-  std::size_t window = 1;
-  std::size_t pushes = 1;
-};
-
-Arbitrary<WindowInstance> ArbitraryWindowInstance() {
-  Arbitrary<WindowInstance> arb;
-  arb.generate = [](Rng* rng) {
-    WindowInstance inst;
-    inst.seed = rng->NextUint64();
-    inst.dim = 1 + static_cast<std::size_t>(rng->NextBounded(3));
-    inst.window = 1 + static_cast<std::size_t>(rng->NextBounded(16));
-    inst.pushes = 1 + static_cast<std::size_t>(rng->NextBounded(60));
-    return inst;
-  };
-  arb.describe = [](const WindowInstance& inst) {
-    return "seed=" + std::to_string(inst.seed) + " dim=" + std::to_string(inst.dim) +
-           " window=" + std::to_string(inst.window) +
-           " pushes=" + std::to_string(inst.pushes);
-  };
-  return arb;
-}
-
-TEST(ProptestStreaming, SlidingWindowIsAlwaysExactlyTheLastW) {
-  auto property = [](const WindowInstance& inst) -> Status {
-    Rng rng(inst.seed);
-    const ClippedSquaredLoss loss(1.0);
-    auto sliding = SlidingWindowProfile::Create(
-        &loss, RandomThetas(&rng, 5, inst.dim), inst.window);
-    if (!sliding.ok()) return Violation(sliding.status().message());
-    std::vector<Example> pushed;
-    for (std::size_t i = 0; i < inst.pushes; ++i) {
-      Example z = RandomExample(&rng, inst.dim);
-      const Status ok = sliding->Push(z);
-      if (!ok.ok()) return Violation("push rejected: " + ok.message());
-      pushed.push_back(std::move(z));
-      const std::size_t expect_n = std::min(pushed.size(), inst.window);
-      if (sliding->size() != expect_n) {
-        return Violation("window size " + std::to_string(sliding->size()) +
-                         ", expected " + std::to_string(expect_n));
-      }
-      const std::vector<Example> contents = sliding->WindowOldestFirst();
-      for (std::size_t j = 0; j < expect_n; ++j) {
-        if (!(contents[j] == pushed[pushed.size() - expect_n + j])) {
-          return Violation("window slot " + std::to_string(j) +
-                           " is not the expected stream element after push " +
-                           std::to_string(i));
-        }
-      }
-    }
-    return Status::Ok();
-  };
-  DPLEARN_EXPECT_PROPERTY(Check("sliding_window_last_w", ArbitraryWindowInstance(),
-                                property, SuiteConfig(502)));
 }
 
 // --------------------------------------------------------------------------

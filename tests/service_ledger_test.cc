@@ -59,7 +59,6 @@ TEST(ObsTenantBudgetTest, SpendRoutesThroughAccountantAndLedger) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->spends, 5u);
   EXPECT_EQ(view->denials, 1u);
-  EXPECT_GT(view->epsilon_spend_rate, 0.0);
 
   const auto log = ledger.audit_log("ledger_tenant");
   ASSERT_TRUE(log.ok());
@@ -69,14 +68,16 @@ TEST(ObsTenantBudgetTest, SpendRoutesThroughAccountantAndLedger) {
 
 TEST(ObsTenantBudgetTest, GaugesMatchAccountantBitwise) {
   ShardedPrivacyAccountant ledger{Options{}};
-  ASSERT_TRUE(ledger.RegisterTenant("gauge_tenant", PrivacyBudget{2.0, 0.0}).ok());
-  // Many small spends: the gauges store the ledger's Kahan totals, so they
-  // agree exactly — the ReplayVerifyAll contract.
-  for (int i = 0; i < 1000; ++i) {
+  ASSERT_TRUE(ledger.RegisterTenant("gauge_tenant", PrivacyBudget{1.0, 0.0}).ok());
+  // Many small spends, past the 0.9 near-exhaustion line: from the crossing
+  // on, the gauges store the ledger's Kahan totals, so they agree exactly —
+  // the ReplayVerifyAll contract.
+  for (int i = 0; i < 950; ++i) {
     ASSERT_TRUE(ledger.SpendOrReject("gauge_tenant", PrivacyBudget{0.001, 0.0}, "laplace").ok());
   }
   const auto view = ledger.View("gauge_tenant");
   ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->near_exhaustion);
   obs::Gauge* remaining =
       obs::GlobalMetrics().GetGauge("tenant.gauge_tenant.epsilon_remaining");
   obs::Gauge* spent = obs::GlobalMetrics().GetGauge("tenant.gauge_tenant.epsilon_spent");
@@ -126,7 +127,9 @@ TEST(ObsTenantBudgetTest, NearExhaustionFiresOnceWithEvent) {
 }
 
 TEST(ObsTenantBudgetTest, ExpositionRendersTenantLabels) {
-  ShardedPrivacyAccountant ledger{Options{}};
+  Options options;
+  options.near_exhaustion_fraction = 0.5;  // the spend below crosses it
+  ShardedPrivacyAccountant ledger(options);
   ASSERT_TRUE(ledger.RegisterTenant("expo_tenant", PrivacyBudget{1.0, 0.0}).ok());
   ASSERT_TRUE(ledger.SpendOrReject("expo_tenant", PrivacyBudget{0.5, 0.0}, "laplace").ok());
 
@@ -166,6 +169,48 @@ TEST(ObsTenantBudgetTest, ConcurrentTenantsVerifyCleanly) {
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(view->spends, static_cast<std::uint64_t>(kSpends));
   }
+}
+
+TEST(ServiceLedgerTest, HealthyTenantsAddNoGaugesAndNoExpositionSeries) {
+  ShardedPrivacyAccountant ledger{Options{}};  // near-exhaustion line at 0.9
+  const std::size_t gauges_before = obs::GlobalMetrics().GetSnapshot().gauges.size();
+  ASSERT_TRUE(ledger.RegisterTenant("calm_registered", PrivacyBudget{1.0, 0.0}).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        ledger.SpendOrReject("calm_registered", PrivacyBudget{0.1, 0.0}, "laplace").ok());
+  }
+  // Auto-registered at the default budget of 5, with one denial.
+  ASSERT_TRUE(ledger.SpendOrReject("calm_auto", PrivacyBudget{1.0, 0.0}, "laplace").ok());
+  EXPECT_EQ(ledger.SpendOrReject("calm_auto", PrivacyBudget{10.0, 0.0}, "laplace").code(),
+            StatusCode::kResourceExhausted);
+  for (const char* id : {"calm_registered", "calm_auto"}) {
+    const auto view = ledger.View(id);
+    ASSERT_TRUE(view.ok());
+    EXPECT_FALSE(view->near_exhaustion) << id;
+  }
+
+  const obs::MetricsRegistry::Snapshot snapshot = obs::GlobalMetrics().GetSnapshot();
+  EXPECT_EQ(snapshot.gauges.size(), gauges_before);
+  for (const auto& [name, value] : snapshot.gauges) {
+    EXPECT_EQ(name.find("calm_"), std::string::npos) << name;
+  }
+  EXPECT_EQ(obs::GlobalMetrics().WriteExposition().find("tenant=\"calm_"), std::string::npos);
+  EXPECT_TRUE(ledger.ReplayVerifyAll().ok());
+}
+
+TEST(ServiceLedgerTest, AccountantsSharingAHealthyTenantIdVerifyIndependently) {
+  // Gauges are keyed by tenant id alone; healthy tenants own none, so two
+  // ledgers in one process cannot overwrite each other's.
+  ShardedPrivacyAccountant first{Options{}};
+  ShardedPrivacyAccountant second{Options{}};
+  ASSERT_TRUE(first.RegisterTenant("shared_id", PrivacyBudget{1.0, 0.0}).ok());
+  ASSERT_TRUE(second.RegisterTenant("shared_id", PrivacyBudget{1.0, 0.0}).ok());
+  ASSERT_TRUE(first.SpendOrReject("shared_id", PrivacyBudget{0.25, 0.0}, "laplace").ok());
+  ASSERT_TRUE(second.SpendOrReject("shared_id", PrivacyBudget{0.5, 0.0}, "laplace").ok());
+  EXPECT_TRUE(first.ReplayVerifyAll().ok());
+  EXPECT_TRUE(second.ReplayVerifyAll().ok());
+  EXPECT_EQ(first.View("shared_id")->spent.epsilon, 0.25);
+  EXPECT_EQ(second.View("shared_id")->spent.epsilon, 0.5);
 }
 
 TEST(ServiceLedgerTest, InjectedSpendFaultIsUnavailableAndChangesNothing) {

@@ -4,7 +4,7 @@
 ///   * an incrementally maintained StreamingRiskProfile snapshot and a full
 ///     EmpiricalRiskProfile recompute over the same live multiset agree
 ///     within StreamingUlpBound(n, mutations) ULPs, across losses × dims ×
-///     add/remove orderings × window sizes;
+///     add/remove orderings;
 ///   * immediately after Resync() (manual or the every-resync_every
 ///     automatic one) the snapshot is BITWISE equal to the batch profile
 ///     over LiveDataset(), and stays bitwise-stable until the next mutation;
@@ -174,8 +174,6 @@ TEST(StreamingEquivalence, CreateRejectsInvalidInputs) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(StreamingRiskProfile::Create(&loss, {{0.1}, {std::nan("")}}).status().code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(SlidingWindowProfile::Create(&loss, ScalarThetas(3), 0).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(StreamingEquivalence, ErrorTaxonomyOnMutationsAndSnapshots) {
@@ -379,43 +377,6 @@ TEST(StreamingEquivalence, ScalarAndSimdStreamsAgree) {
       ExpectUlpClose(snapshots[0], snapshots[1], 16,
                      named.name + (dim5 ? " dim5" : " dim1") + " scalar vs simd");
     }
-  }
-}
-
-// --------------------------------------------------------------------------
-// Sliding window: always exactly the last W examples, and the profile
-// matches a full recompute over them.
-
-TEST(StreamingEquivalence, SlidingWindowTracksExactlyLastW) {
-  const std::vector<Example> stream = RegressionExamples(100, 71);
-  const std::vector<Vector> thetas = DenseThetas(9, 5, 72);
-  const HuberLoss loss(0.5, 2.0);
-  for (const std::size_t window : {std::size_t{1}, std::size_t{5}, std::size_t{32}}) {
-    auto sliding =
-        SlidingWindowProfile::Create(&loss, thetas, window, NoAutoResync()).value();
-    EXPECT_EQ(sliding.Snapshot().status().code(), StatusCode::kFailedPrecondition);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      ASSERT_TRUE(sliding.Push(stream[i]).ok());
-      const std::size_t expect_n = std::min(i + 1, window);
-      ASSERT_EQ(sliding.size(), expect_n);
-      const std::vector<Example> contents = sliding.WindowOldestFirst();
-      ASSERT_EQ(contents.size(), expect_n);
-      for (std::size_t j = 0; j < expect_n; ++j) {
-        EXPECT_TRUE(contents[j] == stream[i + 1 - expect_n + j])
-            << "window=" << window << " push=" << i << " slot=" << j;
-      }
-      if ((i + 1) % 7 == 0 || i + 1 == stream.size()) {
-        ExpectSnapshotWithinDriftBound(
-            sliding.profile(),
-            "window=" + std::to_string(window) + " push=" + std::to_string(i));
-      }
-    }
-    // A validation failure leaves the window untouched.
-    const std::vector<double> before = sliding.Snapshot().value();
-    EXPECT_EQ(sliding.Push(Example{{std::nan(""), 0, 0, 0, 0}, 1.0}).code(),
-              StatusCode::kOutOfRange);
-    EXPECT_EQ(sliding.size(), std::min(stream.size(), window));
-    ExpectBitEqual(sliding.Snapshot().value(), before, "rejected push mutates nothing");
   }
 }
 
