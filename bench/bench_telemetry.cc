@@ -113,7 +113,7 @@ BENCHMARK(BM_TraceSpanRecorded);
 /// shard lock and ledger append. The tenant stays far below its
 /// near-exhaustion line, so, like every healthy tenant's spend, it stores no
 /// gauges. The ledger is recycled every 64k iterations so the per-tenant
-/// audit trail cannot grow without bound across a long benchmark run; the
+/// ledger cannot grow without bound across a long benchmark run; the
 /// amortized re-registration cost is in the noise.
 void BM_TenantSpendGranted(benchmark::State& state) {
   ScopedTelemetry telemetry(true);

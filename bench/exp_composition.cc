@@ -16,7 +16,6 @@
 #include "bench/experiment_util.h"
 #include "infotheory/renyi.h"
 #include "mechanisms/privacy_budget.h"
-#include "obs/audit_log.h"
 
 namespace dplearn {
 namespace {
@@ -76,25 +75,28 @@ void Run() {
   }
 
   bench::PrintSection("accountant audit trail (total budget eps=2, named spend stream)");
-  obs::BudgetAuditLog audit;
   auto accountant = bench::Unwrap(PrivacyAccountant::Create({2.0, 1e-6}), "accountant");
-  accountant.set_audit_log(&audit);
-  bench::Check(accountant.Spend({0.5, 0.0}, "laplace"), "spend laplace");
-  bench::Check(accountant.Spend({0.5, 0.0}, "exponential"), "spend exponential");
-  bench::Check(accountant.Spend({0.75, 1e-7}, "gaussian"), "spend gaussian");
+  const std::vector<PrivacyBudget> granted = {{0.5, 0.0}, {0.5, 0.0}, {0.75, 1e-7}};
+  bench::Check(accountant.Spend(granted[0], "laplace"), "spend laplace");
+  bench::Check(accountant.Spend(granted[1], "exponential"), "spend exponential");
+  bench::Check(accountant.Spend(granted[2], "gaussian"), "spend gaussian");
   const Status denied = accountant.Spend({0.5, 0.0}, "laplace");  // 2.25 > 2.0
+  const std::vector<BudgetAuditEntry> entries = accountant.audit_log().Entries();
   std::printf("%6s %20s %10s %10s %12s %12s\n", "seq", "mechanism", "eps", "granted",
               "cum eps", "cum delta");
-  for (const auto& entry : audit.Entries()) {
+  for (const BudgetAuditEntry& entry : entries) {
     std::printf("%6llu %20s %10.3f %10s %12.3f %12.2e\n",
                 static_cast<unsigned long long>(entry.sequence), entry.mechanism.c_str(),
-                entry.epsilon, entry.granted ? "yes" : "DENIED",
-                entry.cumulative_epsilon, entry.cumulative_delta);
+                entry.cost.epsilon, entry.granted ? "yes" : "DENIED",
+                entry.cumulative.epsilon, entry.cumulative.delta);
   }
-  const bool audit_ok = audit.ReplayVerify().ok() && !denied.ok() &&
-                        audit.cumulative_epsilon() == accountant.spent().epsilon &&
-                        audit.cumulative_delta() == accountant.spent().delta;
-  bench::RecordScalar("audit_cumulative_epsilon", audit.cumulative_epsilon());
+  // The ledger and SequentialComposition are Kahan sums in the same order,
+  // so the accountant's total must equal the composed budget bitwise.
+  const PrivacyBudget composed = bench::Unwrap(SequentialComposition(granted), "compose");
+  const bool audit_ok = accountant.audit_log().ReplayVerify().ok() && !denied.ok() &&
+                        !entries.empty() && !entries.back().granted &&
+                        accountant.spent() == composed;
+  bench::RecordScalar("audit_cumulative_epsilon", accountant.spent().epsilon);
 
   bench::PrintSection("verdicts");
   bench::Verdict(audit_ok,

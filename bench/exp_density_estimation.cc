@@ -21,7 +21,6 @@
 #include "core/private_density.h"
 #include "infotheory/entropy.h"
 #include "learning/dataset.h"
-#include "obs/config.h"
 #include "sampling/distributions.h"
 #include "sampling/rng.h"
 
@@ -109,24 +108,20 @@ void Run() {
         out.kl_empirical = KlToTruth(empirical);
         return out;
       };
-      // Audit the first trial per (n, eps) inline; the rest are error
-      // measurement over the thread pool (auditing paused, one split stream
-      // per trial, reduced in trial order — thread-count invariant).
+      // Trial 0 runs inline; the rest are error measurement over the thread
+      // pool (one split stream per trial, reduced in trial order —
+      // thread-count invariant).
       Rng first_rng = rng.Split();
       TrialErrors sums = trial_body(0, first_rng);
-      {
-        obs::ScopedAuditPause pause;
-        for (const TrialErrors& r :
-             bench::RunTrials<TrialErrors>(trials - 1, &rng, trial_body)) {
-          sums.tv_gibbs += r.tv_gibbs;
-          sums.kl_gibbs += r.kl_gibbs;
-          sums.tv_laplace += r.tv_laplace;
-          sums.kl_laplace += r.kl_laplace;
-          sums.tv_geometric += r.tv_geometric;
-          sums.kl_geometric += r.kl_geometric;
-          sums.tv_empirical += r.tv_empirical;
-          sums.kl_empirical += r.kl_empirical;
-        }
+      for (const TrialErrors& r : bench::RunTrials<TrialErrors>(trials - 1, &rng, trial_body)) {
+        sums.tv_gibbs += r.tv_gibbs;
+        sums.kl_gibbs += r.kl_gibbs;
+        sums.tv_laplace += r.tv_laplace;
+        sums.kl_laplace += r.kl_laplace;
+        sums.tv_geometric += r.tv_geometric;
+        sums.kl_geometric += r.kl_geometric;
+        sums.tv_empirical += r.tv_empirical;
+        sums.kl_empirical += r.kl_empirical;
       }
       const double tv_gibbs = sums.tv_gibbs;
       const double kl_gibbs = sums.kl_gibbs;

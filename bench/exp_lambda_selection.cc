@@ -20,7 +20,6 @@
 #include "core/lambda_selection.h"
 #include "core/pac_bayes.h"
 #include "learning/generators.h"
-#include "obs/config.h"
 #include "sampling/rng.h"
 
 namespace dplearn {
@@ -86,19 +85,14 @@ void Run() {
       }
       return out;
     };
-    // Trial 0 inline with auditing live (one audited selection pipeline per
-    // budget); the rest are measurement over the thread pool, auditing
-    // paused, one split stream per trial.
+    // Trial 0 inline; the rest are measurement over the thread pool, one
+    // split stream per trial.
     Rng first_rng = rng.Split();
     TrialRisks sums = trial_body(0, first_rng);
-    {
-      obs::ScopedAuditPause pause;
-      for (const TrialRisks& r :
-           bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
-        sums.fixed += r.fixed;
-        sums.select += r.select;
-        sums.oracle += r.oracle;
-      }
+    for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
+      sums.fixed += r.fixed;
+      sums.select += r.select;
+      sums.oracle += r.oracle;
     }
     const double scale = static_cast<double>(trials);
     std::printf("%12.1f %14.4f %18.4f %18.4f\n", total_eps, sums.fixed / scale,

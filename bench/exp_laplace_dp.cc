@@ -16,7 +16,6 @@
 #include "learning/generators.h"
 #include "mechanisms/laplace.h"
 #include "mechanisms/sensitivity.h"
-#include "obs/config.h"
 #include "sampling/rng.h"
 
 namespace dplearn {
@@ -54,21 +53,17 @@ void Run() {
         AuditScalarDensityMechanism(density, {data}, BernoulliMeanTask::Domain(), probes),
         "audit");
 
-    // Audit the first release per eps inline; the remaining trials re-measure
-    // the same mechanism (they would flood the budget ledger with 20k
-    // entries) and run over the thread pool with auditing paused, one split
-    // stream per trial so the mean is thread-count invariant.
+    // The first release per eps runs inline; the remaining trials re-measure
+    // the same mechanism over the thread pool, one split stream per trial so
+    // the mean is thread-count invariant.
     auto trial_body = [&](std::size_t, Rng& trial_rng) {
       const double released = bench::Unwrap(mechanism.Release(data, &trial_rng), "release");
       return std::fabs(released - query.query(data));
     };
     Rng first_rng = rng.Split();
     double total_error = trial_body(0, first_rng);
-    {
-      obs::ScopedAuditPause pause;
-      for (double err : bench::RunTrials<double>(utility_trials - 1, &rng, trial_body)) {
-        total_error += err;
-      }
+    for (double err : bench::RunTrials<double>(utility_trials - 1, &rng, trial_body)) {
+      total_error += err;
     }
     const double mean_error = total_error / static_cast<double>(utility_trials);
     const double theory_error = mechanism.ExpectedAbsoluteError();

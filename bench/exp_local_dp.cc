@@ -35,7 +35,6 @@
 #include "localdp/federated.h"
 #include "localdp/local_channel.h"
 #include "localdp/local_dp_sgd.h"
-#include "obs/config.h"
 #include "sampling/distributions.h"
 #include "sampling/rng.h"
 #include "util/matrix.h"
@@ -113,29 +112,24 @@ void RunContractionPart() {
 
       // Sampled side: privatize Bernoulli labels in deterministic parallel
       // blocks (trial t = t-th split, folded in order) and run the plug-in
-      // estimator. Audit self-reports pause inside the measurement loop —
-      // these draws are simulation, not releases.
-      std::vector<MiSampleBlock> sample_blocks;
-      {
-        obs::ScopedAuditPause pause;
-        sample_blocks = bench::RunTrials<MiSampleBlock>(
-            blocks, &rng, [&](std::size_t, Rng& block_rng) {
-              MiSampleBlock block;
-              block.xs.reserve(block_draws);
-              block.ys.reserve(block_draws);
-              Example example;
-              for (std::size_t i = 0; i < block_draws; ++i) {
-                StatusOr<int> bit = SampleBernoulli(&block_rng, p_one);
-                if (!bit.ok()) continue;  // injected fault: drop the draw
-                example.label = bit.value() == 1 ? +1.0 : -1.0;
-                StatusOr<Example> privatized = channel.Privatize(example, &block_rng);
-                if (!privatized.ok()) continue;
-                block.xs.push_back(static_cast<std::size_t>(bit.value()));
-                block.ys.push_back(privatized.value().label > 0.0 ? 1 : 0);
-              }
-              return block;
-            });
-      }
+      // estimator.
+      const std::vector<MiSampleBlock> sample_blocks = bench::RunTrials<MiSampleBlock>(
+          blocks, &rng, [&](std::size_t, Rng& block_rng) {
+            MiSampleBlock block;
+            block.xs.reserve(block_draws);
+            block.ys.reserve(block_draws);
+            Example example;
+            for (std::size_t i = 0; i < block_draws; ++i) {
+              StatusOr<int> bit = SampleBernoulli(&block_rng, p_one);
+              if (!bit.ok()) continue;  // injected fault: drop the draw
+              example.label = bit.value() == 1 ? +1.0 : -1.0;
+              StatusOr<Example> privatized = channel.Privatize(example, &block_rng);
+              if (!privatized.ok()) continue;
+              block.xs.push_back(static_cast<std::size_t>(bit.value()));
+              block.ys.push_back(privatized.value().label > 0.0 ? 1 : 0);
+            }
+            return block;
+          });
       std::vector<std::size_t> xs;
       std::vector<std::size_t> ys;
       for (const MiSampleBlock& block : sample_blocks) {
@@ -168,25 +162,21 @@ void RunContractionPart() {
       const std::size_t djw_dim = 3;
       const localdp::DjwL2Channel djw = bench::Unwrap(
           localdp::DjwL2Channel::Create(eps, 1.0, djw_dim), "DJW create");
-      std::vector<ProjectionBlock> projection_blocks;
-      {
-        obs::ScopedAuditPause pause;
-        projection_blocks = bench::RunTrials<ProjectionBlock>(
-            blocks, &rng, [&](std::size_t, Rng& block_rng) {
-              ProjectionBlock block;
-              Vector v(djw_dim, 0.0);
-              for (std::size_t i = 0; i < block_draws; ++i) {
-                StatusOr<int> bit = SampleBernoulli(&block_rng, 0.5);
-                if (!bit.ok()) continue;
-                v[0] = bit.value() == 1 ? 1.0 : -1.0;
-                StatusOr<Vector> z = djw.PrivatizeVector(v, &block_rng);
-                if (!z.ok()) continue;
-                block.xs.push_back(static_cast<double>(bit.value()));
-                block.ys.push_back(z.value()[0]);
-              }
-              return block;
-            });
-      }
+      const std::vector<ProjectionBlock> projection_blocks = bench::RunTrials<ProjectionBlock>(
+          blocks, &rng, [&](std::size_t, Rng& block_rng) {
+            ProjectionBlock block;
+            Vector v(djw_dim, 0.0);
+            for (std::size_t i = 0; i < block_draws; ++i) {
+              StatusOr<int> bit = SampleBernoulli(&block_rng, 0.5);
+              if (!bit.ok()) continue;
+              v[0] = bit.value() == 1 ? 1.0 : -1.0;
+              StatusOr<Vector> z = djw.PrivatizeVector(v, &block_rng);
+              if (!z.ok()) continue;
+              block.xs.push_back(static_cast<double>(bit.value()));
+              block.ys.push_back(z.value()[0]);
+            }
+            return block;
+          });
       std::vector<double> proj_xs;
       std::vector<double> proj_ys;
       for (const ProjectionBlock& block : projection_blocks) {
@@ -274,66 +264,63 @@ void RunFrontierPart() {
         double federated_clear = 0.0;
         bool ok = false;
       };
-      std::vector<TrialRisks> risks;
-      {
-        obs::ScopedAuditPause pause;
-        risks = bench::RunTrials<TrialRisks>(trials, &rng, [&](std::size_t, Rng& trial_rng) {
-          TrialRisks out;
-          StatusOr<Dataset> data = task.Sample(n, &trial_rng);
-          if (!data.ok()) return out;
+      const std::vector<TrialRisks> risks =
+          bench::RunTrials<TrialRisks>(trials, &rng, [&](std::size_t, Rng& trial_rng) {
+            TrialRisks out;
+            StatusOr<Dataset> data = task.Sample(n, &trial_rng);
+            if (!data.ok()) return out;
 
-          DpSgdOptions central;
-          central.noise_multiplier = sigma;
-          central.sampling_rate = sgd_q;
-          central.steps = sgd_steps;
-          central.learning_rate = 0.2;
-          central.l2_lambda = 0.01;
-          central.delta = delta;
-          StatusOr<DpSgdResult> central_run =
-              DpSgd(loss, data.value(), central, &trial_rng);
-          if (!central_run.ok()) return out;
-          out.central = task.TrueZeroOneRisk(central_run.value().theta);
+            DpSgdOptions central;
+            central.noise_multiplier = sigma;
+            central.sampling_rate = sgd_q;
+            central.steps = sgd_steps;
+            central.learning_rate = 0.2;
+            central.l2_lambda = 0.01;
+            central.delta = delta;
+            StatusOr<DpSgdResult> central_run =
+                DpSgd(loss, data.value(), central, &trial_rng);
+            if (!central_run.ok()) return out;
+            out.central = task.TrueZeroOneRisk(central_run.value().theta);
 
-          localdp::LocalDpSgdOptions local;
-          local.epsilon_per_round = eps / static_cast<double>(rounds);
-          local.rounds = rounds;
-          local.clip_norm = 1.0;
-          local.learning_rate = 0.4;
-          local.l2_lambda = 0.01;
-          StatusOr<localdp::LocalDpSgdResult> local_run =
-              localdp::LocalDpSgd(loss, data.value(), local, &trial_rng);
-          if (!local_run.ok()) return out;
-          out.local = task.TrueZeroOneRisk(local_run.value().theta);
+            localdp::LocalDpSgdOptions local;
+            local.epsilon_per_round = eps / static_cast<double>(rounds);
+            local.rounds = rounds;
+            local.clip_norm = 1.0;
+            local.learning_rate = 0.4;
+            local.l2_lambda = 0.01;
+            StatusOr<localdp::LocalDpSgdResult> local_run =
+                localdp::LocalDpSgd(loss, data.value(), local, &trial_rng);
+            if (!local_run.ok()) return out;
+            out.local = task.TrueZeroOneRisk(local_run.value().theta);
 
-          localdp::FederatedOptions federated;
-          federated.num_clients = federated_clients;
-          federated.rounds = federated_rounds;
-          federated.local_steps = 2;
-          federated.learning_rate = 0.5;
-          federated.clip_norm = 1.0;
-          federated.model = localdp::FederatedPrivacyModel::kLocalDjw;
-          federated.epsilon_per_round = eps / static_cast<double>(federated_rounds);
-          StatusOr<localdp::FederatedSimulator> simulator = localdp::FederatedSimulator::Create(
-              &loss, data.value(), federated);
-          if (!simulator.ok()) return out;
-          StatusOr<localdp::FederatedResult> federated_run =
-              simulator.value().Run(&trial_rng);
-          if (!federated_run.ok()) return out;
-          out.federated = task.TrueZeroOneRisk(federated_run.value().theta);
+            localdp::FederatedOptions federated;
+            federated.num_clients = federated_clients;
+            federated.rounds = federated_rounds;
+            federated.local_steps = 2;
+            federated.learning_rate = 0.5;
+            federated.clip_norm = 1.0;
+            federated.model = localdp::FederatedPrivacyModel::kLocalDjw;
+            federated.epsilon_per_round = eps / static_cast<double>(federated_rounds);
+            StatusOr<localdp::FederatedSimulator> simulator = localdp::FederatedSimulator::Create(
+                &loss, data.value(), federated);
+            if (!simulator.ok()) return out;
+            StatusOr<localdp::FederatedResult> federated_run =
+                simulator.value().Run(&trial_rng);
+            if (!federated_run.ok()) return out;
+            out.federated = task.TrueZeroOneRisk(federated_run.value().theta);
 
-          federated.model = localdp::FederatedPrivacyModel::kNone;
-          StatusOr<localdp::FederatedSimulator> clear_simulator =
-              localdp::FederatedSimulator::Create(&loss, data.value(), federated);
-          if (!clear_simulator.ok()) return out;
-          StatusOr<localdp::FederatedResult> clear_run =
-              clear_simulator.value().Run(&trial_rng);
-          if (!clear_run.ok()) return out;
-          out.federated_clear = task.TrueZeroOneRisk(clear_run.value().theta);
+            federated.model = localdp::FederatedPrivacyModel::kNone;
+            StatusOr<localdp::FederatedSimulator> clear_simulator =
+                localdp::FederatedSimulator::Create(&loss, data.value(), federated);
+            if (!clear_simulator.ok()) return out;
+            StatusOr<localdp::FederatedResult> clear_run =
+                clear_simulator.value().Run(&trial_rng);
+            if (!clear_run.ok()) return out;
+            out.federated_clear = task.TrueZeroOneRisk(clear_run.value().theta);
 
-          out.ok = true;
-          return out;
-        });
-      }
+            out.ok = true;
+            return out;
+          });
       std::size_t completed = 0;
       for (const TrialRisks& trial : risks) {
         if (!trial.ok) continue;

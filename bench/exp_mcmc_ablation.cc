@@ -70,10 +70,7 @@ void Run() {
 
   // Each configuration runs its own chain from a fresh Rng(222), so the
   // configs are independent and map over the thread pool unchanged; rows
-  // are printed from the collected results in config order. The audit trail
-  // stays live: SampleGibbsContinuous logs one identical entry per config
-  // (same lambda and sensitivity), so the trail does not depend on the
-  // completion order.
+  // are printed from the collected results in config order.
   const std::size_t num_configs = sizeof(configs) / sizeof(configs[0]);
   struct Row {
     double tv = 0.0;

@@ -28,7 +28,6 @@
 #include "learning/risk.h"
 #include "mechanisms/laplace.h"
 #include "mechanisms/sensitivity.h"
-#include "obs/config.h"
 #include "sampling/rng.h"
 #include "util/math_util.h"
 
@@ -104,20 +103,15 @@ void PartAMeanEstimation() {
         out.erm = task.TrueRisk(mean / static_cast<double>(n));
         return out;
       };
-      // Trial 0 runs inline with auditing live (one audited release per
-      // (n, eps) cell); the remaining trials are risk measurement and run
-      // over the thread pool with the process-wide audit switch paused.
-      // Trial t always consumes the t-th Split() of rng — see RunTrials.
+      // Trial 0 runs inline; the remaining trials are risk measurement and
+      // run over the thread pool. Trial t always consumes the t-th Split()
+      // of rng — see RunTrials.
       Rng first_rng = rng.Split();
       TrialRisks sums = trial_body(0, first_rng);
-      {
-        obs::ScopedAuditPause pause;
-        for (const TrialRisks& r :
-             bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
-          sums.laplace += r.laplace;
-          sums.rr += r.rr;
-          sums.erm += r.erm;
-        }
+      for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
+        sums.laplace += r.laplace;
+        sums.rr += r.rr;
+        sums.erm += r.erm;
       }
       const double bayes = task.BayesRisk();
       std::printf("%6zu %8.2f %14.5f %14.5f %14.5f %14.5f\n", n, eps, gibbs_risk - bayes,
@@ -218,22 +212,17 @@ void PartBClassification() {
       out_risks.erm = task.TrueZeroOneRisk(np.theta);
       return out_risks;
     };
-    // Trial 0 inline and audited (one audited pipeline per eps); the rest
-    // are measurement over the pool with auditing paused. Per-trial streams
+    // Trial 0 inline; the rest are measurement over the pool. Per-trial streams
     // are split in trial order, so the column means are thread-count
     // invariant.
     Rng first_rng = rng.Split();
     TrialRisks sums = trial_body(0, first_rng);
-    {
-      obs::ScopedAuditPause pause;
-      for (const TrialRisks& r :
-           bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
-        sums.gibbs += r.gibbs;
-        sums.output += r.output;
-        sums.objective += r.objective;
-        sums.dpsgd += r.dpsgd;
-        sums.erm += r.erm;
-      }
+    for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
+      sums.gibbs += r.gibbs;
+      sums.output += r.output;
+      sums.objective += r.objective;
+      sums.dpsgd += r.dpsgd;
+      sums.erm += r.erm;
     }
     std::printf("%8.2f %12.4f %14.4f %14.4f %12.4f %14.4f\n", eps,
                 sums.gibbs / static_cast<double>(trials),

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/audit_log.h"
 #include "obs/config.h"
 #include "obs/event_sink.h"
 #include "obs/json_writer.h"
@@ -38,15 +37,14 @@ namespace bench {
 ///
 ///   results/<slug>.json         — the experiment record: id, claim,
 ///                                 per-section wall times, verdicts, named
-///                                 scalars, the full privacy-budget audit
-///                                 trail, and a metrics snapshot.
-///   results/<slug>.events.jsonl — the live event stream (verdicts, audit
+///                                 scalars, and a metrics snapshot.
+///   results/<slug>.events.jsonl — the live event stream (verdicts, ledger
 ///                                 entries, trace spans) as JSONL.
 ///
 /// The output directory is `results/` under the current working directory;
 /// override with DPLEARN_RESULTS_DIR, or set it to the empty string to
-/// disable file output entirely. PrintHeader() turns on metrics, tracing,
-/// and budget auditing so the record is complete; the record is written by
+/// disable file output entirely. PrintHeader() turns on metrics and
+/// tracing so the record is complete; the record is written by
 /// an atexit hook so straight-line experiment code needs no teardown call.
 
 inline bool SmokeMode();  // defined below; used by the record writer
@@ -254,11 +252,6 @@ inline void WriteRecord() {
     w.Key("evictions").Value(static_cast<std::uint64_t>(cache.evictions));
     w.EndObject();
   }
-  w.Key("audit_trail").Raw(obs::GlobalAuditLog().ToJson());
-  w.Key("audit_cumulative").BeginObject();
-  w.Key("epsilon").Value(obs::GlobalAuditLog().cumulative_epsilon());
-  w.Key("delta").Value(obs::GlobalAuditLog().cumulative_delta());
-  w.EndObject();
   w.Key("metrics").Raw(obs::GlobalMetrics().ExportJson());
   w.EndObject();
 
@@ -369,9 +362,7 @@ inline void ParseFlags(int argc, char** argv) {
 /// (src/parallel): trial t consumes the t-th Split() of *rng and results
 /// come back in trial order, so every number an experiment derives from the
 /// returned vector is bit-identical at any DPLEARN_THREADS setting. The
-/// body must not touch shared mutable state (obs counters/sinks are safe);
-/// audit self-reports inside trial bodies should be paused by the caller —
-/// parallel trials are measurement, not releases (see ScopedAuditPause).
+/// body must not touch shared mutable state (obs counters/sinks are safe).
 template <typename T, typename Body>
 std::vector<T> RunTrials(std::size_t trials, Rng* rng, Body&& body) {
   parallel::ParallelTrialRunner runner;
@@ -389,15 +380,13 @@ inline void PrintHeader(const std::string& experiment_id, const std::string& cla
   if (state.initialized) return;  // one record per process; first header wins
 
   // Experiments always run fully observed: the JSON record must contain the
-  // audit trail and span timings regardless of ambient env defaults.
+  // metrics and span timings regardless of ambient env defaults.
   obs::SetMetricsEnabled(true);
   obs::SetTracingEnabled(true);
-  obs::SetAuditEnabled(true);
   // Force construction of the global singletons BEFORE registering the
   // atexit hook, so the hook (run in reverse registration order) can still
   // read them.
   obs::GlobalMetrics();
-  obs::GlobalAuditLog().Clear();
   // Start the env-configured telemetry reporter (DPLEARN_METRICS_FILE /
   // DPLEARN_TRACE_FILE): a no-op when neither variable is set. The record
   // writer below shuts it down.

@@ -44,7 +44,7 @@ if [[ "${DPLEARN_TIER1_TSAN:-1}" != "0" ]]; then
     "${cmake_flags[@]+"${cmake_flags[@]}"}" >/dev/null
   cmake --build "${build_dir}-tsan" -j "$jobs" --target dplearn_tsan_tests
   # DPLEARN_THREADS=8 forces the process-wide pool on so the library's
-  # parallel paths (risk profiles, k-fold, trial engine) run threaded under
+  # parallel paths (risk profiles, trial engine) run threaded under
   # TSan even on small runners.
   DPLEARN_THREADS=8 DPLEARN_METRICS=1 ctest --test-dir "${build_dir}-tsan" \
     --output-on-failure -j "$jobs" -L '^tsan$'

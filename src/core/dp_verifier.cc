@@ -67,32 +67,17 @@ StatusOr<DpAuditResult> AuditScalarDensityMechanism(const ScalarDensityFn& densi
     return InvalidArgumentError("AuditScalarDensityMechanism: empty input");
   }
 
-  DpAuditResult result;
-  for (std::size_t b = 0; b < bases.size(); ++b) {
-    const std::vector<Dataset> neighbors = EnumerateNeighbors(bases[b], domain);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      for (std::size_t o = 0; o < probe_outputs.size(); ++o) {
-        const double da = density(bases[b], probe_outputs[o]);
-        const double db = density(neighbors[k], probe_outputs[o]);
-        if (da == 0.0 && db == 0.0) continue;
-        if (da == 0.0 || db == 0.0) {
-          result.unbounded = true;
-          result.worst_base = b;
-          result.worst_neighbor = k;
-          result.worst_output = o;
-          continue;
-        }
-        const double ratio = std::fabs(std::log(da / db));
-        if (ratio > result.max_log_ratio) {
-          result.max_log_ratio = ratio;
-          result.worst_base = b;
-          result.worst_neighbor = k;
-          result.worst_output = o;
-        }
-      }
+  // The densities at the probe points are the exact audit's finite "output
+  // distribution": the same neighbor sweep and the same comparisons.
+  const FiniteOutputMechanism at_probes =
+      [&density, &probe_outputs](const Dataset& data) -> StatusOr<std::vector<double>> {
+    std::vector<double> densities(probe_outputs.size());
+    for (std::size_t o = 0; o < probe_outputs.size(); ++o) {
+      densities[o] = density(data, probe_outputs[o]);
     }
-  }
-  return result;
+    return densities;
+  };
+  return AuditFiniteMechanism(at_probes, bases, domain);
 }
 
 StatusOr<DpAuditResult> SampledAuditPair(const SamplingMechanism& mechanism,

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "learning/risk.h"
-#include "obs/audit_log.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -252,14 +251,6 @@ StatusOr<MetropolisResult> SampleGibbsContinuous(const LossFunction& loss,
   if (obs::MetricsEnabled()) {
     static obs::Counter* const runs = obs::GlobalMetrics().GetCounter("gibbs.mcmc_runs");
     runs->Increment();
-  }
-  if (obs::AuditEnabled()) {
-    // Self-report the exact-posterior guarantee 2*lambda*Delta(R-hat) that
-    // this chain approximates (the MCMC gap is measured, not certified).
-    DPLEARN_ASSIGN_OR_RETURN(const double sensitivity,
-                             EmpiricalRiskSensitivityBound(loss, data.size()));
-    obs::GlobalAuditLog().Record("gibbs.mcmc", 2.0 * lambda * sensitivity, 0.0,
-                                 /*granted=*/true);
   }
   LogDensityFn target = [&loss, &data, &log_prior, lambda](const Vector& theta) {
     const double lp = log_prior(theta);

@@ -8,7 +8,6 @@
 #include "core/gibbs_estimator.h"
 #include "mechanisms/geometric.h"
 #include "mechanisms/sensitivity.h"
-#include "obs/audit_log.h"
 #include "sampling/distributions.h"
 #include "util/math_util.h"
 
@@ -129,7 +128,6 @@ StatusOr<PrivateDensityResult> GibbsDensityEstimate(const Dataset& data, std::si
                                         : -std::numeric_limits<double>::infinity();
   }
   DPLEARN_ASSIGN_OR_RETURN(std::size_t chosen, SampleFromLogWeights(rng, log_weights));
-  obs::AuditMechanismInvocation("density.gibbs", options.epsilon, 0.0);
 
   PrivateDensityResult result;
   result.density = candidates[chosen];
@@ -151,7 +149,6 @@ StatusOr<PrivateDensityResult> LaplaceHistogramEstimate(const Dataset& data,
     DPLEARN_ASSIGN_OR_RETURN(double noise, SampleLaplace(rng, 0.0, 2.0 / epsilon));
     c += noise;
   }
-  obs::AuditMechanismInvocation("density.laplace_histogram", epsilon, 0.0);
   PrivateDensityResult result;
   DPLEARN_ASSIGN_OR_RETURN(result.density, NoisyCountsToDensity(std::move(counts)));
   result.epsilon = epsilon;
@@ -173,7 +170,6 @@ StatusOr<PrivateDensityResult> GeometricHistogramEstimate(const Dataset& data,
     DPLEARN_ASSIGN_OR_RETURN(std::int64_t noise, SampleTwoSidedGeometric(rng, alpha));
     c += static_cast<double>(noise);
   }
-  obs::AuditMechanismInvocation("density.geometric_histogram", epsilon, 0.0);
   PrivateDensityResult result;
   DPLEARN_ASSIGN_OR_RETURN(result.density, NoisyCountsToDensity(std::move(counts)));
   result.epsilon = epsilon;

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/audit_log.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
 #include "robustness/failpoint.h"
@@ -17,10 +16,10 @@ namespace localdp {
 // Each Privatize() opens with the same instrumentation sequence as the
 // central mechanisms (LaplaceMechanism::Release et al.): fail point first
 // (chaos configs abort the draw before any side effect), then count/latency
-// metrics behind MetricsEnabled(), then the audit self-report. The metric
-// names differ per channel, so the static-local handles live in each
-// Privatize() body; this macro keeps the sequence identical.
-#define DPLEARN_LOCALDP_INSTRUMENT_PRIVATIZE(metric_prefix, epsilon)            \
+// metrics behind MetricsEnabled(). The metric names differ per channel, so
+// the static-local handles live in each Privatize() body; this macro keeps
+// the sequence identical.
+#define DPLEARN_LOCALDP_INSTRUMENT_PRIVATIZE(metric_prefix)                     \
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));              \
   static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(  \
       metric_prefix ".release.us");                                             \
@@ -29,8 +28,7 @@ namespace localdp {
     static obs::Counter* const releases =                                       \
         obs::GlobalMetrics().GetCounter(metric_prefix ".releases");             \
     releases->Increment();                                                      \
-  }                                                                             \
-  obs::AuditMechanismInvocation(metric_prefix, (epsilon), 0.0)
+  }
 
 // ---------------------------------------------------------------------------
 // LocalChannel base audit hooks.
@@ -93,7 +91,7 @@ StatusOr<RandomizedResponseChannel> RandomizedResponseChannel::Create(
 
 StatusOr<Example> RandomizedResponseChannel::Privatize(const Example& example,
                                                        Rng* rng) const {
-  DPLEARN_LOCALDP_INSTRUMENT_PRIVATIZE("localdp.randomized_response", epsilon_);
+  DPLEARN_LOCALDP_INSTRUMENT_PRIVATIZE("localdp.randomized_response");
   DPLEARN_ASSIGN_OR_RETURN(const std::size_t true_index, LabelIndex(example.label));
   DPLEARN_ASSIGN_OR_RETURN(const int keep, SampleBernoulli(rng, p_truth_));
   Example out = example;  // features pass through verbatim
@@ -210,7 +208,7 @@ Vector RoundingDirection(const Vector& v, double norm) {
 }  // namespace
 
 StatusOr<Vector> DjwL2Channel::PrivatizeVector(const Vector& v, Rng* rng) const {
-  DPLEARN_LOCALDP_INSTRUMENT_PRIVATIZE("localdp.djw_l2", epsilon_);
+  DPLEARN_LOCALDP_INSTRUMENT_PRIVATIZE("localdp.djw_l2");
   if (v.size() != dim_) {
     return InvalidArgumentError("DjwL2Channel: input has dimension " +
                                 std::to_string(v.size()) + ", channel expects " +

@@ -35,8 +35,7 @@ namespace localdp {
 ///  * OutputLogDensity() differences are exact log likelihood ratios; the
 ///    additive constant (output-space base measure) cancels in every pair.
 ///  * Each Privatize() fires the standard mechanism instrumentation: the
-///    "mechanism.sample" fail point, a release counter/latency histogram,
-///    and an AuditMechanismInvocation self-report of eps.
+///    "mechanism.sample" fail point and a release counter/latency histogram.
 class LocalChannel {
  public:
   virtual ~LocalChannel() = default;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/audit_log.h"
 #include "robustness/failpoint.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
@@ -106,7 +105,6 @@ StatusOr<std::size_t> ExponentialMechanism::Sample(const Dataset& data, Rng* rng
         obs::GlobalMetrics().GetCounter("mechanism.exponential.samples");
     samples->Increment();
   }
-  obs::AuditMechanismInvocation("exponential", PrivacyGuaranteeEpsilon(), 0.0);
   return SampleFromLogWeights(rng, LogWeights(data));
 }
 
@@ -122,10 +120,9 @@ Status ExponentialMechanism::SampleBatch(const Dataset& data, Rng* rng, std::siz
   std::vector<double> scratch;
   scratch.reserve(log_w.size());
   for (std::size_t j = 0; j < k; ++j) {
-    // Same per-draw sequence as Sample(): fail-point, metric, audit entry,
-    // then the Gumbel-max draw — so chaos configs fire at the same draw
-    // indices and the audit log records one release per output, whether the
-    // caller batched or looped.
+    // Same per-draw sequence as Sample(): fail-point, metric, then the
+    // Gumbel-max draw — so chaos configs fire at the same draw indices
+    // whether the caller batched or looped.
     DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
     static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
         "mechanism.exponential.release.us");
@@ -135,7 +132,6 @@ Status ExponentialMechanism::SampleBatch(const Dataset& data, Rng* rng, std::siz
           obs::GlobalMetrics().GetCounter("mechanism.exponential.samples");
       samples->Increment();
     }
-    obs::AuditMechanismInvocation("exponential", PrivacyGuaranteeEpsilon(), 0.0);
     DPLEARN_ASSIGN_OR_RETURN(const std::size_t draw,
                              SampleFromLogWeights(rng, log_w, &scratch));
     out->push_back(draw);
@@ -175,7 +171,6 @@ StatusOr<std::size_t> ReportNoisyMax::Sample(const Dataset& data, Rng* rng) cons
         obs::GlobalMetrics().GetCounter("mechanism.report_noisy_max.samples");
     samples->Increment();
   }
-  obs::AuditMechanismInvocation("report_noisy_max", epsilon_, 0.0);
   std::size_t best = 0;
   double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t u = 0; u < num_candidates_; ++u) {

@@ -60,11 +60,11 @@ class ExponentialMechanism {
   /// Draws `k` output indices into *out (resized to k), evaluating the
   /// quality function and log-weights ONCE for the whole block instead of
   /// once per draw. Bit- and stream-identical to k Sample() calls on the
-  /// same Rng, and each draw is still an individually audited release (one
-  /// audit-log entry and one "mechanism.sample" fail-point crossing per
-  /// draw, in draw order) — batching is a perf shape, not a change to the
-  /// privacy accounting. On error after j successful draws, out[0..j) holds
-  /// those draws and out is sized j.
+  /// same Rng, and each draw is still an individual release (one
+  /// "mechanism.sample" fail-point crossing and one metrics tick per draw,
+  /// in draw order) — batching is a perf shape, not a change to the privacy
+  /// accounting. On error after j successful draws, out[0..j) holds those
+  /// draws and out is sized j.
   Status SampleBatch(const Dataset& data, Rng* rng, std::size_t k,
                      std::vector<std::size_t>* out) const;
 

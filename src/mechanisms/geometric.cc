@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/audit_log.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
 #include "robustness/failpoint.h"
@@ -76,7 +75,6 @@ StatusOr<std::int64_t> GeometricMechanism::Release(const Dataset& data, Rng* rng
         obs::GlobalMetrics().GetCounter("mechanism.geometric.releases");
     releases->Increment();
   }
-  obs::AuditMechanismInvocation("geometric", epsilon_, 0.0);
   DPLEARN_ASSIGN_OR_RETURN(std::int64_t true_int,
                            CheckedInt64FromQuery(query_.query(data)));
   DPLEARN_ASSIGN_OR_RETURN(std::int64_t noise, SampleTwoSidedGeometric(rng, alpha_));

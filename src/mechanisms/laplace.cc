@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/audit_log.h"
 #include "robustness/failpoint.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
@@ -33,7 +32,6 @@ StatusOr<double> LaplaceMechanism::Release(const Dataset& data, Rng* rng) const 
         obs::GlobalMetrics().GetCounter("mechanism.laplace.releases");
     releases->Increment();
   }
-  obs::AuditMechanismInvocation("laplace", epsilon_, 0.0);
   const double true_value = query_.query(data);
   return SampleLaplace(rng, true_value, scale_);
 }
@@ -48,10 +46,9 @@ Status LaplaceMechanism::ReleaseBatch(const Dataset& data, Rng* rng, std::size_t
   const double true_value = query_.query(data);
   out->reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
-    // Same per-draw sequence as Release(): fail-point, metric, audit entry,
-    // then the noise draw — so chaos configs fire at the same draw indices
-    // and the audit log records one release per output, whether the caller
-    // batched or looped.
+    // Same per-draw sequence as Release(): fail-point, metric, then the
+    // noise draw — so chaos configs fire at the same draw indices whether
+    // the caller batched or looped.
     DPLEARN_RETURN_IF_ERROR(robustness::Inject("mechanism.sample"));
     static obs::Histogram* const release_us = obs::GlobalMetrics().GetHistogram(
         "mechanism.laplace.release.us");
@@ -61,7 +58,6 @@ Status LaplaceMechanism::ReleaseBatch(const Dataset& data, Rng* rng, std::size_t
           obs::GlobalMetrics().GetCounter("mechanism.laplace.releases");
       releases->Increment();
     }
-    obs::AuditMechanismInvocation("laplace", epsilon_, 0.0);
     DPLEARN_ASSIGN_OR_RETURN(const double draw, SampleLaplace(rng, true_value, scale_));
     out->push_back(draw);
   }
@@ -103,7 +99,6 @@ StatusOr<double> GaussianMechanism::Release(const Dataset& data, Rng* rng) const
         obs::GlobalMetrics().GetCounter("mechanism.gaussian.releases");
     releases->Increment();
   }
-  obs::AuditMechanismInvocation("gaussian", budget_.epsilon, budget_.delta);
   const double true_value = query_.query(data);
   return SampleNormal(rng, true_value, stddev_);
 }
@@ -132,7 +127,6 @@ StatusOr<int> RandomizedResponse::Release(int true_bit, Rng* rng) const {
         obs::GlobalMetrics().GetCounter("mechanism.randomized_response.releases");
     releases->Increment();
   }
-  obs::AuditMechanismInvocation("randomized_response", epsilon_, 0.0);
   DPLEARN_ASSIGN_OR_RETURN(int keep, SampleBernoulli(rng, p_truth_));
   return keep == 1 ? true_bit : 1 - true_bit;
 }

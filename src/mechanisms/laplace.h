@@ -25,13 +25,13 @@ class LaplaceMechanism {
   /// Releases `k` independent ε-DP noisy answers into *out (resized to k),
   /// evaluating the query f(data) ONCE for the whole block. Bit- and
   /// stream-identical to k Release() calls on the same Rng, and each draw is
-  /// still an individually audited release (one audit entry, one
-  /// "mechanism.sample" fail-point crossing and one metrics tick per draw,
-  /// in draw order) — batching is a perf shape, not a change to the privacy
-  /// accounting, exactly as with ExponentialMechanism::SampleBatch. On error
-  /// after j successful draws, out[0..j) holds those draws and out is sized
-  /// j. The composed guarantee of the batch is k·ε by sequential
-  /// composition; the caller's accountant charges it.
+  /// still an individual release (one "mechanism.sample" fail-point crossing
+  /// and one metrics tick per draw, in draw order) — batching is a perf
+  /// shape, not a change to the privacy accounting, exactly as with
+  /// ExponentialMechanism::SampleBatch. On error after j successful draws,
+  /// out[0..j) holds those draws and out is sized j. The composed guarantee
+  /// of the batch is k·ε by sequential composition; the caller's accountant
+  /// charges it.
   Status ReleaseBatch(const Dataset& data, Rng* rng, std::size_t k,
                       std::vector<double>* out) const;
 

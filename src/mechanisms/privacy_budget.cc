@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/audit_log.h"
 #include "obs/config.h"
+#include "obs/event_sink.h"
+#include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "robustness/failpoint.h"
 #include "util/logging.h"
@@ -15,7 +16,7 @@ Status ValidateBudget(const PrivacyBudget& budget) {
   if (!(budget.epsilon > 0.0)) {
     return InvalidArgumentError("PrivacyBudget: epsilon must be positive");
   }
-  if (budget.delta < 0.0 || budget.delta >= 1.0) {
+  if (!(budget.delta >= 0.0 && budget.delta < 1.0)) {
     return InvalidArgumentError("PrivacyBudget: delta must be in [0,1)");
   }
   return Status::Ok();
@@ -87,6 +88,93 @@ PrivacyBudget RemainingBudget(const PrivacyBudget& total, const PrivacyBudget& s
                        std::max(0.0, total.delta - spent.delta)};
 }
 
+BudgetAuditEntry BudgetAuditLog::Spend(std::string_view mechanism, const PrivacyBudget& cost,
+                                       const PrivacyBudget& total) {
+  BudgetAuditEntry entry;
+  entry.mechanism = std::string(mechanism);
+  entry.cost = cost;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entry.sequence = entries_.size();
+    entry.granted =
+        WithinBudget(PrivacyBudget{spent_epsilon_.Value(), spent_delta_.Value()}, cost, total);
+    if (entry.granted) {
+      spent_epsilon_.Add(cost.epsilon);
+      spent_delta_.Add(cost.delta);
+    }
+    entry.cumulative = PrivacyBudget{spent_epsilon_.Value(), spent_delta_.Value()};
+    entries_.push_back(entry);
+  }
+  if (obs::HasGlobalSinks()) {
+    obs::Event event;
+    event.type = "audit";
+    event.name = entry.mechanism;
+    event.With("seq", obs::EventValue::Int(static_cast<std::int64_t>(entry.sequence)))
+        .With("epsilon", obs::EventValue::Num(entry.cost.epsilon))
+        .With("delta", obs::EventValue::Num(entry.cost.delta))
+        .With("granted", obs::EventValue::Bool(entry.granted))
+        .With("cum_epsilon", obs::EventValue::Num(entry.cumulative.epsilon))
+        .With("cum_delta", obs::EventValue::Num(entry.cumulative.delta));
+    obs::EmitEvent(event);
+  }
+  return entry;
+}
+
+PrivacyBudget BudgetAuditLog::spent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return PrivacyBudget{spent_epsilon_.Value(), spent_delta_.Value()};
+}
+
+std::vector<BudgetAuditEntry> BudgetAuditLog::Entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_;
+}
+
+std::size_t BudgetAuditLog::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
+}
+
+Status BudgetAuditLog::ReplayVerify() const {
+  const std::vector<BudgetAuditEntry> entries = Entries();
+  KahanSum epsilon;
+  KahanSum delta;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const BudgetAuditEntry& entry = entries[i];
+    if (entry.sequence != i) {
+      return InternalError("BudgetAuditLog: sequence gap at entry " + std::to_string(i));
+    }
+    if (entry.granted) {
+      epsilon.Add(entry.cost.epsilon);
+      delta.Add(entry.cost.delta);
+    }
+    if (!(entry.cumulative == PrivacyBudget{epsilon.Value(), delta.Value()})) {
+      return InternalError("BudgetAuditLog: cumulative mismatch at entry " +
+                           std::to_string(i) + " (mechanism '" + entry.mechanism + "')");
+    }
+  }
+  return Status::Ok();
+}
+
+std::string BudgetAuditLog::ToJson() const {
+  const std::vector<BudgetAuditEntry> entries = Entries();
+  obs::JsonWriter w;
+  w.BeginArray();
+  for (const BudgetAuditEntry& entry : entries) {
+    w.BeginObject();
+    w.Key("seq").Value(entry.sequence);
+    w.Key("mechanism").Value(entry.mechanism);
+    w.Key("epsilon").Value(entry.cost.epsilon);
+    w.Key("delta").Value(entry.cost.delta);
+    w.Key("granted").Value(entry.granted);
+    w.Key("cum_epsilon").Value(entry.cumulative.epsilon);
+    w.Key("cum_delta").Value(entry.cumulative.delta);
+    w.EndObject();
+  }
+  w.EndArray();
+  return w.str();
+}
+
 StatusOr<PrivacyAccountant> PrivacyAccountant::Create(PrivacyBudget total) {
   DPLEARN_RETURN_IF_ERROR(ValidateBudget(total));
   return PrivacyAccountant(total);
@@ -97,27 +185,22 @@ Status PrivacyAccountant::Spend(const PrivacyBudget& cost, std::string_view mech
   // accountant outage must leave the ledger exactly as it was.
   DPLEARN_RETURN_IF_ERROR(robustness::Inject("budget.spend"));
   DPLEARN_RETURN_IF_ERROR(ValidateBudget(cost));
-  const PrivacyBudget current = spent();
-  const bool granted = WithinBudget(current, cost, total_);
-  obs::BudgetAuditLog* log = audit_log_;
-  if (log == nullptr && obs::AuditEnabled()) log = &obs::GlobalAuditLog();
-  if (log != nullptr) log->Record(mechanism, cost.epsilon, cost.delta, granted);
+  const BudgetAuditEntry entry = ledger_->Spend(mechanism, cost, total_);
   if (obs::MetricsEnabled()) {
     static obs::Counter* const granted_counter =
         obs::GlobalMetrics().GetCounter("accountant.spends_granted");
     static obs::Counter* const denied_counter =
         obs::GlobalMetrics().GetCounter("accountant.spends_denied");
-    (granted ? granted_counter : denied_counter)->Increment();
+    (entry.granted ? granted_counter : denied_counter)->Increment();
   }
-  if (!granted) {
+  if (!entry.granted) {
+    // A denied entry repeats the totals from before the spend.
     DPLEARN_LOG(WARN) << "PrivacyAccountant: denied spend of (" << cost.epsilon << ", "
                       << cost.delta << ") by '" << mechanism << "'; spent ("
-                      << current.epsilon << ", " << current.delta << ") of ("
-                      << total_.epsilon << ", " << total_.delta << ")";
+                      << entry.cumulative.epsilon << ", " << entry.cumulative.delta
+                      << ") of (" << total_.epsilon << ", " << total_.delta << ")";
     return FailedPreconditionError(kOverBudgetMessage);
   }
-  spent_epsilon_.Add(cost.epsilon);
-  spent_delta_.Add(cost.delta);
   return Status::Ok();
 }
 

@@ -2,6 +2,10 @@
 #define DPLEARN_MECHANISMS_PRIVACY_BUDGET_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -9,10 +13,6 @@
 #include "util/status.h"
 
 namespace dplearn {
-
-namespace obs {
-class BudgetAuditLog;
-}  // namespace obs
 
 /// An (epsilon, delta) differential-privacy guarantee. delta == 0 is pure
 /// epsilon-DP (Definition 2.1 of the paper); the Gaussian mechanism needs
@@ -26,7 +26,7 @@ struct PrivacyBudget {
   }
 };
 
-/// Validates epsilon > 0 and delta in [0, 1).
+/// Validates epsilon > 0 and delta in [0, 1); NaN fails both.
 Status ValidateBudget(const PrivacyBudget& budget);
 
 /// Basic sequential composition: running mechanisms M_1...M_k on the SAME
@@ -63,49 +63,100 @@ PrivacyBudget RemainingBudget(const PrivacyBudget& total, const PrivacyBudget& s
 inline constexpr char kOverBudgetMessage[] =
     "PrivacyAccountant: spend would exceed total budget";
 
+/// One entry of a budget ledger: a spend of `cost` by `mechanism`, granted
+/// or denied.
+struct BudgetAuditEntry {
+  std::uint64_t sequence = 0;  // monotone, starts at 0 per ledger
+  std::string mechanism;       // e.g. "accountant", "laplace", "gibbs"
+  PrivacyBudget cost;          // requested spend
+  bool granted = false;
+  /// Running totals over all GRANTED entries up to and including this one —
+  /// basic sequential composition. A denied entry repeats the previous
+  /// totals.
+  PrivacyBudget cumulative;
+};
+
+/// A budget's ledger: a thread-safe, append-only list of its spends, whose
+/// Kahan-compensated running totals are the budget's only stored spent
+/// (ε, δ). PrivacyAccountant and every tenant of the release service
+/// (service::ShardedPrivacyAccountant) keep their spends in one. The class
+/// both records and verifies: ReplayVerify() re-runs sequential composition
+/// over the granted entries, so a consumer of an exported ledger can
+/// independently confirm its arithmetic.
+class BudgetAuditLog {
+ public:
+  /// The one append path. Appends a spend of `cost` by `mechanism`, granted
+  /// iff WithinBudget(spent(), cost, total), evaluated under the same lock
+  /// as the append; a denied spend is appended too and leaves the totals
+  /// unchanged. Emits an "audit" event to the global sinks when any are
+  /// attached. Returns the entry.
+  BudgetAuditEntry Spend(std::string_view mechanism, const PrivacyBudget& cost,
+                         const PrivacyBudget& total);
+
+  /// Totals over the granted entries so far, both read under one lock.
+  PrivacyBudget spent() const;
+
+  std::vector<BudgetAuditEntry> Entries() const;
+  std::size_t size() const;
+  bool empty() const { return size() == 0; }
+
+  /// Replays the ledger: sequence numbers must be 0..n-1 and every entry's
+  /// stored cumulative totals must equal the running sequential-composition
+  /// sums of the granted spends. Spend and the replay add in the same
+  /// Kahan-compensated order, so they agree bitwise and the check is ==,
+  /// even over millions of small spends. Returns InternalError naming the
+  /// first inconsistent entry otherwise.
+  Status ReplayVerify() const;
+
+  /// The ledger as a JSON array (one object per entry, schema as in
+  /// DESIGN.md §7).
+  std::string ToJson() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<BudgetAuditEntry> entries_;
+  KahanSum spent_epsilon_;
+  KahanSum spent_delta_;
+};
+
 /// A mutable privacy accountant: tracks cumulative (eps, delta) spent under
 /// basic sequential composition against a fixed total budget, refusing
 /// spends that would exceed it. This is the object a deployment wraps
-/// around a stream of queries.
+/// around a stream of queries. Move-only: it owns its ledger.
 class PrivacyAccountant {
  public:
   /// Error if `total` is invalid.
   static StatusOr<PrivacyAccountant> Create(PrivacyBudget total);
 
-  /// Records a spend of `cost`. Error (and no state change) if the spend is
-  /// invalid or would exceed the total budget. Every structurally valid
-  /// spend — granted or denied-over-budget — is appended to the audit log
-  /// (see set_audit_log) under `mechanism`; invalid budgets are rejected
-  /// before reaching the ledger.
+  /// Records a spend of `cost`. Error (and no change to the totals) if the
+  /// spend is invalid or would exceed the total budget. Every structurally
+  /// valid spend — granted or denied-over-budget — is appended to
+  /// audit_log() under `mechanism`; invalid budgets are rejected before
+  /// reaching the ledger.
   ///
   /// Accumulation is Kahan-compensated, so millions of small spends do not
   /// drift the ledger: the running total stays within one ulp of the exact
-  /// sum and BudgetAuditLog::ReplayVerify reconciles against it. Chaos
-  /// hook: fail point `budget.spend` fails the call (UNAVAILABLE) before
-  /// any state or audit mutation.
+  /// sum. Chaos hook: fail point `budget.spend` fails the call (UNAVAILABLE)
+  /// before any state or ledger mutation.
   Status Spend(const PrivacyBudget& cost, std::string_view mechanism);
   Status Spend(const PrivacyBudget& cost) { return Spend(cost, "accountant"); }
 
-  /// Directs audit entries to `log` instead of the default, which is
-  /// obs::GlobalAuditLog() when obs::AuditEnabled() and nothing otherwise.
-  /// `log` must outlive the accountant; nullptr restores the default.
-  void set_audit_log(obs::BudgetAuditLog* log) { audit_log_ = log; }
+  /// The ledger of every structurally valid spend, in order.
+  const BudgetAuditLog& audit_log() const { return *ledger_; }
 
-  PrivacyBudget spent() const {
-    return PrivacyBudget{spent_epsilon_.Value(), spent_delta_.Value()};
-  }
+  PrivacyBudget spent() const { return ledger_->spent(); }
   PrivacyBudget total() const { return total_; }
 
   /// Remaining budget (total - spent), clamped at zero.
   PrivacyBudget Remaining() const;
 
  private:
-  explicit PrivacyAccountant(PrivacyBudget total) : total_(total) {}
+  explicit PrivacyAccountant(PrivacyBudget total)
+      : total_(total), ledger_(std::make_unique<BudgetAuditLog>()) {}
 
   PrivacyBudget total_;
-  KahanSum spent_epsilon_;
-  KahanSum spent_delta_;
-  obs::BudgetAuditLog* audit_log_ = nullptr;  // not owned
+  /// Behind a pointer because the ledger's mutex cannot move.
+  std::unique_ptr<BudgetAuditLog> ledger_;
 };
 
 }  // namespace dplearn

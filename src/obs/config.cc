@@ -24,11 +24,6 @@ std::atomic<bool>& TracingFlag() {
   return flag;
 }
 
-std::atomic<bool>& AuditFlag() {
-  static std::atomic<bool> flag(EnvFlag("DPLEARN_AUDIT", false));
-  return flag;
-}
-
 }  // namespace
 
 bool MetricsEnabled() { return MetricsFlag().load(std::memory_order_relaxed); }
@@ -39,11 +34,6 @@ void SetMetricsEnabled(bool enabled) {
 bool TracingEnabled() { return TracingFlag().load(std::memory_order_relaxed); }
 void SetTracingEnabled(bool enabled) {
   TracingFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool AuditEnabled() { return AuditFlag().load(std::memory_order_relaxed); }
-void SetAuditEnabled(bool enabled) {
-  AuditFlag().store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace obs

@@ -4,7 +4,7 @@
 namespace dplearn {
 namespace obs {
 
-/// Process-wide observability switches. All three are single relaxed atomic
+/// Process-wide observability switches. Both are single relaxed atomic
 /// loads on the read path, so instrumented hot paths pay one predictable
 /// branch when a feature is off.
 ///
@@ -13,34 +13,11 @@ namespace obs {
 ///              lock-free relaxed atomics; cost is ~1ns per event.
 ///   tracing  — OFF (DPLEARN_TRACE=1 enables). TraceSpan reads two
 ///              steady_clock timestamps per span, so it is opt-in.
-///   audit    — OFF (DPLEARN_AUDIT=1 enables). Every mechanism invocation
-///              appends an entry to the global BudgetAuditLog; memory grows
-///              with invocation count, so it is opt-in (the experiment
-///              harness turns it on).
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
 bool TracingEnabled();
 void SetTracingEnabled(bool enabled);
-
-bool AuditEnabled();
-void SetAuditEnabled(bool enabled);
-
-/// RAII audit suppression for Monte-Carlo measurement loops: simulations
-/// that re-release the same statistic thousands of times to estimate
-/// utility are measurement, not deployment releases, and would otherwise
-/// flood the ledger. Restores the previous state on destruction. Process-
-/// wide, so only meaningful on single-threaded (experiment) code paths.
-class ScopedAuditPause {
- public:
-  ScopedAuditPause() : was_enabled_(AuditEnabled()) { SetAuditEnabled(false); }
-  ~ScopedAuditPause() { SetAuditEnabled(was_enabled_); }
-  ScopedAuditPause(const ScopedAuditPause&) = delete;
-  ScopedAuditPause& operator=(const ScopedAuditPause&) = delete;
-
- private:
-  bool was_enabled_;
-};
 
 }  // namespace obs
 }  // namespace dplearn

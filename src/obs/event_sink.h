@@ -180,9 +180,9 @@ class ScopedGlobalSink {
 
 /// Suspends global-sink delivery on the current thread for a scope:
 /// HasGlobalSinks()/EmitEvent() behave as if no sink were registered, so
-/// instrumentation skips event construction entirely. The sink-side
-/// counterpart of ScopedAuditPause — timing loops use it to measure the
-/// metrics/tracing hot path without the event-stream formatting cost.
+/// instrumentation skips event construction entirely. Timing loops use it
+/// to measure the metrics/tracing hot path without the event-stream
+/// formatting cost.
 /// Nestable; other threads are unaffected.
 class ScopedSinkPause {
  public:

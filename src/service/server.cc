@@ -110,6 +110,12 @@ StatusOr<std::unique_ptr<DpReleaseServer>> DpReleaseServer::Start(Options option
     return InvalidArgumentError("DpReleaseServer: socket path \"" + options.socket_path +
                                 "\" exceeds the AF_UNIX path limit");
   }
+  // Checked before binding: with an invalid default budget every
+  // auto-registration would fail, so the server must not start listening.
+  if (const Status budget_ok = ValidateBudget(options.default_tenant_budget); !budget_ok.ok()) {
+    return InvalidArgumentError("DpReleaseServer: default_tenant_budget: " +
+                                budget_ok.message());
+  }
   std::unique_ptr<DpReleaseServer> server(new DpReleaseServer(std::move(options)));
 
   // The built-in dataset every deployment serves: the paper's smallest

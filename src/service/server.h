@@ -87,8 +87,9 @@ class DpReleaseServer {
   };
 
   /// Binds, listens, registers the built-in "bernoulli" dataset and starts
-  /// the event loops and the accept thread. Errors on socket/bind/listen or
-  /// epoll failure, or a path too long for sockaddr_un.
+  /// the event loops and the accept thread. INVALID_ARGUMENT, before
+  /// binding, on an invalid default_tenant_budget (ValidateBudget) or a path
+  /// too long for sockaddr_un; errors on socket/bind/listen or epoll failure.
   static StatusOr<std::unique_ptr<DpReleaseServer>> Start(Options options);
 
   ~DpReleaseServer();

@@ -15,14 +15,11 @@ namespace service {
 struct ShardedPrivacyAccountant::Tenant {
   explicit Tenant(const PrivacyBudget& budget) : total(budget) {}
 
-  PrivacyBudget Spent() const {
-    return PrivacyBudget{ledger.cumulative_epsilon(), ledger.cumulative_delta()};
-  }
   bool near_exhaustion() const { return epsilon_spent != nullptr; }
 
   const PrivacyBudget total;
   /// Its Kahan pair is the tenant's only stored spent total.
-  obs::BudgetAuditLog ledger;
+  BudgetAuditLog ledger;
   /// Null until the tenant enters the near-exhaustion set; from then on
   /// every spend stores the ledger totals into them.
   obs::Gauge* epsilon_remaining = nullptr;
@@ -114,10 +111,7 @@ Status ShardedPrivacyAccountant::SpendOrReject(const std::string& tenant_id,
   }
   Tenant& tenant = *it->second;
 
-  const obs::BudgetAuditEntry entry = tenant.ledger.RecordSpend(
-      mechanism, cost.epsilon, cost.delta, [&](double spent_epsilon, double spent_delta) {
-        return WithinBudget(PrivacyBudget{spent_epsilon, spent_delta}, cost, tenant.total);
-      });
+  const BudgetAuditEntry entry = tenant.ledger.Spend(mechanism, cost, tenant.total);
   if (entry.granted) {
     ++tenant.spends;
     static obs::Counter* const spends = obs::GlobalMetrics().GetCounter("tenant.spends");
@@ -128,7 +122,7 @@ Status ShardedPrivacyAccountant::SpendOrReject(const std::string& tenant_id,
     denials->Increment();
   }
 
-  const PrivacyBudget spent{entry.cumulative_epsilon, entry.cumulative_delta};
+  const PrivacyBudget& spent = entry.cumulative;
   if (!tenant.near_exhaustion() &&
       spent.epsilon >= options_.near_exhaustion_fraction * tenant.total.epsilon) {
     // Only tenants in the near-exhaustion set own gauges, so the exported
@@ -172,7 +166,7 @@ StatusOr<ShardedPrivacyAccountant::TenantView> ShardedPrivacyAccountant::View(
   const Tenant& tenant = *it->second;
   TenantView view;
   view.total = tenant.total;
-  view.spent = tenant.Spent();
+  view.spent = tenant.ledger.spent();
   view.remaining = RemainingBudget(tenant.total, view.spent);
   view.spends = tenant.spends;
   view.denials = tenant.denials;
@@ -188,7 +182,7 @@ Status ShardedPrivacyAccountant::ReplayVerifyAll() const {
       if (!tenant->near_exhaustion()) continue;  // a healthy tenant has no gauges
       // The gauges are stores of the ledger's own totals, so == is the
       // right comparison, not a tolerance.
-      const PrivacyBudget spent = tenant->Spent();
+      const PrivacyBudget spent = tenant->ledger.spent();
       if (tenant->epsilon_spent->Value() != spent.epsilon ||
           tenant->epsilon_remaining->Value() !=
               RemainingBudget(tenant->total, spent).epsilon) {
@@ -200,7 +194,7 @@ Status ShardedPrivacyAccountant::ReplayVerifyAll() const {
   return Status::Ok();
 }
 
-StatusOr<const obs::BudgetAuditLog*> ShardedPrivacyAccountant::audit_log(
+StatusOr<const BudgetAuditLog*> ShardedPrivacyAccountant::audit_log(
     const std::string& tenant_id) const {
   Shard& shard = ShardFor(tenant_id);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -208,7 +202,7 @@ StatusOr<const obs::BudgetAuditLog*> ShardedPrivacyAccountant::audit_log(
   if (it == shard.tenants.end()) {
     return NotFoundError("audit_log: tenant '" + tenant_id + "' not registered");
   }
-  return static_cast<const obs::BudgetAuditLog*>(&it->second->ledger);
+  return static_cast<const BudgetAuditLog*>(&it->second->ledger);
 }
 
 }  // namespace service

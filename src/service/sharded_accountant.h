@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "mechanisms/privacy_budget.h"
-#include "obs/audit_log.h"
 #include "util/status.h"
 
 namespace dplearn {
@@ -16,11 +15,11 @@ namespace service {
 /// The release service's per-tenant ε ledger (DESIGN.md §13.3): admission
 /// control, the audit trail and the budget telemetry of every tenant.
 ///
-/// Each tenant owns a private obs::BudgetAuditLog. Its Kahan-compensated
-/// running totals are the tenant's only stored spent (ε, δ), and a spend is
-/// granted iff WithinBudget (mechanisms/privacy_budget.h) holds for them —
-/// the same sequential-composition rule PrivacyAccountant applies. Granted
-/// and denied spends are both appended to the ledger.
+/// Each tenant owns a private BudgetAuditLog (mechanisms/privacy_budget.h),
+/// the same ledger type PrivacyAccountant keeps. Its Kahan-compensated
+/// running totals are the tenant's only stored spent (ε, δ), and
+/// BudgetAuditLog::Spend grants a spend iff WithinBudget holds for them.
+/// Granted and denied spends are both appended to the ledger.
 ///
 /// Every spend counts into the process-wide counters tenant.spends,
 /// tenant.denials and tenant.near_exhaustion.events. When a tenant's spent ε
@@ -101,7 +100,7 @@ class ShardedPrivacyAccountant {
 
   /// The tenant's private audit ledger (NOT_FOUND when unregistered). The
   /// pointer stays valid for the accountant's lifetime.
-  StatusOr<const obs::BudgetAuditLog*> audit_log(const std::string& tenant_id) const;
+  StatusOr<const BudgetAuditLog*> audit_log(const std::string& tenant_id) const;
 
  private:
   struct Tenant;

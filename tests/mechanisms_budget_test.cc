@@ -1,10 +1,12 @@
 #include "mechanisms/privacy_budget.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/audit_log.h"
 #include "robustness/failpoint.h"
 
 namespace dplearn {
@@ -17,6 +19,11 @@ TEST(ValidateBudgetTest, AcceptsValidRejectsInvalid) {
   EXPECT_FALSE(ValidateBudget({-1.0, 0.0}).ok());
   EXPECT_FALSE(ValidateBudget({1.0, -0.1}).ok());
   EXPECT_FALSE(ValidateBudget({1.0, 1.0}).ok());
+}
+
+TEST(ValidateBudgetTest, RejectsNanDelta) {
+  const Status status = ValidateBudget({1.0, std::numeric_limits<double>::quiet_NaN()});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SequentialCompositionTest, SumsEpsilonsAndDeltas) {
@@ -107,15 +114,54 @@ TEST(PrivacyAccountantTest, RejectsInvalidTotalOrSpend) {
   EXPECT_FALSE(acct->Spend({-0.1, 0.0}).ok());
 }
 
+TEST(PrivacyAccountantTest, RejectsNanDelta) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(PrivacyAccountant::Create({1.0, nan}).status().code(),
+            StatusCode::kInvalidArgument);
+  // A NaN delta in the ledger would make every later delta test false, so
+  // the budget's delta would never bind again.
+  auto acct = PrivacyAccountant::Create({1.0, 1e-6});
+  ASSERT_TRUE(acct.ok());
+  EXPECT_EQ(acct->Spend({0.1, nan}).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(acct->audit_log().empty());
+  EXPECT_FALSE(acct->Spend({0.1, 0.5}).ok());
+}
+
+TEST(PrivacyAccountantTest, LedgerHoldsEverySpendInOrder) {
+  // The accountant keeps every structurally valid spend in its own ledger.
+  auto acct = PrivacyAccountant::Create({1.0, 1e-6});
+  ASSERT_TRUE(acct.ok());
+  const std::vector<PrivacyBudget> costs = {
+      {0.3, 1e-7}, {0.2, 0.0}, {0.6, 0.0}, {0.1, 2e-7}, {0.25, 0.0}};
+  const std::vector<bool> expect_granted = {true, true, false, true, true};
+  std::vector<PrivacyBudget> granted;
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    EXPECT_EQ(acct->Spend(costs[i], "step" + std::to_string(i)).ok(), expect_granted[i]);
+    if (expect_granted[i]) granted.push_back(costs[i]);
+  }
+
+  const std::vector<BudgetAuditEntry> entries = acct->audit_log().Entries();
+  ASSERT_EQ(entries.size(), costs.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].sequence, i);
+    EXPECT_EQ(entries[i].mechanism, "step" + std::to_string(i));
+    EXPECT_EQ(entries[i].cost, costs[i]);
+    EXPECT_EQ(entries[i].granted, expect_granted[i]) << i;
+  }
+  EXPECT_TRUE(acct->audit_log().ReplayVerify().ok());
+  // Bitwise: spent() is the last entry's running total, and that total is
+  // the same Kahan sum, in the same order, as SequentialComposition.
+  EXPECT_EQ(acct->spent(), entries.back().cumulative);
+  EXPECT_EQ(acct->spent(), SequentialComposition(granted).value());
+}
+
 TEST(PrivacyAccountantTest, MillionSmallSpendsStayExact) {
   // 1e6 spends of eps = 1e-6 sum to exactly 1.0 in real arithmetic. Naive
   // accumulation drifts by thousands of ulps; the Kahan-compensated ledger
-  // must land within one ulp AND reconcile against the audit trail's own
+  // must land within one ulp AND reconcile against the ledger's own
   // compensated replay.
   auto acct = PrivacyAccountant::Create({2.0, 0.0});
   ASSERT_TRUE(acct.ok());
-  obs::BudgetAuditLog log;
-  acct->set_audit_log(&log);
 
   const int spends = 1000000;
   const double step = 1e-6;
@@ -127,15 +173,13 @@ TEST(PrivacyAccountantTest, MillionSmallSpendsStayExact) {
   EXPECT_NE(naive, 1.0);  // the drift the fix is about
   EXPECT_NEAR(acct->spent().epsilon, 1.0, 1e-12);
   EXPECT_NEAR(acct->Remaining().epsilon, 1.0, 1e-12);
-  EXPECT_NEAR(log.cumulative_epsilon(), acct->spent().epsilon, 0.0);
-  EXPECT_TRUE(log.ReplayVerify().ok());
+  EXPECT_EQ(acct->audit_log().size(), static_cast<std::size_t>(spends));
+  EXPECT_TRUE(acct->audit_log().ReplayVerify().ok());
 }
 
 TEST(PrivacyAccountantTest, InjectedSpendFaultLeavesStateUnchanged) {
   auto acct = PrivacyAccountant::Create({1.0, 0.0});
   ASSERT_TRUE(acct.ok());
-  obs::BudgetAuditLog log;
-  acct->set_audit_log(&log);
   ASSERT_TRUE(acct->Spend({0.25, 0.0}, "real").ok());
 
   {
@@ -144,11 +188,11 @@ TEST(PrivacyAccountantTest, InjectedSpendFaultLeavesStateUnchanged) {
     ASSERT_FALSE(status.ok());
     EXPECT_TRUE(robustness::IsInjectedFault(status));
   }
-  // The fault fired before validation and mutation: no ledger entry, no
-  // audit entry, and the trail still reconciles.
+  // The fault fired before validation and mutation: no ledger entry, and
+  // the ledger still reconciles.
   EXPECT_NEAR(acct->spent().epsilon, 0.25, 0.0);
-  EXPECT_EQ(log.size(), 1u);
-  EXPECT_TRUE(log.ReplayVerify().ok());
+  EXPECT_EQ(acct->audit_log().size(), 1u);
+  EXPECT_TRUE(acct->audit_log().ReplayVerify().ok());
 }
 
 }  // namespace

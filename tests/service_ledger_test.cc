@@ -5,6 +5,7 @@
 
 #include "service/sharded_accountant.h"
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -86,7 +87,7 @@ TEST(ObsTenantBudgetTest, GaugesMatchAccountantBitwise) {
 
   const auto log = ledger.audit_log("gauge_tenant");
   ASSERT_TRUE(log.ok());
-  EXPECT_EQ((*log)->cumulative_epsilon(), view->spent.epsilon);
+  EXPECT_EQ((*log)->spent().epsilon, view->spent.epsilon);
 
   EXPECT_TRUE(ledger.ReplayVerifyAll().ok());
   // A gauge that no longer stores the ledger total fails the check.
@@ -264,12 +265,12 @@ TEST(ServiceLedgerTest, OverBudgetIsResourceExhaustedWithTheDenialLedgered) {
 
   const auto log = ledger.audit_log("tight");
   ASSERT_TRUE(log.ok());
-  const std::vector<obs::BudgetAuditEntry> entries = (*log)->Entries();
+  const std::vector<BudgetAuditEntry> entries = (*log)->Entries();
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_TRUE(entries[0].granted);
   for (std::size_t i = 1; i < entries.size(); ++i) {
     EXPECT_FALSE(entries[i].granted);
-    EXPECT_EQ(entries[i].cumulative_epsilon, 0.03);  // totals untouched
+    EXPECT_EQ(entries[i].cumulative.epsilon, 0.03);  // totals untouched
   }
   const auto view = ledger.View("tight");
   ASSERT_TRUE(view.ok());
@@ -295,6 +296,15 @@ TEST(ServiceLedgerTest, MalformedIdOrCostIsInvalidArgument) {
   // None of them reached a ledger: nothing was auto-registered.
   EXPECT_EQ(ledger.View("valid_tenant").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(ledger.View("bad tenant!").status().code(), StatusCode::kNotFound);
+}
+
+TEST(ServiceLedgerTest, RegisterTenantRejectsNanDelta) {
+  // Doubles cross the wire as bit patterns, so a kRegisterTenant request can
+  // carry a NaN delta; registered, it would never let delta bind.
+  ShardedPrivacyAccountant ledger{Options{}};
+  EXPECT_EQ(ledger.RegisterTenant("t", PrivacyBudget{1.0, std::nan("")}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ledger.View("t").status().code(), StatusCode::kNotFound);
 }
 
 TEST(ServiceLedgerTest, UnknownTenantRegistersAtTheDefaultBudgetOnFirstSpend) {

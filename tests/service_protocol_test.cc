@@ -417,6 +417,23 @@ class ServiceProtocolTest : public ::testing::Test {
 
 int ServiceProtocolTest::socket_counter_ = 0;
 
+TEST(ServiceStartTest, InvalidDefaultTenantBudgetFailsBeforeBinding) {
+  // Such a server would answer every tenant's first spend with
+  // INVALID_ARGUMENT, so it must not start at all.
+  const std::string path = "/tmp/dpl_pt_" + std::to_string(::getpid()) + "_budget.sock";
+  for (const PrivacyBudget& budget : {PrivacyBudget{0.0, 0.0}, PrivacyBudget{1.0, 1.0},
+                                      PrivacyBudget{1.0, std::nan("")}}) {
+    ::unlink(path.c_str());
+    DpReleaseServer::Options options;
+    options.socket_path = path;
+    options.default_tenant_budget = budget;
+    auto started = DpReleaseServer::Start(options);
+    EXPECT_EQ(started.status().code(), StatusCode::kInvalidArgument)
+        << "budget (" << budget.epsilon << ", " << budget.delta << ")";
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+}
+
 TEST_F(ServiceProtocolTest, PingAndReplayVerifyWork) {
   DpReleaseClient client = MustConnect();
   Request ping;
