@@ -54,9 +54,9 @@ BENCHMARK(BM_EmpiricalRiskProfileScalar)->Arg(201);
 
 /// Steady-state cache hit through the class overload the library calls:
 /// after the first iteration a hit combines the two memoized content hashes,
-/// finds the entry and splices it, skips both bitwise compares because the
-/// class id and the dataset generation were verified by the fill, and copies
-/// the risks. Compare against BM_EmpiricalRiskProfile/201 for the
+/// finds the entry under the shared lock, skips both bitwise compares because
+/// the class id and the dataset generation were verified by the fill, and
+/// copies the risks. Compare against BM_EmpiricalRiskProfile/201 for the
 /// hit-vs-compute gap.
 void BM_RiskProfileCacheHit(benchmark::State& state) {
   ClippedSquaredLoss loss(1.0);
@@ -71,6 +71,28 @@ void BM_RiskProfileCacheHit(benchmark::State& state) {
   perf::SetRiskCacheEnabled(prev);
 }
 BENCHMARK(BM_RiskProfileCacheHit);
+
+/// The same hit from four threads at once on one entry, as the pool
+/// workers of a channel sweep make them: the per-thread time shows how the
+/// lookup's shared lock scales. Thread 0 fills the entry before the timed
+/// loop, which every thread enters together.
+void BM_RiskProfileCacheHitContended(benchmark::State& state) {
+  static ClippedSquaredLoss loss(1.0);
+  static const FiniteHypothesisClass hclass = bench::MakeScalarGrid(201);
+  static const Dataset data = bench::MakeBernoulliData(500, 9);
+  static bool prev = true;
+  if (state.thread_index() == 0) {
+    prev = perf::RiskCacheEnabled();
+    perf::SetRiskCacheEnabled(true);
+    perf::RiskProfileCache::Global().Clear();
+    (void)perf::CachedRiskProfile(loss, hclass, data).value();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(perf::CachedRiskProfile(loss, hclass, data).value());
+  }
+  if (state.thread_index() == 0) perf::SetRiskCacheEnabled(prev);
+}
+BENCHMARK(BM_RiskProfileCacheHitContended)->Threads(4);
 
 void BM_GibbsPosterior(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));

@@ -108,12 +108,10 @@ void Run() {
         out.kl_empirical = KlToTruth(empirical);
         return out;
       };
-      // Trial 0 runs inline; the rest are error measurement over the thread
-      // pool (one split stream per trial, reduced in trial order —
-      // thread-count invariant).
-      Rng first_rng = rng.Split();
-      TrialErrors sums = trial_body(0, first_rng);
-      for (const TrialErrors& r : bench::RunTrials<TrialErrors>(trials - 1, &rng, trial_body)) {
+      // Error measurement over the thread pool (one split stream per trial,
+      // reduced in trial order — thread-count invariant).
+      TrialErrors sums;
+      for (const TrialErrors& r : bench::RunTrials<TrialErrors>(trials, &rng, trial_body)) {
         sums.tv_gibbs += r.tv_gibbs;
         sums.kl_gibbs += r.kl_gibbs;
         sums.tv_laplace += r.tv_laplace;

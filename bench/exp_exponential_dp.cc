@@ -106,19 +106,17 @@ void Run() {
     const double guarantee = mechanism.PrivacyGuaranteeEpsilon();
     privacy_ok = privacy_ok && max_log_ratio <= guarantee + 1e-9;
 
-    // Utility: empirical quality gap of sampled outputs vs the MT bound.
+    // Utility: empirical quality gap of sampled outputs vs the MT bound,
+    // mapped over the thread pool with one split stream per trial
+    // (thread-count invariant results).
     const double gap_bound = bench::Unwrap(mechanism.UtilityGapBound(delta), "bound");
-    // The first sample per eps runs inline; the rest are utility
-    // measurement, mapped over the thread pool with one split stream per
-    // trial (thread-count invariant results).
     auto trial_body = [&](std::size_t, Rng& trial_rng) {
       const std::size_t u = bench::Unwrap(mechanism.Sample(data, &trial_rng), "sample");
       return best_quality - quality(data, u);
     };
-    Rng first_rng = rng.Split();
-    double total_gap = trial_body(0, first_rng);
-    std::size_t bound_violations = total_gap > gap_bound ? 1u : 0u;
-    for (double gap : bench::RunTrials<double>(utility_trials - 1, &rng, trial_body)) {
+    double total_gap = 0.0;
+    std::size_t bound_violations = 0;
+    for (double gap : bench::RunTrials<double>(utility_trials, &rng, trial_body)) {
       total_gap += gap;
       if (gap > gap_bound) ++bound_violations;
     }

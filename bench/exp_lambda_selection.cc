@@ -85,11 +85,9 @@ void Run() {
       }
       return out;
     };
-    // Trial 0 inline; the rest are measurement over the thread pool, one
-    // split stream per trial.
-    Rng first_rng = rng.Split();
-    TrialRisks sums = trial_body(0, first_rng);
-    for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
+    // Measurement over the thread pool, one split stream per trial.
+    TrialRisks sums;
+    for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials, &rng, trial_body)) {
       sums.fixed += r.fixed;
       sums.select += r.select;
       sums.oracle += r.oracle;

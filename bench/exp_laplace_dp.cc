@@ -53,16 +53,14 @@ void Run() {
         AuditScalarDensityMechanism(density, {data}, BernoulliMeanTask::Domain(), probes),
         "audit");
 
-    // The first release per eps runs inline; the remaining trials re-measure
-    // the same mechanism over the thread pool, one split stream per trial so
-    // the mean is thread-count invariant.
+    // The trials re-measure the same mechanism over the thread pool, one
+    // split stream per trial so the mean is thread-count invariant.
     auto trial_body = [&](std::size_t, Rng& trial_rng) {
       const double released = bench::Unwrap(mechanism.Release(data, &trial_rng), "release");
       return std::fabs(released - query.query(data));
     };
-    Rng first_rng = rng.Split();
-    double total_error = trial_body(0, first_rng);
-    for (double err : bench::RunTrials<double>(utility_trials - 1, &rng, trial_body)) {
+    double total_error = 0.0;
+    for (double err : bench::RunTrials<double>(utility_trials, &rng, trial_body)) {
       total_error += err;
     }
     const double mean_error = total_error / static_cast<double>(utility_trials);

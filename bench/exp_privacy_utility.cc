@@ -103,12 +103,10 @@ void PartAMeanEstimation() {
         out.erm = task.TrueRisk(mean / static_cast<double>(n));
         return out;
       };
-      // Trial 0 runs inline; the remaining trials are risk measurement and
-      // run over the thread pool. Trial t always consumes the t-th Split()
-      // of rng — see RunTrials.
-      Rng first_rng = rng.Split();
-      TrialRisks sums = trial_body(0, first_rng);
-      for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
+      // Risk measurement over the thread pool. Trial t always consumes the
+      // t-th Split() of rng — see RunTrials.
+      TrialRisks sums;
+      for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials, &rng, trial_body)) {
         sums.laplace += r.laplace;
         sums.rr += r.rr;
         sums.erm += r.erm;
@@ -212,12 +210,10 @@ void PartBClassification() {
       out_risks.erm = task.TrueZeroOneRisk(np.theta);
       return out_risks;
     };
-    // Trial 0 inline; the rest are measurement over the pool. Per-trial streams
-    // are split in trial order, so the column means are thread-count
-    // invariant.
-    Rng first_rng = rng.Split();
-    TrialRisks sums = trial_body(0, first_rng);
-    for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials - 1, &rng, trial_body)) {
+    // Measurement over the pool. Per-trial streams are split in trial
+    // order, so the column means are thread-count invariant.
+    TrialRisks sums;
+    for (const TrialRisks& r : bench::RunTrials<TrialRisks>(trials, &rng, trial_body)) {
       sums.gibbs += r.gibbs;
       sums.output += r.output;
       sums.objective += r.objective;

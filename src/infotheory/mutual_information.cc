@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <string>
 
 #include "util/math_util.h"
@@ -24,6 +23,20 @@ double Digamma(double x) {
   result += std::log(x) - 0.5 * inv -
             inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0)));
   return result;
+}
+
+/// The continuous estimators' input guard: a NaN has no bin (casting it to
+/// an index is undefined) and no order (nth_element needs one), and an
+/// infinity stretches the binning range or the k-NN distances to inf.
+Status RequireFinite(const char* fn, const std::vector<double>& xs,
+                     const std::vector<double>& ys) {
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (!std::isfinite(xs[i]) || !std::isfinite(ys[i])) {
+      return InvalidArgumentError(std::string(fn) + ": non-finite sample at index " +
+                                  std::to_string(i));
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -122,30 +135,46 @@ StatusOr<double> PluginMiFromSamples(const std::vector<std::size_t>& xs,
   if (xs.empty() || xs.size() != ys.size()) {
     return InvalidArgumentError("PluginMiFromSamples: need equal-length non-empty samples");
   }
+  const std::size_t max_x = *std::max_element(xs.begin(), xs.end());
+  const std::size_t max_y = *std::max_element(ys.begin(), ys.end());
+  // (max_x + 1)·(max_y + 1) <= kPluginMiMaxCells, tested without forming a
+  // product or a +1 that could wrap.
+  if (max_x >= kPluginMiMaxCells || max_y >= kPluginMiMaxCells / (max_x + 1)) {
+    return InvalidArgumentError("PluginMiFromSamples: symbols up to " + std::to_string(max_x) +
+                                " x " + std::to_string(max_y) + " need more than " +
+                                std::to_string(kPluginMiMaxCells) + " joint cells");
+  }
+  const std::size_t num_x = max_x + 1;
+  const std::size_t num_y = max_y + 1;
+  // Each cell adds 1/n per sample in sample order, and the sum walks the
+  // nonzero cells x-major, then y. The order fixes the result's bits:
+  // tests/proptest_infotheory_test.cc pins them to a std::map reference.
   const double n = static_cast<double>(xs.size());
-  std::map<std::size_t, double> px;
-  std::map<std::size_t, double> py;
-  std::map<std::pair<std::size_t, std::size_t>, double> pxy;
+  std::vector<double> px(num_x, 0.0);
+  std::vector<double> py(num_y, 0.0);
+  std::vector<double> pxy(num_x * num_y, 0.0);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     px[xs[i]] += 1.0 / n;
     py[ys[i]] += 1.0 / n;
-    pxy[{xs[i], ys[i]}] += 1.0 / n;
+    pxy[xs[i] * num_y + ys[i]] += 1.0 / n;
+  }
+  std::vector<double> log_py(num_y, 0.0);
+  for (std::size_t y = 0; y < num_y; ++y) {
+    if (py[y] > 0.0) log_py[y] = std::log(py[y]);
   }
   double mi = 0.0;
-  for (const auto& [key, p] : pxy) {
-    // Zero-cell handling must agree with the dense path
-    // (JointDistribution::MutualInformation): cells with no joint mass
-    // contribute 0, and the log-difference form never divides by the
-    // product px*py, which can underflow to zero even when each marginal
-    // is positive.
-    if (p <= 0.0) continue;
-    const auto mx = px.find(key.first);
-    const auto my = py.find(key.second);
-    if (mx == px.end() || my == py.end() || mx->second <= 0.0 || my->second <= 0.0) {
-      return InternalError(
-          "PluginMiFromSamples: joint cell has mass but a marginal is zero");
+  for (std::size_t x = 0; x < num_x; ++x) {
+    if (px[x] == 0.0) continue;
+    const double log_px = std::log(px[x]);
+    const double* row = &pxy[x * num_y];
+    for (std::size_t y = 0; y < num_y; ++y) {
+      // Zero cells contribute 0, as in JointDistribution::MutualInformation,
+      // and the log-difference form never forms the product px*py, which can
+      // underflow.
+      const double p = row[y];
+      if (p == 0.0) continue;
+      mi += p * (std::log(p) - log_px - log_py[y]);
     }
-    mi += p * (std::log(p) - std::log(mx->second) - std::log(my->second));
   }
   return ClampRoundingNegative(mi);
 }
@@ -166,10 +195,14 @@ StatusOr<double> HistogramMi(const std::vector<double>& xs, const std::vector<do
     return InvalidArgumentError("HistogramMi: need >=2 equal-length samples");
   }
   if (bins == 0) return InvalidArgumentError("HistogramMi: bins must be positive");
+  DPLEARN_RETURN_IF_ERROR(RequireFinite("HistogramMi", xs, ys));
   const auto [xmin_it, xmax_it] = std::minmax_element(xs.begin(), xs.end());
   const auto [ymin_it, ymax_it] = std::minmax_element(ys.begin(), ys.end());
   const double xspan = std::max(*xmax_it - *xmin_it, 1e-300);
   const double yspan = std::max(*ymax_it - *ymin_it, 1e-300);
+  if (!std::isfinite(xspan) || !std::isfinite(yspan)) {
+    return InvalidArgumentError("HistogramMi: sample range overflows a double");
+  }
   std::vector<std::size_t> bx(xs.size());
   std::vector<std::size_t> by(ys.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -187,6 +220,7 @@ StatusOr<double> KsgMi(const std::vector<double>& xs, const std::vector<double>&
   if (n != ys.size()) return InvalidArgumentError("KsgMi: size mismatch");
   if (k == 0) return InvalidArgumentError("KsgMi: k must be positive");
   if (n <= k) return InvalidArgumentError("KsgMi: need more samples than k");
+  DPLEARN_RETURN_IF_ERROR(RequireFinite("KsgMi", xs, ys));
 
   // O(n^2) brute-force neighbor search: the library uses this for n up to a
   // few thousand, where exactness and simplicity beat a k-d tree.

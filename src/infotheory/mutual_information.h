@@ -53,11 +53,18 @@ class JointDistribution {
   std::vector<double> joint_;
 };
 
+/// The largest empirical joint PluginMiFromSamples builds, in cells
+/// (max(xs)+1)·(max(ys)+1): 32 MiB of doubles.
+inline constexpr std::size_t kPluginMiMaxCells = std::size_t{1} << 22;
+
 /// Plug-in MI estimate from paired categorical samples: builds the empirical
-/// joint over observed symbol pairs and returns its exact MI. Biased upward
-/// by ~ (|X||Y|-|X|-|Y|+1)/(2n) (Miller–Madow); callers comparing against
-/// theory at small n should apply the correction below. Error if the sample
-/// lists are empty or of different lengths.
+/// joint and returns its exact MI. Symbols are alphabet indices: the joint
+/// is a dense (max(xs)+1)×(max(ys)+1) table, and the result is the same for
+/// any relabelling. Biased upward by ~ (|X||Y|-|X|-|Y|+1)/(2n)
+/// (Miller–Madow); callers comparing against theory at small n should apply
+/// the correction below. Error if the sample lists are empty or of
+/// different lengths, or (before allocating) if the table would exceed
+/// kPluginMiMaxCells.
 StatusOr<double> PluginMiFromSamples(const std::vector<std::size_t>& xs,
                                      const std::vector<std::size_t>& ys);
 
@@ -68,14 +75,15 @@ double MillerMadowCorrection(std::size_t support_x, std::size_t support_y,
 
 /// Histogram MI estimate for continuous (scalar x, scalar y) samples:
 /// equal-width binning over the observed ranges. Error if fewer than 2
-/// samples, size mismatch, or bins == 0.
+/// samples, size mismatch, a NaN or infinite sample, bins == 0, or a bin
+/// table PluginMiFromSamples rejects.
 StatusOr<double> HistogramMi(const std::vector<double>& xs, const std::vector<double>& ys,
                              std::size_t bins);
 
 /// Kraskov–Stögbauer–Grassberger (KSG, estimator 1) k-NN MI estimate for
 /// continuous scalar pairs. Consistent without binning; the estimator used
 /// for MI between a continuous parameter θ and a sample statistic. Error if
-/// k == 0 or n <= k.
+/// k == 0, n <= k, or a sample is NaN or infinite.
 StatusOr<double> KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
                        std::size_t k);
 

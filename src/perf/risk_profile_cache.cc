@@ -1,6 +1,8 @@
 #include "perf/risk_profile_cache.h"
 
 #include <atomic>
+#include <iterator>
+#include <mutex>
 #include <utility>
 
 #include "learning/risk.h"
@@ -99,15 +101,26 @@ bool RiskProfileCache::Matches(const Entry& entry, std::uint64_t hash,
 void RiskProfileCache::InsertLocked(EntryPtr entry) {
   // A racing miss on the same key, or a colliding key, may already hold
   // this hash: the newer entry replaces it.
-  const auto [slot, fresh] = by_hash_.try_emplace(entry->hash);
-  if (!fresh) lru_.erase(slot->second);
-  lru_.push_front(std::move(entry));
-  slot->second = lru_.begin();
-  while (lru_.size() > capacity_) {
-    by_hash_.erase(lru_.back()->hash);
-    lru_.pop_back();
+  if (const auto old = by_hash_.find(entry->hash); old != by_hash_.end()) {
+    entries_.erase(old->second);
+    by_hash_.erase(old);
+  }
+  // Second chance from the oldest end: a marked entry loses its mark and
+  // moves to the front, and the first unmarked one is evicted. Each pass
+  // clears a mark or evicts, and a mark set by a hit already past the lock
+  // can only add a pass, so the loop ends.
+  while (entries_.size() >= capacity_) {
+    const auto oldest = std::prev(entries_.end());
+    if ((*oldest)->referenced.exchange(false, std::memory_order_relaxed)) {
+      entries_.splice(entries_.begin(), entries_, oldest);
+      continue;
+    }
+    by_hash_.erase((*oldest)->hash);
+    entries_.pop_back();
     ++evictions_;
   }
+  entries_.push_front(std::move(entry));
+  by_hash_.emplace(entries_.front()->hash, entries_.begin());
 }
 
 StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
@@ -135,18 +148,19 @@ StatusOr<std::vector<double>> RiskProfileCache::Lookup(const LossFunction& loss,
   const std::uint64_t hash = KeyHash(flavor, loss_name, loss, theta_hash, data.content_hash());
   EntryPtr candidate;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_lock<std::shared_mutex> lock(mu_);
     const auto found = by_hash_.find(hash);
-    if (found != by_hash_.end()) {
-      candidate = *found->second;
-      lru_.splice(lru_.begin(), lru_, found->second);  // move to MRU
-    }
+    if (found != by_hash_.end()) candidate = *found->second;
   }
   // `candidate` keeps the entry alive through a concurrent eviction, and
   // the verify touches only its immutable fields and relaxed atomics, so
-  // the verify and the copy need no lock.
+  // the verify, the mark and the copy need no lock.
   if (candidate != nullptr && Matches(*candidate, hash, flavor, loss_name, loss, thetas,
                                       class_id, data, generation)) {
+    // Written only when clear, so hits on a hot entry leave its line shared.
+    if (!candidate->referenced.load(std::memory_order_relaxed)) {
+      candidate->referenced.store(true, std::memory_order_relaxed);
+    }
     hits_.fetch_add(1, std::memory_order_relaxed);
     CountHit(true);
     return candidate->risks;
@@ -175,7 +189,7 @@ StatusOr<std::vector<double>> RiskProfileCache::Lookup(const LossFunction& loss,
   entry->verified_class_id.store(class_id, std::memory_order_relaxed);
   entry->verified_generation.store(generation, std::memory_order_relaxed);
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   if (data.generation() != generation) {
     // The dataset moved under us: `hash` describes the pre-mutation content
     // but `examples`/`risks` saw some post-mutation state — a torn entry
@@ -192,20 +206,20 @@ RiskProfileCache::Stats RiskProfileCache::stats() const {
   Stats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   stats.evictions = evictions_;
   stats.mutation_skips = mutation_skips_;
   return stats;
 }
 
 std::size_t RiskProfileCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return entries_.size();
 }
 
 void RiskProfileCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  entries_.clear();
   by_hash_.clear();
   evictions_ = 0;
   mutation_skips_ = 0;

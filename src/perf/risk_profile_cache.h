@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,9 +60,11 @@ namespace perf {
 /// silently breaking the determinism contract above.
 class RiskProfileCache {
  public:
-  /// `capacity` bounds the number of cached profiles; least-recently-used
-  /// entries are evicted beyond it. Each entry owns copies of its Θ and Ẑ
-  /// key material, so capacity also bounds memory.
+  /// `capacity` bounds the number of cached profiles; beyond it an insert
+  /// evicts by second chance (CLOCK): from the oldest end, an entry hit
+  /// since the last pass is kept once more, and the first one that was not
+  /// is evicted. Each entry owns copies of its Θ and Ẑ key material, so
+  /// capacity also bounds memory.
   explicit RiskProfileCache(std::size_t capacity = kDefaultCapacity);
 
   /// The process-wide instance every library call site shares, at
@@ -70,14 +72,16 @@ class RiskProfileCache {
   static RiskProfileCache& Global();
 
   /// Returns the cached profile for (loss, hclass, data), computing and
-  /// inserting it on a miss. Thread-safe. The lock covers only the O(1)
-  /// lookup by key hash and the LRU splice: the key verify and the copy of
-  /// the risks run outside it on a shared entry that is immutable except
-  /// for its verified id and generation, and stays alive even if a
-  /// concurrent miss evicts it. A miss computes outside the lock, so
-  /// concurrent misses on the same key may compute twice; the later insert
-  /// replaces the earlier (bit-identical) entry. Errors propagate from
-  /// EmpiricalRiskProfile unchanged and are never cached.
+  /// inserting it on a miss. Thread-safe. A lookup holds the lock shared,
+  /// for the O(1) find by key hash only: the key verify, the hit's recency
+  /// mark and the copy of the risks run outside it on a shared entry that
+  /// is immutable except for relaxed atomics (its verified id and
+  /// generation, and the mark), and stays alive even if a concurrent miss
+  /// evicts it. Only an insert takes the lock exclusively. A miss computes
+  /// outside the lock, so concurrent misses on the same key may compute
+  /// twice; the later insert replaces the earlier (bit-identical) entry.
+  /// Errors propagate from EmpiricalRiskProfile unchanged and are never
+  /// cached.
   ///
   /// Mutation guard: `data.generation()` is snapshotted before hashing and
   /// re-read before insertion — if the dataset was mutated in place (e.g. a
@@ -118,7 +122,7 @@ class RiskProfileCache {
   static constexpr std::size_t kDefaultCapacity = 512;
 
  private:
-  /// Immutable once published, except for the two verified_* records:
+  /// Immutable once published, except for the relaxed atomics below:
   /// readers verify and copy it without the lock.
   struct Entry {
     std::uint64_t hash = 0;
@@ -133,9 +137,11 @@ class RiskProfileCache {
     /// Θ and Ẑ (0: none). Relaxed: a stale read only costs a compare.
     mutable std::atomic<std::uint64_t> verified_class_id{0};
     mutable std::atomic<std::uint64_t> verified_generation{0};
+    /// The second-chance mark: set by a hit, cleared by an eviction pass.
+    mutable std::atomic<bool> referenced{false};
   };
   using EntryPtr = std::shared_ptr<const Entry>;
-  using LruList = std::list<EntryPtr>;
+  using EntryList = std::list<EntryPtr>;
 
   /// Both overloads: `class_id` is 0 for a bare Θ list.
   StatusOr<std::vector<double>> Lookup(const LossFunction& loss,
@@ -148,14 +154,16 @@ class RiskProfileCache {
                       const std::vector<Vector>& thetas, std::uint64_t class_id,
                       const Dataset& data, std::uint64_t generation);
 
+  /// Needs mu_ held exclusively.
   void InsertLocked(EntryPtr entry);
 
   const std::size_t capacity_;
-  mutable std::mutex mu_;
-  /// Front = most recently used. Guarded by mu_, as is by_hash_.
-  LruList lru_;
+  mutable std::shared_mutex mu_;
+  /// Front = newest or most recently given a second chance; evictions scan
+  /// from the back. Guarded by mu_, as is by_hash_.
+  EntryList entries_;
   /// One entry per key hash; a second key with the same hash replaces it.
-  std::unordered_map<std::uint64_t, LruList::iterator> by_hash_;
+  std::unordered_map<std::uint64_t, EntryList::iterator> by_hash_;
   /// Guarded by mu_.
   std::uint64_t evictions_ = 0;
   std::uint64_t mutation_skips_ = 0;

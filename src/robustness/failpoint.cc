@@ -1,7 +1,6 @@
 #include "robustness/failpoint.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -29,12 +28,6 @@ std::uint64_t Fnv1a(const std::string& s) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-/// Count of armed fail points; the FailPointsEnabled() fast path.
-std::atomic<int>& ArmedCount() {
-  static std::atomic<int> count{0};
-  return count;
 }
 
 struct PointState {
@@ -136,6 +129,10 @@ FailPointRegistry& FailPointRegistry::Global() {
                      status.ToString().c_str());
       }
     }
+    // Set() has published the count of anything armed above; otherwise the
+    // -1 that sent every FailPointsEnabled() here becomes 0.
+    int unread = -1;
+    internal::armed_count.compare_exchange_strong(unread, 0, std::memory_order_relaxed);
     return r;
   }();
   return *registry;
@@ -166,21 +163,23 @@ void FailPointRegistry::Set(const std::string& name, const FailPointSpec& spec) 
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mu);
   state.points[name] = PointState{spec, 0, 0};
-  ArmedCount().store(static_cast<int>(state.points.size()), std::memory_order_relaxed);
+  internal::armed_count.store(static_cast<int>(state.points.size()),
+                              std::memory_order_relaxed);
 }
 
 void FailPointRegistry::Clear(const std::string& name) {
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mu);
   state.points.erase(name);
-  ArmedCount().store(static_cast<int>(state.points.size()), std::memory_order_relaxed);
+  internal::armed_count.store(static_cast<int>(state.points.size()),
+                              std::memory_order_relaxed);
 }
 
 void FailPointRegistry::ClearAll() {
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mu);
   state.points.clear();
-  ArmedCount().store(0, std::memory_order_relaxed);
+  internal::armed_count.store(0, std::memory_order_relaxed);
 }
 
 bool FailPointRegistry::ShouldFail(const char* name) {
@@ -239,13 +238,16 @@ std::string FailPointRegistry::ConfigString() const {
   return out;
 }
 
-bool FailPointsEnabled() {
-  // Touch the registry once so DPLEARN_FAILPOINTS is parsed before the first
-  // fast-path check; afterwards this is a single relaxed load.
-  static const bool initialized = (FailPointRegistry::Global(), true);
-  (void)initialized;
-  return ArmedCount().load(std::memory_order_relaxed) > 0;
+namespace internal {
+
+bool ArmFromEnvironment() {
+  // Global() parses DPLEARN_FAILPOINTS and publishes the armed count before
+  // it returns, so the load below never reads the -1 again.
+  FailPointRegistry::Global();
+  return armed_count.load(std::memory_order_relaxed) > 0;
 }
+
+}  // namespace internal
 
 Status Inject(const char* name) {
   if (ShouldFail(name)) {

@@ -1,6 +1,7 @@
 #ifndef DPLEARN_ROBUSTNESS_FAILPOINT_H_
 #define DPLEARN_ROBUSTNESS_FAILPOINT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -119,9 +120,27 @@ class FailPointRegistry {
   Impl& impl() const;
 };
 
-/// True when at least one fail point is armed. Single relaxed atomic load;
-/// this is the only cost production paths pay when chaos testing is off.
-bool FailPointsEnabled();
+namespace internal {
+
+/// The number of armed fail points, or -1 until the registry has read
+/// DPLEARN_FAILPOINTS. Header-visible so that FailPointsEnabled() inlines.
+inline std::atomic<int> armed_count{-1};
+
+/// FailPointsEnabled()'s first-call path: arms the registry from
+/// DPLEARN_FAILPOINTS (once per process), then reports whether any fail
+/// point is armed.
+bool ArmFromEnvironment();
+
+}  // namespace internal
+
+/// True when at least one fail point is armed. Inline, and a single relaxed
+/// atomic load once DPLEARN_FAILPOINTS has been read (the first call reads
+/// it): this is the only cost production paths pay when chaos testing is
+/// off.
+inline bool FailPointsEnabled() {
+  const int armed = internal::armed_count.load(std::memory_order_relaxed);
+  return armed > 0 || (armed < 0 && internal::ArmFromEnvironment());
+}
 
 /// Evaluates the named fail point: false whenever the registry is empty.
 inline bool ShouldFail(const char* name) {

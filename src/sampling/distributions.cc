@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "util/math_util.h"
 #include "util/status.h"
@@ -31,36 +30,17 @@ Status ValidateLogWeights(const char* fn, const std::vector<double>& log_weights
   return Status::Ok();
 }
 
-/// The validated Gumbel-max core shared by the scratch and batch overloads:
-/// fills `scratch` with one blocked uniform draw, then takes the argmax.
-/// The simd kernel returns bitwise the same index as the scalar loop for
-/// identical inputs, so DPLEARN_SIMD never changes which index is drawn.
+/// The validated Gumbel-max core every overload shares: fills `scratch`
+/// with one blocked uniform draw, then takes the argmax in
+/// simd::GumbelMaxIndex, which is the scalar loop itself.
 StatusOr<std::size_t> GumbelMaxDraw(Rng* rng, const std::vector<double>& log_weights,
                                     std::vector<double>* scratch) {
   scratch->resize(log_weights.size());
   rng->NextDoubleOpenBatch(scratch->data(), scratch->size());
-  if (simd::SimdEnabled()) {
-    const std::ptrdiff_t idx =
-        simd::GumbelMaxIndex(log_weights.data(), scratch->data(), log_weights.size());
-    if (idx < 0) {
-      return InvalidArgumentError("SampleFromLogWeights: all weights are zero");
-    }
-    return static_cast<std::size_t>(idx);
-  }
-  std::size_t best = 0;
-  double best_val = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < log_weights.size(); ++i) {
-    const double gumbel = -std::log(-std::log((*scratch)[i]));
-    const double val = log_weights[i] + gumbel;
-    if (val > best_val) {
-      best_val = val;
-      best = i;
-    }
-  }
-  if (best_val == -std::numeric_limits<double>::infinity()) {
-    return InvalidArgumentError("SampleFromLogWeights: all weights are zero");
-  }
-  return best;
+  const std::ptrdiff_t idx =
+      simd::GumbelMaxIndex(log_weights.data(), scratch->data(), log_weights.size());
+  if (idx < 0) return InvalidArgumentError("SampleFromLogWeights: all weights are zero");
+  return static_cast<std::size_t>(idx);
 }
 }  // namespace
 
@@ -148,11 +128,6 @@ StatusOr<double> SampleGamma(Rng* rng, double shape, double scale) {
   }
 }
 
-StatusOr<int> SampleBernoulli(Rng* rng, double p) {
-  if (p < 0.0 || p > 1.0) return InvalidArgumentError("SampleBernoulli: p must be in [0,1]");
-  return rng->NextDouble() < p ? 1 : 0;
-}
-
 StatusOr<std::size_t> SampleDiscrete(Rng* rng, const std::vector<double>& p) {
   DPLEARN_RETURN_IF_ERROR(ValidateDistribution(p, 1e-6));
   const double u = rng->NextDouble();
@@ -161,7 +136,10 @@ StatusOr<std::size_t> SampleDiscrete(Rng* rng, const std::vector<double>& p) {
     acc += p[i];
     if (u < acc) return i;
   }
-  return p.size() - 1;  // u landed in the rounding slack at the top
+  // u landed in the rounding slack at the top: the last atom with mass.
+  std::size_t last = p.size() - 1;
+  while (last > 0 && p[last] <= 0.0) --last;
+  return last;
 }
 
 StatusOr<std::size_t> SampleFromLogWeights(Rng* rng, const std::vector<double>& log_weights) {
@@ -169,21 +147,10 @@ StatusOr<std::size_t> SampleFromLogWeights(Rng* rng, const std::vector<double>& 
     return InvalidArgumentError("SampleFromLogWeights: empty input");
   }
   DPLEARN_RETURN_IF_ERROR(ValidateLogWeights("SampleFromLogWeights", log_weights));
-  // Gumbel-max: argmax_i (log w_i + G_i), G_i ~ Gumbel(0,1).
-  std::size_t best = 0;
-  double best_val = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < log_weights.size(); ++i) {
-    const double gumbel = -std::log(-std::log(rng->NextDoubleOpen()));
-    const double val = log_weights[i] + gumbel;
-    if (val > best_val) {
-      best_val = val;
-      best = i;
-    }
-  }
-  if (best_val == -std::numeric_limits<double>::infinity()) {
-    return InvalidArgumentError("SampleFromLogWeights: all weights are zero");
-  }
-  return best;
+  // Gumbel-max: argmax_i (log w_i + G_i), G_i ~ Gumbel(0,1). The blocked
+  // fill consumes the same n uniforms as n NextDoubleOpen() calls.
+  std::vector<double> scratch;
+  return GumbelMaxDraw(rng, log_weights, &scratch);
 }
 
 StatusOr<std::size_t> SampleFromLogWeights(Rng* rng, const std::vector<double>& log_weights,
@@ -195,10 +162,6 @@ StatusOr<std::size_t> SampleFromLogWeights(Rng* rng, const std::vector<double>& 
     return InvalidArgumentError("SampleFromLogWeights: scratch must be set");
   }
   DPLEARN_RETURN_IF_ERROR(ValidateLogWeights("SampleFromLogWeights", log_weights));
-  // One blocked uniform fill instead of per-element NextDoubleOpen() calls.
-  // The stream order is unchanged (element i still consumes the i-th draw),
-  // so the selected index is bitwise the same as the allocation-free
-  // overload's; only the call pattern differs.
   return GumbelMaxDraw(rng, log_weights, scratch);
 }
 

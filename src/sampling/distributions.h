@@ -51,12 +51,17 @@ StatusOr<double> SampleExponential(Rng* rng, double rate);
 /// uniform on the sphere and the norm is Gamma(d, 2/(n*lambda*eps))-like).
 StatusOr<double> SampleGamma(Rng* rng, double shape, double scale);
 
-/// Draws Bernoulli(p) in {0,1}. Error if p outside [0,1].
-StatusOr<int> SampleBernoulli(Rng* rng, double p);
+/// Draws Bernoulli(p) in {0,1}. Error if p outside [0,1]. Inline: Monte-Carlo
+/// trials draw it in long per-bit loops.
+inline StatusOr<int> SampleBernoulli(Rng* rng, double p) {
+  if (p < 0.0 || p > 1.0) return InvalidArgumentError("SampleBernoulli: p must be in [0,1]");
+  return rng->NextDouble() < p ? 1 : 0;
+}
 
 /// Draws an index from the distribution `p` by inverse CDF; `p` must be a
-/// valid probability vector. For repeated draws from a fixed distribution
-/// prefer AliasSampler.
+/// valid probability vector. Never returns a zero-mass index, even when the
+/// uniform lands in the rounding slack above the last partial sum. For
+/// repeated draws from a fixed distribution prefer AliasSampler.
 StatusOr<std::size_t> SampleDiscrete(Rng* rng, const std::vector<double>& p);
 
 /// Draws an index proportionally to exp(log_weights[i]) without forming the

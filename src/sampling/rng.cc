@@ -1,6 +1,5 @@
 #include "sampling/rng.h"
 
-#include "robustness/failpoint.h"
 #include "util/logging.h"
 
 namespace dplearn {
@@ -16,8 +15,6 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -28,48 +25,12 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9e3779b97f4a7c15ULL;
 }
 
-std::uint64_t Rng::NextUint64() {
-  // Chaos hook: `rng.degenerate` forces all-zero output bits so downstream
-  // samplers prove they cannot emit NaN/inf on degenerate uniforms. The
-  // state still advances, so rejection samplers (e.g. NextBounded) make
-  // progress under every:N / prob:p triggers; `always` starves them by
-  // design. Disarmed, the hook is one relaxed load.
-  const bool degenerate = robustness::ShouldFail("rng.degenerate");
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return degenerate ? 0 : result;
-}
-
-double Rng::NextDouble() {
-  // Top 53 bits -> [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::NextDoubleOpen() {
-  // (u + 0.5) / 2^53 lies in (0, 1) strictly.
-  return (static_cast<double>(NextUint64() >> 11) + 0.5) * 0x1.0p-53;
-}
-
 void Rng::NextDoubleBatch(double* out, std::size_t n) {
-  // Same arithmetic as NextDouble per element; the win is one call boundary
-  // for the block (NextUint64 inlines within this translation unit). The
-  // per-draw fail-point check inside NextUint64 is preserved, so chaos
-  // configurations fire on the same draw indices as the unbatched path.
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = NextDouble();
 }
 
 void Rng::NextDoubleOpenBatch(double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = (static_cast<double>(NextUint64() >> 11) + 0.5) * 0x1.0p-53;
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = NextDoubleOpen();
 }
 
 std::uint64_t Rng::NextBounded(std::uint64_t bound) {

@@ -1,8 +1,11 @@
 #ifndef DPLEARN_SAMPLING_RNG_H_
 #define DPLEARN_SAMPLING_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "robustness/failpoint.h"
 
 namespace dplearn {
 
@@ -21,21 +24,43 @@ class Rng {
   Rng(const Rng&) = default;
   Rng& operator=(const Rng&) = default;
 
-  /// Returns the next 64 uniform random bits.
-  std::uint64_t NextUint64();
+  /// Returns the next 64 uniform random bits. Inline, like the two uniform
+  /// draws below, so per-draw loops pay no call.
+  std::uint64_t NextUint64() {
+    // Chaos hook: `rng.degenerate` forces all-zero output bits so downstream
+    // samplers prove they cannot emit NaN/inf on degenerate uniforms. The
+    // state still advances, so rejection samplers (e.g. NextBounded) make
+    // progress under every:N / prob:p triggers; `always` starves them by
+    // design. Disarmed, the hook is one relaxed load.
+    const bool degenerate = robustness::ShouldFail("rng.degenerate");
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return degenerate ? 0 : result;
+  }
 
   /// Returns a uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble();
+  double NextDouble() {
+    // Top 53 bits -> [0, 1).
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns a uniform double in the open interval (0, 1); never 0, so it is
   /// safe as an argument to log() in inverse-CDF samplers.
-  double NextDoubleOpen();
+  double NextDoubleOpen() {
+    // (u + 0.5) / 2^53 lies in (0, 1) strictly.
+    return (static_cast<double>(NextUint64() >> 11) + 0.5) * 0x1.0p-53;
+  }
 
   /// Fills out[0..n) with the next n uniform doubles in [0, 1) — bit- and
-  /// stream-identical to n NextDouble() calls, but one library call for the
-  /// whole block so the generator state stays in registers across the loop.
-  /// Batched consumers (alias tables, Gumbel-max draws) use this to amortize
-  /// per-call overhead on their hot path.
+  /// stream-identical to n NextDouble() calls, and the fail-point hook fires
+  /// on the same draw indices. Batched consumers (alias tables, Gumbel-max
+  /// draws) use it to keep the generator state in registers across a block.
   void NextDoubleBatch(double* out, std::size_t n);
 
   /// Blocked NextDoubleOpen(): fills out[0..n) with doubles in (0, 1),

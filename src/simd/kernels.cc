@@ -344,11 +344,9 @@ std::ptrdiff_t GumbelMaxIndex(const double* log_w, const double* uniforms,
   std::size_t best = 0;
   double best_val = kNegInf;
   for (std::size_t i = 0; i < n; ++i) {
-    // Textually the scalar sampler's arithmetic: identical bits, identical
-    // first-wins tie-breaking.
     const double gumbel = -std::log(-std::log(uniforms[i]));
     const double val = log_w[i] + gumbel;
-    if (val > best_val) {
+    if (val > best_val) {  // strict: the first index wins a tie
       best_val = val;
       best = i;
     }

@@ -16,9 +16,9 @@ namespace simd {
 ///   * ELEMENT-WISE kernels (TiltLogWeights, SoftmaxFromLogInto,
 ///     GumbelMaxIndex) perform the same per-element arithmetic as the
 ///     scalar formulas and no reduction, so they are reorder-free.
-///     GumbelMaxIndex in particular returns bitwise the same index as the
-///     scalar Gumbel-max loop for identical inputs — enabling the kernels
-///     never changes which hypothesis a sampler draws.
+///     GumbelMaxIndex has no vector variant: it is the one Gumbel-max loop
+///     every sampler calls, whatever DPLEARN_SIMD says, so the kernels
+///     never change which hypothesis a sampler draws.
 ///   * REDUCTION kernels (MeanLossKernel, LogSumExp) accumulate in
 ///     kReductionLanes independent lanes below a fixed pairwise combine —
 ///     a reordered but deterministic sum. For n < kBlockedSumMinN the sum
@@ -90,9 +90,9 @@ void TiltLogWeights(const double* values, const double* log_addend, std::size_t 
 void SoftmaxFromLogInto(const double* log_w, std::size_t n, double lse, double* out);
 
 /// Gumbel-max argmax: first index maximizing log_w[i] - log(-log(u_i))
-/// over the pre-drawn uniforms u in (0,1). Per-element arithmetic and the
-/// first-wins scan are identical to the scalar sampler, so the returned
-/// index is bitwise-equal to it. Returns -1 when the running max never
+/// over the pre-drawn uniforms u in (0,1). A plain scalar loop with the
+/// first-wins scan, and the only one: every SampleFromLogWeights overload
+/// and the batch sampler call it. Returns -1 when the running max never
 /// leaves -inf (all weights zero). Precondition: log_w free of NaN/+inf
 /// (the sampling layer rejects those with a typed Status first).
 std::ptrdiff_t GumbelMaxIndex(const double* log_w, const double* uniforms,

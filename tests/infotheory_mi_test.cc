@@ -1,6 +1,8 @@
 #include "infotheory/mutual_information.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,6 +98,20 @@ TEST(PluginMiTest, RejectsBadInput) {
   EXPECT_FALSE(PluginMiFromSamples({1, 2}, {1}).ok());
 }
 
+TEST(PluginMiTest, RejectsTablesOverTheCellBudget) {
+  const std::size_t budget = kPluginMiMaxCells;
+  // One axis alone over the budget, and the largest symbols, whose +1 wraps.
+  EXPECT_EQ(PluginMiFromSamples({budget}, {0}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(PluginMiFromSamples({0}, {budget}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(PluginMiFromSamples({SIZE_MAX}, {SIZE_MAX}).status().code(),
+            StatusCode::kInvalidArgument);
+  // The product one row over the budget, and exactly at it.
+  EXPECT_EQ(PluginMiFromSamples({budget / 4}, {3}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(PluginMiFromSamples({budget / 4 - 1}, {3}).ok());
+  EXPECT_FALSE(HistogramMi({1.0, 2.0}, {1.0, 2.0}, 2049).ok());
+}
+
 TEST(MillerMadowTest, MatchesFormula) {
   EXPECT_NEAR(MillerMadowCorrection(4, 4, 16, 1000), (16.0 - 4.0 - 4.0 + 1.0) / 2000.0,
               1e-15);
@@ -132,6 +148,18 @@ TEST(HistogramMiTest, RejectsBadInput) {
   EXPECT_FALSE(HistogramMi({1.0}, {1.0}, 4).ok());
   EXPECT_FALSE(HistogramMi({1.0, 2.0}, {1.0}, 4).ok());
   EXPECT_FALSE(HistogramMi({1.0, 2.0}, {1.0, 2.0}, 0).ok());
+}
+
+TEST(HistogramMiTest, RejectsNonFiniteSamples) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(HistogramMi({0.0, kNan, 1.0}, {0.0, 0.5, 1.0}, 4).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(HistogramMi({0.0, 0.5, 1.0}, {0.0, -kInf, 1.0}, 4).status().code(),
+            StatusCode::kInvalidArgument);
+  // Finite samples whose range overflows a double.
+  EXPECT_EQ(HistogramMi({-1e308, 1e308}, {0.0, 1.0}, 4).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(KsgMiTest, BivariateGaussianMatchesClosedForm) {
@@ -206,6 +234,17 @@ TEST(KsgMiTest, RejectsBadInput) {
   EXPECT_FALSE(KsgMi({1.0, 2.0}, {1.0}, 1).ok());
   EXPECT_FALSE(KsgMi({1.0, 2.0}, {1.0, 2.0}, 0).ok());
   EXPECT_FALSE(KsgMi({1.0, 2.0}, {1.0, 2.0}, 5).ok());
+}
+
+TEST(KsgMiTest, RejectsNonFiniteSamples) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> finite = {0.0, 0.25, 0.5, 0.75, 1.0};
+  EXPECT_EQ(KsgMi({0.0, 0.25, kNan, 0.75, 1.0}, finite, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(KsgMi(finite, {0.0, 0.25, 0.5, kInf, 1.0}, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(KsgMi(finite, finite, 2).ok());
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-/// Concurrency of the src/perf risk-profile cache (DESIGN.md §10): a hit
-/// verifies and copies its entry outside the cache lock while misses on
-/// other threads evict that entry, and the identity records (an entry's
-/// verified class id and generation, a dataset's memoized content hash) are
-/// written by whichever thread gets there first. Tagged TSAN, so it also
-/// runs under ThreadSanitizer.
+/// Concurrency of the src/perf risk-profile cache (DESIGN.md §10): hits
+/// find their entry under the shared lock and verify, mark and copy it
+/// outside it while misses on other threads evict that entry by second
+/// chance, and the identity records (an entry's verified class id and
+/// generation, a dataset's memoized content hash) are written by whichever
+/// thread gets there first. Tagged TSAN, so it also runs under
+/// ThreadSanitizer.
 
 #include <atomic>
 #include <cstddef>
@@ -130,6 +131,71 @@ TEST(RiskProfileCacheConcurrencyTest, FirstContentHashesAndIdentityHitsRaceClean
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kCallsPerThread);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_LE(cache.size(), kCapacity);
+}
+
+TEST(RiskProfileCacheConcurrencyTest, SharedHitsRaceSecondChanceEvictionsAndClear) {
+  constexpr std::size_t kReaders = 3;
+  constexpr std::size_t kCapacity = 4;
+  constexpr std::size_t kDatasets = 10;  // cold datasets keep evicting
+  constexpr std::size_t kCallsPerReader = 400;
+  ClippedSquaredLoss loss(1.0);
+  const auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value();
+  const auto task = BernoulliMeanTask::Create(0.4).value();
+  std::vector<Dataset> datasets;
+  std::vector<std::vector<double>> expected;
+  for (std::size_t i = 0; i < kDatasets; ++i) {
+    Rng rng(300 + i);
+    datasets.push_back(task.Sample(40, &rng).value());
+    expected.push_back(EmpiricalRiskProfile(loss, hclass.thetas(), datasets.back()).value());
+  }
+
+  perf::RiskProfileCache cache(kCapacity);
+  std::atomic<bool> done{false};
+  std::vector<std::size_t> wrong(kReaders, 0);
+  std::vector<std::size_t> oversized(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(31 + t);
+      for (std::size_t call = 0; call < kCallsPerReader; ++call) {
+        // Three calls in four go to two hot datasets, whose entries keep
+        // their marks; the rest miss and run the eviction scan over them.
+        const std::size_t i = static_cast<std::size_t>(
+            rng.NextBounded(4) != 0 ? rng.NextBounded(2) : rng.NextBounded(kDatasets));
+        auto got = cache.GetOrCompute(loss, hclass, datasets[i]);
+        if (!got.ok() || got->size() != expected[i].size() ||
+            std::memcmp(got->data(), expected[i].data(), got->size() * sizeof(double)) != 0) {
+          ++wrong[t];
+        }
+        if (cache.size() > kCapacity) ++oversized[t];
+      }
+    });
+  }
+  // A fourth thread empties the cache under the readers' feet.
+  std::size_t clears = 0;
+  std::thread clearer([&] {
+    while (!done.load()) {
+      cache.Clear();
+      ++clears;
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& reader : readers) reader.join();
+  done.store(true);
+  clearer.join();
+
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(wrong[t], 0u) << "thread " << t << " got a profile that is not bitwise exact";
+    EXPECT_EQ(oversized[t], 0u) << "thread " << t << " saw size() above capacity";
+  }
+  EXPECT_GT(clears, 0u);
+  EXPECT_LE(cache.size(), kCapacity);
+  // After the race the cache still serves: a fill, then a hit.
+  cache.Clear();
+  ASSERT_TRUE(cache.GetOrCompute(loss, hclass, datasets[0]).ok());
+  ASSERT_TRUE(cache.GetOrCompute(loss, hclass, datasets[0]).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 }  // namespace

@@ -114,6 +114,31 @@ TEST(RiskProfileCacheTest, EvictionBoundsSizeAndKeepsServingCorrectValues) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
+TEST(RiskProfileCacheTest, HitEntrySurvivesTheNextEviction) {
+  // Second chance: A is older than B, but A was hit since it was filled,
+  // so the insert of C keeps A once more and evicts B. A FIFO cache would
+  // evict A.
+  perf::RiskProfileCache cache(/*capacity=*/2);
+  ClippedSquaredLoss loss(1.0);
+  const auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 11).value();
+  const Dataset a = MakeData(50, 1);
+  const Dataset b = MakeData(50, 2);
+  const Dataset c = MakeData(50, 3);
+  ASSERT_TRUE(cache.GetOrCompute(loss, hclass, a).ok());
+  ASSERT_TRUE(cache.GetOrCompute(loss, hclass, b).ok());
+  ASSERT_TRUE(cache.GetOrCompute(loss, hclass, a).ok());  // the hit that marks A
+  ASSERT_TRUE(cache.GetOrCompute(loss, hclass, c).ok());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.size(), 2u);
+
+  ExpectBitEqual(EmpiricalRiskProfile(loss, hclass.thetas(), a).value(),
+                 cache.GetOrCompute(loss, hclass, a).value());
+  EXPECT_EQ(cache.stats().hits, 2u) << "A was evicted";
+  EXPECT_EQ(cache.stats().misses, 3u);
+  ASSERT_TRUE(cache.GetOrCompute(loss, hclass, b).ok());
+  EXPECT_EQ(cache.stats().misses, 4u) << "B was kept";
+}
+
 TEST(PerfEquivalenceTest, GibbsPosteriorBitIdenticalWithCacheOnAndOff) {
   ClippedSquaredLoss loss(1.0);
   auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 101).value();

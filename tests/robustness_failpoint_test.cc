@@ -1,5 +1,6 @@
 #include "robustness/failpoint.h"
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -224,6 +225,21 @@ TEST_F(FailPointTest, StatsCountHitsAndFires) {
     return;
   }
   FAIL() << "no stats for test.point";
+}
+
+TEST(FailPointEnvironmentTest, ArmedBeforeTheFirstCheck) {
+  // "threadsafe" re-executes this binary for the child, so its registry
+  // has not read DPLEARN_FAILPOINTS when the statement below runs.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("DPLEARN_FAILPOINTS", "test.env=every:2", 1);
+        const bool armed = FailPointsEnabled();
+        const bool first = ShouldFail("test.env");
+        const bool second = ShouldFail("test.env");
+        std::exit(armed && !first && second ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(FailPointTest, ClearDisarmsOnePoint) {

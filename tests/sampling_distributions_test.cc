@@ -1,6 +1,7 @@
 #include "sampling/distributions.h"
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -156,6 +157,24 @@ TEST(DiscreteTest, FrequenciesMatchDistribution) {
 TEST(DiscreteTest, RejectsNonDistribution) {
   Rng rng(1);
   EXPECT_FALSE(SampleDiscrete(&rng, {0.5, 0.6}).ok());
+}
+
+TEST(DiscreteTest, RoundingSlackNeverDrawsAZeroMassAtom) {
+  // p sums to 1 - 5e-7, inside ValidateDistribution's 1e-6 tolerance, so a
+  // uniform in [1 - 5e-7, 1) passes every partial sum. Find a seed whose
+  // first uniform lands there (about one in two million).
+  const std::vector<double> p = {1.0 - 5e-7, 0.0};
+  std::uint64_t seed = 0;
+  for (;; ++seed) {
+    ASSERT_LT(seed, 20'000'000u) << "no seed draws into the slack";
+    Rng probe(seed);
+    if (probe.NextDouble() >= p[0]) break;
+  }
+  Rng rng(seed);
+  EXPECT_EQ(SampleDiscrete(&rng, p).value(), 0u) << "seed " << seed;
+  // Several trailing zero-mass atoms: still the last positive one.
+  Rng again(seed);
+  EXPECT_EQ(SampleDiscrete(&again, {0.0, 1.0 - 5e-7, 0.0, 0.0}).value(), 1u);
 }
 
 TEST(LogWeightsTest, GumbelMaxMatchesSoftmax) {
