@@ -9,7 +9,7 @@
 ///     exact posterior, as a function of burn-in and thinning, and
 ///   * the induced error on the posterior mean and on E[R̂].
 /// Expected shape: TV decays with burn-in/thinning and is already < 0.03
-/// at the defaults used by ContinuousGibbsRegression.
+/// at the `MetropolisOptions` defaults (burn-in 1000, thinning 10).
 
 #include <cmath>
 #include <cstdio>

@@ -8,6 +8,11 @@
 /// exact posteriors and compared against the DP cap tanh(ε/2). Expected
 /// shape: advantage grows with λ, stays under the cap at every λ, and
 /// tracks the cap's shape (the bound is meaningful, not vacuous).
+///
+/// The converse (infotheory/fano.h): Pinsker turns KL(P0 ‖ P1) of the two
+/// attacked posteriors into a TV ceiling, and Le Cam turns that into a
+/// floor on the adversary's error 1 − accuracy. The two-world game has
+/// M = 2, where Fano is vacuous; E6 checks Fano instead.
 
 #include <cmath>
 #include <cstdio>
@@ -17,6 +22,8 @@
 #include "core/gibbs_estimator.h"
 #include "core/learning_channel.h"
 #include "core/membership_attack.h"
+#include "infotheory/entropy.h"
+#include "infotheory/fano.h"
 #include "learning/generators.h"
 #include "learning/risk.h"
 #include "parallel/trial_runner.h"
@@ -39,8 +46,8 @@ void Run() {
   const Example replacement{Vector{1.0}, base.at(0).label == 1.0 ? 0.0 : 1.0};
 
   std::printf("game: flip record 0 of n=%zu; Bayes adversary sees one Gibbs draw\n\n", n);
-  std::printf("%8s %12s %14s %14s %14s %12s\n", "lambda", "eps (4.1)", "attack acc.",
-              "advantage", "cap tanh(e/2)", "cap used%");
+  std::printf("%8s %12s %14s %14s %14s %12s %12s\n", "lambda", "eps (4.1)", "attack acc.",
+              "advantage", "cap tanh(e/2)", "cap used%", "Le Cam floor");
 
   // Each lambda cell is an independent closed-form attack evaluation (two
   // exact posteriors per cell — the per-hypothesis risk profiles inside are
@@ -51,6 +58,7 @@ void Run() {
   struct Cell {
     double eps = 0.0;
     MembershipAttackResult result;
+    double lecam_floor = 0.0;  // on the adversary's error 1 - accuracy
   };
   // The sweep runs as one guarded section: cells execute on pool workers, so
   // an injected fault propagates out of Map (earliest index wins) and is
@@ -70,10 +78,18 @@ void Run() {
     };
     cell.result = bench::Unwrap(
         BayesMembershipAttack(mechanism, base, 0, replacement, cell.eps), "attack");
+    const Dataset world1 = bench::Unwrap(base.ReplaceExample(0, replacement), "world 1");
+    const double kl = bench::Unwrap(
+        KlDivergence(bench::Unwrap(mechanism(base), "P0"),
+                     bench::Unwrap(mechanism(world1), "P1")),
+        "KL(P0||P1)");
+    const double tv_ceiling = bench::Unwrap(PinskerTvUpperBound(kl), "Pinsker");
+    cell.lecam_floor = bench::Unwrap(LeCamErrorLowerBound(tv_ceiling), "Le Cam");
     return cell;
   });
 
   bool within = true;
+  bool above_lecam = true;
   double previous = -1.0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
@@ -81,18 +97,25 @@ void Run() {
     const bool monotone = cell.result.advantage >= previous - 1e-12;
     within = within && monotone;
     previous = cell.result.advantage;
-    std::printf("%8.1f %12.4f %14.4f %14.4f %14.4f %11.1f%%\n", lambdas[i], cell.eps,
+    above_lecam = above_lecam && 1.0 - cell.result.accuracy >= cell.lecam_floor;
+    std::printf("%8.1f %12.4f %14.4f %14.4f %14.4f %11.1f%% %12.4f\n", lambdas[i], cell.eps,
                 cell.result.accuracy, cell.result.advantage, cell.result.dp_advantage_bound,
                 100.0 * cell.result.advantage /
-                    std::max(cell.result.dp_advantage_bound, 1e-300));
+                    std::max(cell.result.dp_advantage_bound, 1e-300),
+                cell.lecam_floor);
     char key[48];
     std::snprintf(key, sizeof key, "advantage_lambda%.1f", lambdas[i]);
     bench::RecordScalar(key, cell.result.advantage);
+    std::snprintf(key, sizeof key, "lecam_floor_lambda%.1f", lambdas[i]);
+    bench::RecordScalar(key, cell.lecam_floor);
   }
 
   bench::PrintSection("verdicts");
   bench::Verdict(within,
                  "Bayes adversary advantage <= tanh(eps/2) at every lambda, monotone");
+  bench::Verdict(above_lecam,
+                 "Bayes adversary error 1 - accuracy >= Le Cam floor "
+                 "(1 - sqrt(KL(P0||P1)/2))/2 at every lambda");
   std::printf(
       "note: even the BEST possible adversary (full knowledge of both posteriors)\n"
       "      cannot beat the cap — the operational content of Theorem 4.1. At small\n"

@@ -8,7 +8,12 @@
 /// estimate validating the estimator stack against the exact value.
 /// Expected shape: I grows monotonically with ε* and is crushed to 0 at
 /// high privacy — the paper's trade-off made quantitative.
+///
+/// The converse (infotheory/fano.h): decoding k from θ under a uniform k is
+/// an (n+1)-ary test over a channel carrying at most `capacity` nats, so the
+/// MAP decoder's exact error must stay above Fano's floor at every λ.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -18,6 +23,7 @@
 #include "core/gibbs_estimator.h"
 #include "core/learning_channel.h"
 #include "infotheory/entropy.h"
+#include "infotheory/fano.h"
 #include "infotheory/mutual_information.h"
 #include "learning/generators.h"
 #include "sampling/distributions.h"
@@ -43,11 +49,12 @@ void Run() {
               n, n, p, hclass.size());
 
   double input_entropy = 0.0;
-  std::printf("\n%8s %14s %12s %12s %12s %14s\n", "lambda", "measured eps*",
-              "I(Z;theta)", "capacity", "H(Z)", "sampled MI");
+  std::printf("\n%8s %14s %12s %12s %12s %14s %12s %12s\n", "lambda", "measured eps*",
+              "I(Z;theta)", "capacity", "H(Z)", "sampled MI", "Fano floor", "MAP error");
 
   bool monotone = true;
   bool bounded = true;
+  bool above_fano = true;
   double previous_mi = -1.0;
   for (double lambda : {0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
     // Guarded cell: an injected fault records a failure for this lambda and
@@ -63,6 +70,18 @@ void Run() {
     const double eps = ChannelPrivacyLevel(channel);
     const double mi = bench::Unwrap(ChannelMutualInformation(channel), "MI");
     const double capacity = bench::Unwrap(channel.channel.Capacity(1e-8), "capacity");
+    const double fano_floor = bench::Unwrap(FanoErrorLowerBound(capacity, n + 1), "Fano");
+    // MAP decoder of k from theta under a uniform k: it is right with
+    // probability (1/(n+1)) sum_theta max_k W(theta|k).
+    double map_success = 0.0;
+    for (std::size_t theta = 0; theta < channel.channel.num_outputs(); ++theta) {
+      double best = 0.0;
+      for (std::size_t k = 0; k <= n; ++k) {
+        best = std::max(best, channel.channel.TransitionProbability(k, theta));
+      }
+      map_success += best;
+    }
+    const double map_error = 1.0 - map_success / static_cast<double>(n + 1);
 
     // Validate the estimator stack: draw (k, theta) pairs through the
     // actual estimator and compare plug-in MI to the exact channel MI.
@@ -108,15 +127,20 @@ void Run() {
 
     monotone = monotone && mi >= previous_mi - 1e-9;
     bounded = bounded && mi <= capacity + 1e-9 && mi <= input_entropy + 1e-9;
+    above_fano = above_fano && map_error >= fano_floor;
     previous_mi = mi;
 
-    std::printf("%8.1f %14.6f %12.6f %12.6f %12.6f %14.6f\n", lambda, eps, mi, capacity,
-                input_entropy, std::max(0.0, sampled_mi));
+    std::printf("%8.1f %14.6f %12.6f %12.6f %12.6f %14.6f %12.4f %12.4f\n", lambda, eps, mi,
+                capacity, input_entropy, std::max(0.0, sampled_mi), fano_floor, map_error);
     // The sampled MI is the Monte-Carlo product of the parallel loop above;
     // CI's determinism gate asserts it is bit-identical for 1 vs 8 threads.
     char key[48];
     std::snprintf(key, sizeof key, "sampled_mi_lambda%.1f", lambda);
     bench::RecordScalar(key, sampled_mi);
+    std::snprintf(key, sizeof key, "fano_floor_lambda%.1f", lambda);
+    bench::RecordScalar(key, fano_floor);
+    std::snprintf(key, sizeof key, "map_error_lambda%.1f", lambda);
+    bench::RecordScalar(key, map_error);
     });
   }
 
@@ -152,6 +176,9 @@ void Run() {
   bench::PrintSection("verdicts");
   bench::Verdict(monotone, "I(Z;theta) is monotone in lambda (less privacy => more MI)");
   bench::Verdict(bounded, "I(Z;theta) <= min(channel capacity, H(Z)) at every lambda");
+  bench::Verdict(above_fano,
+                 "MAP decoding of k from theta errs at least Fano's floor "
+                 "1 - (capacity + ln 2)/ln(n+1) at every lambda");
   bench::Verdict(ternary_monotone,
                  "the same monotone trade-off holds on the generalized ternary channel");
   std::printf(

@@ -5,6 +5,9 @@
 /// vs ε at several n, comparing the Gibbs/exponential-mechanism learner
 /// (λ calibrated so 2λΔ = ε), the Laplace mechanism on the empirical mean,
 /// randomized response with debiasing, and the non-private ERM floor.
+/// Verdict: in every (n, ε) cell the exact channel gives
+/// P[R(θ) − min_Θ R > GibbsExcessTrueRiskBound(λ, |Θ|, n, B, δ)] <= δ,
+/// the utility half of Theorem 4.1 (core/utility_bounds.h).
 ///
 /// Part B (linear classification on a Gaussian mixture): Gibbs over a
 /// 2-D hypothesis grid with 0-1 loss vs the Chaudhuri et al. private-ERM
@@ -14,6 +17,7 @@
 /// non-private floor as ε or n grows; Gibbs dominates output perturbation
 /// at small ε; everyone pays at ε << 1.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "core/gibbs_estimator.h"
 #include "core/learning_channel.h"
 #include "core/private_erm.h"
+#include "core/utility_bounds.h"
 #include "learning/erm.h"
 #include "learning/generators.h"
 #include "learning/risk.h"
@@ -34,7 +39,12 @@
 namespace dplearn {
 namespace {
 
-void PartAMeanEstimation() {
+// Confidence level of the Part A utility verdict.
+constexpr double kUtilityDelta = 0.05;
+
+/// Returns whether every completed cell kept the Gibbs draw's excess true
+/// risk within GibbsExcessTrueRiskBound with probability >= 1 - δ.
+bool PartAMeanEstimation() {
   bench::PrintSection("Part A: Bernoulli mean estimation (squared loss, true risk exact)");
 
   const double p = 0.35;
@@ -46,9 +56,14 @@ void PartAMeanEstimation() {
 
   std::printf("Bayes risk (irreducible) = %.4f; excess risk reported below\n",
               task.BayesRisk());
-  std::printf("\n%6s %8s %14s %14s %14s %14s\n", "n", "eps", "gibbs", "laplace",
-              "rand.resp.", "non-private");
+  double min_true_risk = task.TrueRisk(hclass.at(0)[0]);
+  for (std::size_t i = 1; i < hclass.size(); ++i) {
+    min_true_risk = std::min(min_true_risk, task.TrueRisk(hclass.at(i)[0]));
+  }
+  std::printf("\n%6s %8s %14s %14s %14s %14s %12s %12s\n", "n", "eps", "gibbs", "laplace",
+              "rand.resp.", "non-private", "utility bnd", "P[>bnd]");
 
+  bool utility_bound_holds = true;
   for (std::size_t n : {30u, 100u, 300u}) {
     for (double eps : {0.1, 0.5, 2.0}) {
       // Each (n, eps) cell is guarded: an injected fault inside it becomes a
@@ -61,14 +76,24 @@ void PartAMeanEstimation() {
       auto channel = bench::Unwrap(
           BuildBernoulliGibbsChannel(task, n, loss, hclass, hclass.UniformPrior(), lambda),
           "channel");
+      const double utility_bound = bench::Unwrap(
+          GibbsExcessTrueRiskBound(lambda, hclass.size(), n, loss.UpperBound(),
+                                   kUtilityDelta),
+          "utility bound");
       double gibbs_risk = 0.0;
+      // Exact probability, over the sample and the draw, that the Gibbs
+      // predictor's excess true risk exceeds the utility bound.
+      double tail = 0.0;
       for (std::size_t k = 0; k <= n; ++k) {
         for (std::size_t i = 0; i < hclass.size(); ++i) {
-          gibbs_risk += channel.input_marginal[k] *
-                        channel.channel.TransitionProbability(k, i) *
-                        task.TrueRisk(hclass.at(i)[0]);
+          const double mass =
+              channel.input_marginal[k] * channel.channel.TransitionProbability(k, i);
+          const double true_risk = task.TrueRisk(hclass.at(i)[0]);
+          gibbs_risk += mass * true_risk;
+          if (true_risk - min_true_risk > utility_bound) tail += mass;
         }
       }
+      utility_bound_holds = utility_bound_holds && tail <= kUtilityDelta;
 
       // Laplace on the empirical mean, clamped back into [0,1].
       auto query = bench::Unwrap(BoundedMeanQuery(0.0, 1.0, n), "query");
@@ -112,17 +137,22 @@ void PartAMeanEstimation() {
         sums.erm += r.erm;
       }
       const double bayes = task.BayesRisk();
-      std::printf("%6zu %8.2f %14.5f %14.5f %14.5f %14.5f\n", n, eps, gibbs_risk - bayes,
-                  sums.laplace / trials - bayes, sums.rr / trials - bayes,
-                  sums.erm / trials - bayes);
+      std::printf("%6zu %8.2f %14.5f %14.5f %14.5f %14.5f %12.4f %12.2e\n", n, eps,
+                  gibbs_risk - bayes, sums.laplace / trials - bayes,
+                  sums.rr / trials - bayes, sums.erm / trials - bayes, utility_bound, tail);
       // Monte-Carlo means into the record: CI's determinism gate asserts
       // these are bit-identical across DPLEARN_THREADS settings.
       char key[64];
       std::snprintf(key, sizeof key, "parta_laplace_excess_n%zu_eps%.2f", n, eps);
       bench::RecordScalar(key, sums.laplace / trials - bayes);
+      std::snprintf(key, sizeof key, "parta_utility_bound_n%zu_eps%.2f", n, eps);
+      bench::RecordScalar(key, utility_bound);
+      std::snprintf(key, sizeof key, "parta_utility_tail_n%zu_eps%.2f", n, eps);
+      bench::RecordScalar(key, tail);
       });
     }
   }
+  return utility_bound_holds;
 }
 
 void PartBClassification() {
@@ -241,8 +271,13 @@ void PartBClassification() {
 
 void Run() {
   bench::PrintHeader("E7 (Section 4)", "privacy-utility trade-off of the Gibbs estimator");
-  PartAMeanEstimation();
+  const bool utility_bound_holds = PartAMeanEstimation();
   PartBClassification();
+
+  bench::PrintSection("verdicts");
+  bench::Verdict(utility_bound_holds,
+                 "Part A: P[excess true risk > GibbsExcessTrueRiskBound] <= delta = 0.05 "
+                 "in every (n, eps) cell");
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 namespace dplearn {
 
 StatusOr<double> DpMembershipAdvantageBound(double epsilon) {
-  if (epsilon < 0.0) {
+  if (!(epsilon >= 0.0)) {
     return InvalidArgumentError("DpMembershipAdvantageBound: epsilon must be >= 0");
   }
   // (e^eps - 1) / (e^eps + 1) = tanh(eps/2).

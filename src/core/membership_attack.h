@@ -57,7 +57,8 @@ StatusOr<MembershipAttackResult> SimulatedMembershipAttack(
     const Dataset& base, std::size_t index, const Example& replacement,
     double claimed_epsilon, std::size_t rounds, Rng* rng);
 
-/// The DP advantage cap (e^eps - 1)/(e^eps + 1). Error if eps < 0.
+/// The DP advantage cap (e^eps - 1)/(e^eps + 1). Error if eps is negative or
+/// NaN.
 StatusOr<double> DpMembershipAdvantageBound(double epsilon);
 
 }  // namespace dplearn

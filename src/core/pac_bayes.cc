@@ -52,17 +52,6 @@ StatusOr<double> CatoniExpectationBound(double expected_objective, double lambda
   return std::min(1.0, numerator / denominator);
 }
 
-StatusOr<double> CatoniLinearizedBound(double expected_empirical_risk, double kl,
-                                       double lambda, std::size_t n, double delta) {
-  DPLEARN_RETURN_IF_ERROR(ValidateCommon(lambda, n));
-  DPLEARN_RETURN_IF_ERROR(ValidateDelta(delta));
-  if (expected_empirical_risk < 0.0 || kl < 0.0) {
-    return InvalidArgumentError("CatoniLinearizedBound: risk and KL must be >= 0");
-  }
-  const double contraction = CatoniContractionFactor(lambda, static_cast<double>(n));
-  return (expected_empirical_risk + (kl + std::log(1.0 / delta)) / lambda) / contraction;
-}
-
 StatusOr<double> McAllesterBound(double expected_empirical_risk, double kl, std::size_t n,
                                  double delta) {
   if (n == 0) return InvalidArgumentError("McAllesterBound: n must be positive");

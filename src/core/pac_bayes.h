@@ -38,14 +38,6 @@ StatusOr<double> CatoniHighProbabilityBound(double expected_empirical_risk, doub
 StatusOr<double> CatoniExpectationBound(double expected_objective, double lambda,
                                         std::size_t n);
 
-/// The linearized Catoni bound: since 1-e^{-x} <= x,
-///   E_ρ[R] <= ( E_ρ[R̂] + (KL + ln(1/δ))/λ ) / C(λ, n),
-/// where C = (n/λ)(1 - e^{-λ/n}) in [1 - λ/(2n), 1] is the contraction
-/// factor the paper notes is "close to 1 when λ << n". Looser than the
-/// exact form but makes the structure of the objective transparent.
-StatusOr<double> CatoniLinearizedBound(double expected_empirical_risk, double kl,
-                                       double lambda, std::size_t n, double delta);
-
 /// McAllester's classical bound, for comparison experiments:
 ///   E_ρ[R] <= E_ρ[R̂] + sqrt( (KL + ln(2 sqrt(n) / δ)) / (2n) ).
 StatusOr<double> McAllesterBound(double expected_empirical_risk, double kl, std::size_t n,

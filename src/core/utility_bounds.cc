@@ -3,55 +3,15 @@
 #include <cmath>
 
 namespace dplearn {
-namespace {
-
-Status ValidateDeltaAndClass(std::size_t num_hypotheses, double delta) {
-  if (num_hypotheses == 0) {
-    return InvalidArgumentError("utility bound: need at least one hypothesis");
-  }
-  if (!(delta > 0.0) || delta >= 1.0) {
-    return InvalidArgumentError("utility bound: delta must be in (0,1)");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<double> GibbsExcessEmpiricalRiskBound(double lambda, std::size_t num_hypotheses,
-                                               double delta) {
-  DPLEARN_RETURN_IF_ERROR(ValidateDeltaAndClass(num_hypotheses, delta));
-  if (!(lambda > 0.0)) {
-    return InvalidArgumentError("GibbsExcessEmpiricalRiskBound: lambda must be positive");
-  }
-  return std::log(static_cast<double>(num_hypotheses) / delta) / lambda;
-}
-
-StatusOr<double> LambdaForExcessRisk(double target_excess, std::size_t num_hypotheses,
-                                     double delta) {
-  DPLEARN_RETURN_IF_ERROR(ValidateDeltaAndClass(num_hypotheses, delta));
-  if (!(target_excess > 0.0)) {
-    return InvalidArgumentError("LambdaForExcessRisk: target_excess must be positive");
-  }
-  return std::log(static_cast<double>(num_hypotheses) / delta) / target_excess;
-}
-
-StatusOr<double> ExcessRiskCostOfPrivacy(double epsilon, std::size_t n, double loss_bound,
-                                         std::size_t num_hypotheses, double delta) {
-  DPLEARN_RETURN_IF_ERROR(ValidateDeltaAndClass(num_hypotheses, delta));
-  if (!(epsilon > 0.0)) {
-    return InvalidArgumentError("ExcessRiskCostOfPrivacy: epsilon must be positive");
-  }
-  if (n == 0) return InvalidArgumentError("ExcessRiskCostOfPrivacy: n must be positive");
-  if (!(loss_bound > 0.0)) {
-    return InvalidArgumentError("ExcessRiskCostOfPrivacy: loss bound must be positive");
-  }
-  return 2.0 * loss_bound * std::log(static_cast<double>(num_hypotheses) / delta) /
-         (epsilon * static_cast<double>(n));
-}
 
 StatusOr<double> GibbsExcessTrueRiskBound(double lambda, std::size_t num_hypotheses,
                                           std::size_t n, double loss_bound, double delta) {
-  DPLEARN_RETURN_IF_ERROR(ValidateDeltaAndClass(num_hypotheses, delta));
+  if (num_hypotheses == 0) {
+    return InvalidArgumentError("GibbsExcessTrueRiskBound: need at least one hypothesis");
+  }
+  if (!(delta > 0.0) || delta >= 1.0) {
+    return InvalidArgumentError("GibbsExcessTrueRiskBound: delta must be in (0,1)");
+  }
   if (!(lambda > 0.0)) {
     return InvalidArgumentError("GibbsExcessTrueRiskBound: lambda must be positive");
   }

@@ -7,38 +7,18 @@
 
 namespace dplearn {
 
-/// Closed-form UTILITY guarantees for the Gibbs / exponential-mechanism
+/// Closed-form UTILITY guarantee for the Gibbs / exponential-mechanism
 /// learner — the other half of Theorem 4.1's story. Privacy says the
-/// posterior cannot depend too much on the data; these bounds say it still
+/// posterior cannot depend too much on the data; this bound says it still
 /// concentrates on low-risk hypotheses.
 
-/// McSherry–Talwar utility specialized to learning over a finite Θ with a
-/// uniform prior: one draw θ from the Gibbs posterior at inverse
-/// temperature λ satisfies, with probability at least 1 − δ over the draw,
-///   R̂(θ) − min_θ' R̂(θ')  <=  ln(|Θ| / δ) / λ.
-/// Errors on invalid arguments.
-StatusOr<double> GibbsExcessEmpiricalRiskBound(double lambda, std::size_t num_hypotheses,
-                                               double delta);
-
-/// The same bound rearranged as a design tool: the λ needed to keep the
-/// excess empirical risk below `target_excess` with confidence 1 − δ.
-StatusOr<double> LambdaForExcessRisk(double target_excess, std::size_t num_hypotheses,
-                                     double delta);
-
-/// End-to-end privacy-utility exchange rate at Theorem 4.1's calibration
-/// λ = ε n / (2B): the excess-empirical-risk bound expressed in terms of
-/// the privacy budget,
-///   excess <= 2 B ln(|Θ|/δ) / (ε n).
-/// The "cost of ε" in risk units — halve ε, double the risk slack.
-/// Errors on invalid arguments.
-StatusOr<double> ExcessRiskCostOfPrivacy(double epsilon, std::size_t n, double loss_bound,
-                                         std::size_t num_hypotheses, double delta);
-
-/// Excess TRUE risk bound for one Gibbs draw, combining the empirical
-/// bound above with two uniform-convergence passes (Hoeffding over the
-/// finite class):  with probability >= 1 - delta,
+/// Excess TRUE risk bound for one Gibbs draw over a finite Θ with a
+/// uniform prior. McSherry–Talwar bounds the excess empirical risk by
+/// ln(|Θ|/δ)/λ; two uniform-convergence passes (Hoeffding over the finite
+/// class) carry it to the true risk: with probability >= 1 - delta,
 ///   R(θ) − min R(θ') <= ln(3|Θ|/δ)/λ + 2 B sqrt( ln(6|Θ|/δ) / (2n) ).
-/// Loose but fully explicit; the experiments verify it empirically.
+/// Loose but fully explicit; E7 checks it exactly on every Part A cell.
+/// Errors on invalid arguments.
 StatusOr<double> GibbsExcessTrueRiskBound(double lambda, std::size_t num_hypotheses,
                                           std::size_t n, double loss_bound, double delta);
 

@@ -7,27 +7,10 @@
 
 namespace dplearn {
 
-double NatsToBits(double nats) { return nats / kLn2; }
-
 StatusOr<double> Entropy(const std::vector<double>& p) {
   DPLEARN_RETURN_IF_ERROR(ValidateDistribution(p, 1e-6));
   double h = 0.0;
   for (double v : p) h -= XLogX(v);
-  return h;
-}
-
-StatusOr<double> CrossEntropy(const std::vector<double>& p, const std::vector<double>& q) {
-  DPLEARN_RETURN_IF_ERROR(ValidateDistribution(p, 1e-6));
-  DPLEARN_RETURN_IF_ERROR(ValidateDistribution(q, 1e-6));
-  if (p.size() != q.size()) {
-    return InvalidArgumentError("CrossEntropy: size mismatch");
-  }
-  double h = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (p[i] == 0.0) continue;
-    if (q[i] == 0.0) return std::numeric_limits<double>::infinity();
-    h -= p[i] * std::log(q[i]);
-  }
   return h;
 }
 
@@ -63,18 +46,6 @@ StatusOr<double> JensenShannonDivergence(const std::vector<double>& p,
 StatusOr<double> BinaryEntropy(double p) {
   if (p < 0.0 || p > 1.0) return InvalidArgumentError("BinaryEntropy: p must be in [0,1]");
   return -XLogX(p) - XLogX(1.0 - p);
-}
-
-StatusOr<double> BernoulliKl(double p, double q) {
-  if (p < 0.0 || p > 1.0 || q < 0.0 || q > 1.0) {
-    return InvalidArgumentError("BernoulliKl: arguments must be in [0,1]");
-  }
-  const double term1 = XLogXOverY(p, q);
-  const double term2 = XLogXOverY(1.0 - p, 1.0 - q);
-  if (std::isinf(term1) || std::isinf(term2)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return ClampRoundingNegative(term1 + term2);
 }
 
 }  // namespace dplearn

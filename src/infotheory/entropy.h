@@ -10,18 +10,10 @@ namespace dplearn {
 /// Discrete information measures. All quantities are returned in NATS
 /// (natural log) because the paper's PAC-Bayes machinery — KL terms in
 /// Catoni's bound, the (1/ε)·I(Ẑ;θ) regularizer — is stated in nats.
-/// Use NatsToBits for display.
-
-/// Converts nats to bits.
-double NatsToBits(double nats);
 
 /// Shannon entropy H(p) of a probability vector. Error if `p` is not a
 /// valid distribution.
 StatusOr<double> Entropy(const std::vector<double>& p);
-
-/// Cross entropy H(p, q) = -sum p_i log q_i. +infinity if q_i == 0 where
-/// p_i > 0. Error on invalid distributions or size mismatch.
-StatusOr<double> CrossEntropy(const std::vector<double>& p, const std::vector<double>& q);
 
 /// Kullback–Leibler divergence D(p || q) = sum p_i log(p_i/q_i).
 /// +infinity when p is not absolutely continuous w.r.t. q. Error on invalid
@@ -36,10 +28,6 @@ StatusOr<double> JensenShannonDivergence(const std::vector<double>& p,
 
 /// Entropy of a Bernoulli(p) bit. Error if p outside [0,1].
 StatusOr<double> BinaryEntropy(double p);
-
-/// KL divergence between Bernoulli(p) and Bernoulli(q). Error if outside
-/// [0,1].
-StatusOr<double> BernoulliKl(double p, double q);
 
 }  // namespace dplearn
 

@@ -11,7 +11,7 @@ StatusOr<double> FanoErrorLowerBound(double mutual_information,
   if (num_hypotheses < 2) {
     return InvalidArgumentError("FanoErrorLowerBound: need at least 2 hypotheses");
   }
-  if (mutual_information < 0.0) {
+  if (!(mutual_information >= 0.0)) {
     return InvalidArgumentError("FanoErrorLowerBound: MI must be >= 0");
   }
   const double bound =
@@ -20,35 +20,15 @@ StatusOr<double> FanoErrorLowerBound(double mutual_information,
 }
 
 StatusOr<double> LeCamErrorLowerBound(double total_variation) {
-  if (total_variation < 0.0 || total_variation > 1.0) {
+  if (!(total_variation >= 0.0 && total_variation <= 1.0)) {
     return InvalidArgumentError("LeCamErrorLowerBound: TV must be in [0,1]");
   }
   return (1.0 - total_variation) / 2.0;
 }
 
 StatusOr<double> PinskerTvUpperBound(double kl) {
-  if (kl < 0.0) return InvalidArgumentError("PinskerTvUpperBound: KL must be >= 0");
+  if (!(kl >= 0.0)) return InvalidArgumentError("PinskerTvUpperBound: KL must be >= 0");
   return std::min(1.0, std::sqrt(kl / 2.0));
-}
-
-StatusOr<double> DpPackingErrorLowerBound(double epsilon, std::size_t hamming_radius,
-                                          std::size_t num_hypotheses) {
-  if (epsilon < 0.0) {
-    return InvalidArgumentError("DpPackingErrorLowerBound: epsilon must be >= 0");
-  }
-  if (num_hypotheses < 2) {
-    return InvalidArgumentError("DpPackingErrorLowerBound: need at least 2 hypotheses");
-  }
-  if (hamming_radius == 0) {
-    return InvalidArgumentError("DpPackingErrorLowerBound: radius must be positive");
-  }
-  // Group privacy: for any event S and any two of the M datasets,
-  // P_i(S) <= e^{eps*r} P_j(S). Summing the M disjoint "decide i" events:
-  // success <= e^{eps*r} / M.
-  const double success_ceiling =
-      std::exp(epsilon * static_cast<double>(hamming_radius)) /
-      static_cast<double>(num_hypotheses);
-  return Clamp(1.0 - success_ceiling, 0.0, 1.0);
 }
 
 }  // namespace dplearn

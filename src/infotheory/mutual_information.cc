@@ -117,19 +117,6 @@ double JointDistribution::MutualInformation() const {
   return ClampRoundingNegative(mi);
 }
 
-double JointDistribution::ConditionalEntropyYGivenX() const {
-  const std::vector<double> px = MarginalX();
-  double h = 0.0;
-  for (std::size_t x = 0; x < num_x_; ++x) {
-    if (px[x] == 0.0) continue;
-    for (std::size_t y = 0; y < num_y_; ++y) {
-      const double pxy = P(x, y);
-      if (pxy > 0.0) h -= pxy * (std::log(pxy) - std::log(px[x]));
-    }
-  }
-  return h;
-}
-
 StatusOr<double> PluginMiFromSamples(const std::vector<std::size_t>& xs,
                                      const std::vector<std::size_t>& ys) {
   if (xs.empty() || xs.size() != ys.size()) {

@@ -41,9 +41,6 @@ class JointDistribution {
   /// Exact mutual information I(X;Y) = sum_{x,y} P(x,y) log(P(x,y)/(P(x)P(y))).
   double MutualInformation() const;
 
-  /// Conditional entropy H(Y|X).
-  double ConditionalEntropyYGivenX() const;
-
  private:
   JointDistribution(std::size_t num_x, std::size_t num_y, std::vector<double> joint)
       : num_x_(num_x), num_y_(num_y), joint_(std::move(joint)) {}

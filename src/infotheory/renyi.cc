@@ -45,21 +45,6 @@ StatusOr<double> RenyiDivergence(const std::vector<double>& p, const std::vector
   return ClampRoundingNegative(log_sum / (alpha - 1.0));
 }
 
-StatusOr<double> RenyiEntropy(const std::vector<double>& p, double alpha) {
-  DPLEARN_RETURN_IF_ERROR(ValidateDistribution(p, 1e-6));
-  if (!(alpha > 0.0) || alpha == 1.0) {
-    return InvalidArgumentError("RenyiEntropy: alpha must be positive and != 1");
-  }
-  double sum = 0.0;
-  for (double v : p) {
-    if (v > 0.0) sum += std::pow(v, alpha);
-  }
-  // Same clamp policy as RenyiDivergence (ClampRoundingNegative): a
-  // point-mass distribution has entropy exactly 0, but pow/log rounding can
-  // land a few ulps negative on either side of alpha = 1.
-  return ClampRoundingNegative(std::log(sum) / (1.0 - alpha));
-}
-
 StatusOr<RdpBudget> GaussianMechanismRdp(double sigma, double sensitivity, double alpha) {
   if (!(sigma > 0.0)) return InvalidArgumentError("GaussianMechanismRdp: sigma must be > 0");
   if (!(sensitivity > 0.0)) {

@@ -21,9 +21,6 @@ namespace dplearn {
 StatusOr<double> RenyiDivergence(const std::vector<double>& p, const std::vector<double>& q,
                                  double alpha);
 
-/// Rényi entropy H_α(p) (nats); α > 0, α != 1.
-StatusOr<double> RenyiEntropy(const std::vector<double>& p, double alpha);
-
 /// An RDP guarantee: D_α(M(D) ‖ M(D')) <= epsilon for all neighbors.
 struct RdpBudget {
   double alpha = 2.0;

@@ -47,14 +47,6 @@ void AccumulateGradient(const LossFunction& loss, const Dataset& data, const Vec
 
 }  // namespace
 
-StatusOr<std::size_t> GridErm(const LossFunction& loss, const FiniteHypothesisClass& hclass,
-                              const Dataset& data) {
-  obs::TraceSpan span("erm.grid");
-  DPLEARN_ASSIGN_OR_RETURN(std::vector<double> risks,
-                           EmpiricalRiskProfile(loss, hclass.thetas(), data));
-  return hclass.ArgMin(risks);
-}
-
 StatusOr<GradientErmResult> GradientDescentErm(const LossFunction& loss, const Dataset& data,
                                                const GradientErmOptions& options,
                                                const Vector& initial_theta) {
@@ -112,29 +104,6 @@ StatusOr<GradientErmResult> GradientDescentErm(const LossFunction& loss, const D
     result.objective += Dot(options.linear_perturbation, theta) / n;
   }
   return result;
-}
-
-StatusOr<Vector> RidgeRegression(const Dataset& data, double l2_lambda) {
-  if (data.empty()) return InvalidArgumentError("RidgeRegression: empty dataset");
-  if (l2_lambda < 0.0) {
-    return InvalidArgumentError("RidgeRegression: l2_lambda must be non-negative");
-  }
-  const std::size_t d = data.FeatureDim();
-  const std::size_t n = data.size();
-  Matrix x(n, d);
-  Vector y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Example& z = data.at(i);
-    if (z.features.size() != d) {
-      return InvalidArgumentError("RidgeRegression: inconsistent feature dimensions");
-    }
-    for (std::size_t j = 0; j < d; ++j) x.At(i, j) = z.features[j];
-    y[i] = z.label;
-  }
-  Matrix gram = x.Gram();
-  DPLEARN_RETURN_IF_ERROR(gram.AddDiagonal(l2_lambda * static_cast<double>(n)));
-  DPLEARN_ASSIGN_OR_RETURN(Vector xty, x.TransposeMatVec(y));
-  return gram.CholeskySolve(xty);
 }
 
 }  // namespace dplearn

@@ -75,43 +75,6 @@ StatusOr<Dataset> LinearRegressionTask::Sample(std::size_t n, Rng* rng) const {
   return data;
 }
 
-double LinearRegressionTask::TrueSquaredRisk(const Vector& theta) const {
-  // E[((theta-w).X - eta)^2] with X_j ~ U(-r,r) independent, eta ~ N(0,s^2):
-  // sum_j (theta_j - w_j)^2 * r^2/3 + s^2.
-  double risk = noise_stddev_ * noise_stddev_;
-  const double second_moment = x_radius_ * x_radius_ / 3.0;
-  for (std::size_t j = 0; j < w_.size(); ++j) {
-    const double d = theta[j] - w_[j];
-    risk += d * d * second_moment;
-  }
-  return risk;
-}
-
-StatusOr<LogisticClassificationTask> LogisticClassificationTask::Create(Vector w,
-                                                                        double x_radius) {
-  if (w.empty()) {
-    return InvalidArgumentError("LogisticClassificationTask: w must be non-empty");
-  }
-  if (x_radius <= 0.0) {
-    return InvalidArgumentError("LogisticClassificationTask: x_radius must be positive");
-  }
-  return LogisticClassificationTask(std::move(w), x_radius);
-}
-
-StatusOr<Dataset> LogisticClassificationTask::Sample(std::size_t n, Rng* rng) const {
-  Dataset data;
-  for (std::size_t i = 0; i < n; ++i) {
-    Vector x(w_.size());
-    for (double& xi : x) {
-      DPLEARN_ASSIGN_OR_RETURN(xi, SampleUniform(rng, -x_radius_, x_radius_));
-    }
-    const double p_plus = 1.0 / (1.0 + std::exp(-Dot(w_, x)));
-    DPLEARN_ASSIGN_OR_RETURN(int bit, SampleBernoulli(rng, p_plus));
-    data.Add(Example{std::move(x), bit == 1 ? 1.0 : -1.0});
-  }
-  return data;
-}
-
 StatusOr<GaussianMixtureTask> GaussianMixtureTask::Create(Vector mean, double stddev) {
   if (mean.empty()) return InvalidArgumentError("GaussianMixtureTask: mean must be non-empty");
   if (Norm2(mean) == 0.0) {

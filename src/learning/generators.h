@@ -56,8 +56,7 @@ class BernoulliMeanTask {
 };
 
 /// Linear regression: X uniform on [-x_radius, x_radius]^d,
-/// Y = w . X + Normal(0, noise_stddev). True (unclipped) squared risk of
-/// predictor theta: sum_j (theta_j - w_j)^2 * x_radius^2/3 + noise_stddev^2.
+/// Y = w . X + Normal(0, noise_stddev).
 class LinearRegressionTask {
  public:
   /// Error if w empty, x_radius <= 0, or noise_stddev < 0.
@@ -70,11 +69,6 @@ class LinearRegressionTask {
 
   StatusOr<Dataset> Sample(std::size_t n, Rng* rng) const;
 
-  /// Closed-form true risk under *unclipped* squared loss. Callers using
-  /// ClippedSquaredLoss should choose the clip large enough that clipping
-  /// is rare; then this is a tight upper approximation.
-  double TrueSquaredRisk(const Vector& theta) const;
-
  private:
   LinearRegressionTask(Vector w, double x_radius, double noise_stddev)
       : w_(std::move(w)), x_radius_(x_radius), noise_stddev_(noise_stddev) {}
@@ -82,25 +76,6 @@ class LinearRegressionTask {
   Vector w_;
   double x_radius_;
   double noise_stddev_;
-};
-
-/// Logistic classification: X uniform on [-x_radius, x_radius]^d,
-/// P(Y=+1 | X) = sigmoid(w . X), labels in {-1,+1}. No closed-form 0-1
-/// risk; use risk.h's MonteCarloTrueRisk with a large fresh sample.
-class LogisticClassificationTask {
- public:
-  static StatusOr<LogisticClassificationTask> Create(Vector w, double x_radius);
-
-  const Vector& w() const { return w_; }
-
-  StatusOr<Dataset> Sample(std::size_t n, Rng* rng) const;
-
- private:
-  LogisticClassificationTask(Vector w, double x_radius)
-      : w_(std::move(w)), x_radius_(x_radius) {}
-
-  Vector w_;
-  double x_radius_;
 };
 
 /// Symmetric two-Gaussian classification: Y uniform on {-1,+1},

@@ -54,13 +54,6 @@ Vector LogisticLoss::Gradient(const Vector& theta, const Example& z) const {
   return Scale(z.features, -z.label * sigmoid_neg);
 }
 
-HingeLoss::HingeLoss(double clip) : clip_(clip) { DPLEARN_CHECK_GT(clip, 0.0); }
-
-double HingeLoss::Loss(const Vector& theta, const Example& z) const {
-  const double margin = z.label * Dot(theta, z.features);
-  return Clamp(std::max(0.0, 1.0 - margin), 0.0, clip_);
-}
-
 HuberLoss::HuberLoss(double delta, double clip) : delta_(delta), clip_(clip) {
   DPLEARN_CHECK_GT(delta, 0.0);
   DPLEARN_CHECK_GT(clip, 0.0);

@@ -17,7 +17,6 @@ enum class LossKind {
   kClippedSquared,
   kClippedAbsolute,
   kLogistic,
-  kHinge,
   kHuber,
   kCustom,
 };
@@ -121,20 +120,6 @@ class LogisticLoss final : public LossFunction {
   LossKind Kind() const override { return LossKind::kLogistic; }
   bool HasGradient() const override { return true; }
   Vector Gradient(const Vector& theta, const Example& z) const override;
-
- private:
-  double clip_;
-};
-
-/// Hinge loss max(0, 1 - label * theta . x) clipped to [0, clip]; labels in
-/// {-1, +1} (the SVM loss of the Chaudhuri et al. setting).
-class HingeLoss final : public LossFunction {
- public:
-  explicit HingeLoss(double clip);
-  double Loss(const Vector& theta, const Example& z) const override;
-  double UpperBound() const override { return clip_; }
-  std::string Name() const override { return "hinge"; }
-  LossKind Kind() const override { return LossKind::kHinge; }
 
  private:
   double clip_;

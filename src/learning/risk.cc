@@ -85,9 +85,6 @@ std::optional<simd::LossSpec> SimdLossSpec(const LossFunction& loss) {
     case LossKind::kLogistic:
       spec.kind = simd::LossKind::kLogistic;
       break;
-    case LossKind::kHinge:
-      spec.kind = simd::LossKind::kHinge;
-      break;
     case LossKind::kHuber:
       spec.kind = simd::LossKind::kHuber;
       spec.delta = loss.ParameterFingerprint();

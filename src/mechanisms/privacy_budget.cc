@@ -38,19 +38,6 @@ StatusOr<PrivacyBudget> SequentialComposition(const std::vector<PrivacyBudget>& 
   return PrivacyBudget{epsilon.Value(), delta.Value()};
 }
 
-StatusOr<PrivacyBudget> ParallelComposition(const std::vector<PrivacyBudget>& budgets) {
-  if (budgets.empty()) {
-    return InvalidArgumentError("ParallelComposition: empty budget list");
-  }
-  PrivacyBudget total{0.0, 0.0};
-  for (const PrivacyBudget& b : budgets) {
-    DPLEARN_RETURN_IF_ERROR(ValidateBudget(b));
-    total.epsilon = std::max(total.epsilon, b.epsilon);
-    total.delta = std::max(total.delta, b.delta);
-  }
-  return total;
-}
-
 StatusOr<PrivacyBudget> AdvancedComposition(const PrivacyBudget& per_mechanism,
                                             std::size_t k, double delta_prime) {
   DPLEARN_RETURN_IF_ERROR(ValidateBudget(per_mechanism));
@@ -65,16 +52,6 @@ StatusOr<PrivacyBudget> AdvancedComposition(const PrivacyBudget& per_mechanism,
                   kd * eps * std::expm1(eps);
   total.delta = kd * per_mechanism.delta + delta_prime;
   return total;
-}
-
-StatusOr<double> GroupPrivacyEpsilon(double epsilon, std::size_t group_size) {
-  if (!(epsilon > 0.0)) {
-    return InvalidArgumentError("GroupPrivacyEpsilon: epsilon must be positive");
-  }
-  if (group_size == 0) {
-    return InvalidArgumentError("GroupPrivacyEpsilon: group size must be positive");
-  }
-  return epsilon * static_cast<double>(group_size);
 }
 
 bool WithinBudget(const PrivacyBudget& spent, const PrivacyBudget& cost,

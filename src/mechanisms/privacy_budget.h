@@ -34,20 +34,12 @@ Status ValidateBudget(const PrivacyBudget& budget);
 /// any budget is invalid.
 StatusOr<PrivacyBudget> SequentialComposition(const std::vector<PrivacyBudget>& budgets);
 
-/// Parallel composition: running mechanisms on DISJOINT partitions of the
-/// data yields (max eps_i, max delta_i)-DP. Error as above.
-StatusOr<PrivacyBudget> ParallelComposition(const std::vector<PrivacyBudget>& budgets);
-
 /// Advanced composition (Dwork–Rothblum–Vadhan): k runs of an
 /// (eps, delta)-DP mechanism are, for any delta_prime > 0,
 ///   ( eps*sqrt(2k ln(1/delta')) + k*eps*(e^eps - 1),  k*delta + delta' )-DP
 /// — asymptotically sqrt(k) rather than k. Error on invalid arguments.
 StatusOr<PrivacyBudget> AdvancedComposition(const PrivacyBudget& per_mechanism,
                                             std::size_t k, double delta_prime);
-
-/// Group privacy: an eps-DP mechanism is (k*eps)-DP for groups of k
-/// simultaneously changed records. Error if eps <= 0 or k == 0.
-StatusOr<double> GroupPrivacyEpsilon(double epsilon, std::size_t group_size);
 
 /// The grant test of every budget ledger (PrivacyAccountant and the release
 /// service's per-tenant ledger): true iff `spent` + `cost` stays within

@@ -1,22 +1,8 @@
 #include "mechanisms/subsample.h"
 
-#include <algorithm>
-#include <cmath>
-#include <vector>
-
 #include "sampling/distributions.h"
-#include "util/math_util.h"
 
 namespace dplearn {
-namespace {
-
-/// exp(epsilon) overflows a double past ~709 (and exp(2*epsilon) past ~354),
-/// turning the naive amplification formulas into inf/inf = NaN; above this
-/// threshold the log-space forms below take over. Well under the overflow
-/// point so both forms are exact where they hand off.
-constexpr double kLogSpaceEpsilonThreshold = 300.0;
-
-}  // namespace
 
 StatusOr<Dataset> PoissonSubsample(const Dataset& data, double q, Rng* rng) {
   if (!(q > 0.0) || q > 1.0) {
@@ -28,81 +14,6 @@ StatusOr<Dataset> PoissonSubsample(const Dataset& data, double q, Rng* rng) {
     if (keep == 1) out.Add(z);
   }
   return out;
-}
-
-StatusOr<Dataset> UniformSubsample(const Dataset& data, std::size_t m, Rng* rng) {
-  if (m == 0) return InvalidArgumentError("UniformSubsample: m must be positive");
-  if (m > data.size()) {
-    return InvalidArgumentError("UniformSubsample: m exceeds dataset size");
-  }
-  // Partial Fisher-Yates over an index array.
-  std::vector<std::size_t> indices(data.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng->NextBounded(indices.size() - i));
-    std::swap(indices[i], indices[j]);
-  }
-  Dataset out;
-  for (std::size_t i = 0; i < m; ++i) out.Add(data.at(indices[i]));
-  return out;
-}
-
-StatusOr<double> AmplifiedEpsilonPoisson(double epsilon, double q) {
-  if (!(epsilon > 0.0)) {
-    return InvalidArgumentError("AmplifiedEpsilonPoisson: epsilon must be positive");
-  }
-  if (!(q > 0.0) || q > 1.0) {
-    return InvalidArgumentError("AmplifiedEpsilonPoisson: q must be in (0,1]");
-  }
-  if (epsilon > kLogSpaceEpsilonThreshold) {
-    // ln(1 - q + q·e^ε) in log space: expm1(ε) would overflow to +inf.
-    return LogAddExp(std::log1p(-q), std::log(q) + epsilon);
-  }
-  return std::log1p(q * std::expm1(epsilon));
-}
-
-StatusOr<double> AmplifiedEpsilonUniform(double epsilon, std::size_t m, std::size_t n) {
-  if (m == 0 || n == 0 || m > n) {
-    return InvalidArgumentError("AmplifiedEpsilonUniform: need 0 < m <= n");
-  }
-  return AmplifiedEpsilonPoisson(epsilon,
-                                 static_cast<double>(m) / static_cast<double>(n));
-}
-
-StatusOr<double> AmplifiedEpsilonPoissonReplace(double epsilon, double q) {
-  if (!(epsilon > 0.0)) {
-    return InvalidArgumentError("AmplifiedEpsilonPoissonReplace: epsilon must be positive");
-  }
-  if (!(q > 0.0) || q > 1.0) {
-    return InvalidArgumentError("AmplifiedEpsilonPoissonReplace: q must be in (0,1]");
-  }
-  // Computed as ln(1-q + q·e^{2ε}) − ln(1-q + q·e^ε). The direct ratio
-  // overflows to inf/inf = NaN once exp(2ε) exceeds DBL_MAX (ε ≳ 354); the
-  // log-space form is finite for every valid (ε, q). log1p(-q) is the exact
-  // log(1-q) (-inf at q = 1, which LogAddExp absorbs).
-  const double log_q = std::log(q);
-  const double log_one_minus_q = std::log1p(-q);
-  const double log_numerator = LogAddExp(log_one_minus_q, log_q + 2.0 * epsilon);
-  const double log_denominator = LogAddExp(log_one_minus_q, log_q + epsilon);
-  return log_numerator - log_denominator;
-}
-
-StatusOr<double> BaseEpsilonForAmplifiedTarget(double target_epsilon, double q) {
-  if (!(target_epsilon > 0.0)) {
-    return InvalidArgumentError("BaseEpsilonForAmplifiedTarget: target must be positive");
-  }
-  if (!(q > 0.0) || q > 1.0) {
-    return InvalidArgumentError("BaseEpsilonForAmplifiedTarget: q must be in (0,1]");
-  }
-  if (target_epsilon > kLogSpaceEpsilonThreshold) {
-    // ln(1 + (e^t − 1)/q) = ln(e^t − (1−q)) − ln q
-    //                     = t + log1p(−(1−q)·e^{−t}) − ln q,
-    // finite where expm1(t) overflows.
-    return target_epsilon + std::log1p(-(1.0 - q) * std::exp(-target_epsilon)) -
-           std::log(q);
-  }
-  return std::log1p(std::expm1(target_epsilon) / q);
 }
 
 }  // namespace dplearn

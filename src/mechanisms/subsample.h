@@ -1,8 +1,6 @@
 #ifndef DPLEARN_MECHANISMS_SUBSAMPLE_H_
 #define DPLEARN_MECHANISMS_SUBSAMPLE_H_
 
-#include <cstddef>
-
 #include "learning/dataset.h"
 #include "sampling/rng.h"
 #include "util/status.h"
@@ -11,43 +9,12 @@ namespace dplearn {
 
 /// Privacy amplification by subsampling: running an ε-DP mechanism on a
 /// random subsample of the data strengthens the guarantee, because any
-/// individual is probably not even in the subsample. The cheapest privacy
-/// upgrade there is — and the reason DP-SGD style training is feasible.
+/// individual is probably not even in the subsample. DP-SGD draws its
+/// batches here; its accountant (core/dp_sgd.h) owns the amplified ε.
 
 /// Poisson subsample: each example kept independently with probability q.
 /// Error if q outside (0, 1].
 StatusOr<Dataset> PoissonSubsample(const Dataset& data, double q, Rng* rng);
-
-/// Uniform subsample without replacement of exactly m records.
-/// Error if m == 0 or m > data.size().
-StatusOr<Dataset> UniformSubsample(const Dataset& data, std::size_t m, Rng* rng);
-
-/// Amplified ε for a base ε-DP mechanism run on a Poisson q-subsample
-/// (remove/add neighbor relation):
-///   ε' = ln(1 + q·(e^ε − 1))  <=  q·e^ε · ... (tight standard form).
-/// For q << 1 and ε <= 1, ε' ~ q·ε. Error if eps <= 0 or q outside (0,1].
-StatusOr<double> AmplifiedEpsilonPoisson(double epsilon, double q);
-
-/// Amplified ε for a uniform m-of-n subsample (add/remove relation),
-/// with sampling rate q = m/n: same ln(1 + q(e^ε − 1)) form.
-/// Error on invalid arguments.
-StatusOr<double> AmplifiedEpsilonUniform(double epsilon, std::size_t m, std::size_t n);
-
-/// Amplified ε under the REPLACE-ONE neighbor relation (this library's
-/// default), for a base mechanism that is ε-DP under both replace and
-/// add/remove. Coupling the subsample masks: with prob 1−q the changed
-/// record is excluded (identical outputs A); with prob q it is included
-/// (rows B vs B', within e^ε). Maximizing the ratio over the feasible
-/// B'/A ∈ [e^{-ε}, e^{ε}] gives the tight
-///   ε'_replace = ln( ((1−q) + q·e^{2ε}) / ((1−q) + q·e^{ε}) ),
-/// which exceeds the add/remove form but stays strictly below ε.
-/// Error on invalid arguments.
-StatusOr<double> AmplifiedEpsilonPoissonReplace(double epsilon, double q);
-
-/// Inverse calibration: the base ε a mechanism may spend per subsampled
-/// invocation so that the amplified guarantee equals `target_epsilon`:
-///   ε = ln(1 + (e^{ε'} − 1)/q). Error on invalid arguments.
-StatusOr<double> BaseEpsilonForAmplifiedTarget(double target_epsilon, double q);
 
 }  // namespace dplearn
 

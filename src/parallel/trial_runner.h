@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "parallel/thread_pool.h"
@@ -25,7 +24,7 @@ namespace parallel {
 ///     worker runs it or when.
 ///
 ///  2. Ordered reduction. Results land in a slot per trial index and any
-///     reduction folds them in trial order (MapReduceTrials), never in
+///     reduction folds the returned vector in trial order, never in
 ///     completion order. Floating-point addition is not associative;
 ///     completion-order reduction would make results depend on scheduling.
 ///
@@ -74,16 +73,6 @@ class ParallelTrialRunner {
     std::vector<T> out(num_trials);
     ForIndex(num_trials, [&out, &rngs, &body](std::size_t t) { out[t] = body(t, rngs[t]); });
     return out;
-  }
-
-  /// MapTrials followed by a fold in trial order: acc = reduce(acc, out[0]),
-  /// then out[1], ... Returns the final accumulator.
-  template <typename T, typename Acc, typename Body, typename Reduce>
-  Acc MapReduceTrials(std::size_t num_trials, Rng* base_rng, Body&& body, Acc acc,
-                      Reduce&& reduce) const {
-    std::vector<T> out = MapTrials<T>(num_trials, base_rng, std::forward<Body>(body));
-    for (T& value : out) acc = reduce(std::move(acc), std::move(value));
-    return acc;
   }
 
   /// The stream-assignment half of the contract, reusable on its own: the

@@ -91,17 +91,6 @@ double LaplaceLogPdf(double x, double mean, double scale) {
   return -std::fabs(x - mean) / scale - std::log(2.0 * scale);
 }
 
-double LaplaceCdf(double x, double mean, double scale) {
-  const double z = (x - mean) / scale;
-  if (z < 0.0) return 0.5 * std::exp(z);
-  return 1.0 - 0.5 * std::exp(-z);
-}
-
-StatusOr<double> SampleExponential(Rng* rng, double rate) {
-  if (rate <= 0.0) return InvalidArgumentError("SampleExponential: rate must be positive");
-  return -std::log(rng->NextDoubleOpen()) / rate;
-}
-
 StatusOr<double> SampleGamma(Rng* rng, double shape, double scale) {
   if (shape <= 0.0 || scale <= 0.0) {
     return InvalidArgumentError("SampleGamma: shape and scale must be positive");

@@ -39,12 +39,6 @@ double LaplacePdf(double x, double mean, double scale);
 /// Log-density of Laplace(mean, scale) at x.
 double LaplaceLogPdf(double x, double mean, double scale);
 
-/// CDF of Laplace(mean, scale) at x.
-double LaplaceCdf(double x, double mean, double scale);
-
-/// Draws Exponential(rate). Error if rate <= 0.
-StatusOr<double> SampleExponential(Rng* rng, double rate);
-
 /// Draws Gamma(shape, scale) via Marsaglia–Tsang. Error if shape <= 0 or
 /// scale <= 0. Used to sample the norm of the noise vector in
 /// Chaudhuri-style output/objective perturbation (the noise direction is

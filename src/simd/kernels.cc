@@ -67,14 +67,6 @@ struct LossElem<LossKind::kLogistic> {
 };
 
 template <>
-struct LossElem<LossKind::kHinge> {
-  static inline double Eval(double dot, double y, double clip, double) {
-    const double margin = y * dot;
-    return Clamp(std::max(0.0, 1.0 - margin), 0.0, clip);
-  }
-};
-
-template <>
 struct LossElem<LossKind::kHuber> {
   static inline double Eval(double dot, double y, double clip, double delta) {
     const double r = std::fabs(dot - y);
@@ -200,8 +192,6 @@ double DispatchKind(LossKind kind, F&& f) {
       return f.template operator()<LossKind::kClippedAbsolute>();
     case LossKind::kLogistic:
       return f.template operator()<LossKind::kLogistic>();
-    case LossKind::kHinge:
-      return f.template operator()<LossKind::kHinge>();
     case LossKind::kHuber:
       return f.template operator()<LossKind::kHuber>();
   }

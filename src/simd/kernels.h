@@ -49,7 +49,6 @@ enum class LossKind {
   kClippedSquared,
   kClippedAbsolute,
   kLogistic,
-  kHinge,
   kHuber,
 };
 

@@ -25,6 +25,12 @@ TEST(DpAdvantageBoundTest, KnownValues) {
   EXPECT_FALSE(DpMembershipAdvantageBound(-0.1).ok());
 }
 
+TEST(DpAdvantageBoundTest, RejectsNan) {
+  // tanh(NaN/2) is NaN: a NaN epsilon must be refused, not turned into a cap.
+  EXPECT_EQ(DpMembershipAdvantageBound(std::nan("")).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(BayesAttackTest, PerfectlyPrivateMechanismGivesCoinFlip) {
   AttackTargetMechanism constant = [](const Dataset&) -> StatusOr<std::vector<double>> {
     return std::vector<double>{0.5, 0.5};

@@ -53,15 +53,6 @@ TEST(CatoniExpectationBoundTest, BasicAndValidation) {
   EXPECT_FALSE(CatoniExpectationBound(0.3, 0.0, 100).ok());
 }
 
-TEST(CatoniLinearizedBoundTest, DominatesExactBound) {
-  // 1 - e^{-x} <= x implies the linearized form is looser (or equal).
-  for (double lambda : {5.0, 20.0, 80.0}) {
-    const double exact = CatoniHighProbabilityBound(0.25, 1.5, lambda, 200, 0.05).value();
-    const double linear = CatoniLinearizedBound(0.25, 1.5, lambda, 200, 0.05).value();
-    EXPECT_GE(linear, exact - 1e-12) << "lambda=" << lambda;
-  }
-}
-
 TEST(McAllesterBoundTest, ShrinkWithN) {
   const double small_n = McAllesterBound(0.2, 1.0, 100, 0.05).value();
   const double large_n = McAllesterBound(0.2, 1.0, 10000, 0.05).value();

@@ -79,11 +79,16 @@ TEST_F(PrivateErmTest, OutputPerturbationNoiseMatchesCalibration) {
   const double beta =
       2.0 * opts.lipschitz / (static_cast<double>(data_.size()) * opts.l2_lambda);
   const double expected_norm = 2.0 * beta / opts.epsilon;  // d = 2
+  // The solve is deterministic and draws nothing, so solving once and
+  // releasing 4000 times gives the same draws as 4000 OutputPerturbationErm
+  // calls (private_erm.h); OutputPerturbationRuns keeps the end-to-end call.
+  auto solved = SolveNonPrivateErm(loss_, data_, opts).value();
   Rng rng(4);
   double total = 0.0;
   const int trials = 4000;
   for (int i = 0; i < trials; ++i) {
-    auto r = OutputPerturbationErm(loss_, data_, opts, &rng).value();
+    auto r = ReleaseOutputPerturbation(solved, data_.size(), data_.FeatureDim(), opts, &rng)
+                 .value();
     total += Norm2(Sub(r.theta, non_private.theta));
   }
   EXPECT_NEAR(total / trials, expected_norm, 0.1 * expected_norm);

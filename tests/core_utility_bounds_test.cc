@@ -11,67 +11,6 @@
 namespace dplearn {
 namespace {
 
-TEST(ExcessEmpiricalBoundTest, FormulaAndValidation) {
-  EXPECT_NEAR(GibbsExcessEmpiricalRiskBound(10.0, 100, 0.05).value(),
-              std::log(100.0 / 0.05) / 10.0, 1e-12);
-  EXPECT_FALSE(GibbsExcessEmpiricalRiskBound(0.0, 100, 0.05).ok());
-  EXPECT_FALSE(GibbsExcessEmpiricalRiskBound(1.0, 0, 0.05).ok());
-  EXPECT_FALSE(GibbsExcessEmpiricalRiskBound(1.0, 100, 0.0).ok());
-  EXPECT_FALSE(GibbsExcessEmpiricalRiskBound(1.0, 100, 1.0).ok());
-}
-
-TEST(ExcessEmpiricalBoundTest, HoldsEmpiricallyOverDraws) {
-  // Draw many Gibbs samples; the fraction whose excess empirical risk
-  // exceeds the bound must be <= delta.
-  ClippedSquaredLoss loss(1.0);
-  auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 41).value();
-  auto task = BernoulliMeanTask::Create(0.3).value();
-  Rng data_rng(1);
-  Dataset data = task.Sample(100, &data_rng).value();
-  auto risks = EmpiricalRiskProfile(loss, hclass.thetas(), data).value();
-  const double min_risk = *std::min_element(risks.begin(), risks.end());
-
-  for (double lambda : {5.0, 25.0, 100.0}) {
-    for (double delta : {0.05, 0.2}) {
-      const double bound =
-          GibbsExcessEmpiricalRiskBound(lambda, hclass.size(), delta).value();
-      auto gibbs = GibbsEstimator::CreateUniform(&loss, hclass, lambda).value();
-      Rng rng(2);
-      int violations = 0;
-      const int draws = 4000;
-      for (int t = 0; t < draws; ++t) {
-        const std::size_t index = gibbs.Sample(data, &rng).value();
-        if (risks[index] - min_risk > bound) ++violations;
-      }
-      EXPECT_LE(static_cast<double>(violations) / draws, delta)
-          << "lambda=" << lambda << " delta=" << delta;
-    }
-  }
-}
-
-TEST(LambdaForExcessRiskTest, InvertsTheBound) {
-  const std::size_t m = 64;
-  const double delta = 0.1;
-  for (double target : {0.01, 0.1, 0.5}) {
-    const double lambda = LambdaForExcessRisk(target, m, delta).value();
-    EXPECT_NEAR(GibbsExcessEmpiricalRiskBound(lambda, m, delta).value(), target, 1e-10);
-  }
-  EXPECT_FALSE(LambdaForExcessRisk(0.0, m, delta).ok());
-}
-
-TEST(CostOfPrivacyTest, ScalesInverselyWithEpsilonAndN) {
-  const double base = ExcessRiskCostOfPrivacy(1.0, 100, 1.0, 41, 0.05).value();
-  EXPECT_NEAR(ExcessRiskCostOfPrivacy(2.0, 100, 1.0, 41, 0.05).value(), base / 2.0, 1e-12);
-  EXPECT_NEAR(ExcessRiskCostOfPrivacy(1.0, 200, 1.0, 41, 0.05).value(), base / 2.0, 1e-12);
-  // Consistency with the lambda calibration: eps*n/(2B) plugged into the
-  // empirical bound gives exactly this.
-  const double lambda = 1.0 * 100.0 / 2.0;
-  EXPECT_NEAR(base, GibbsExcessEmpiricalRiskBound(lambda, 41, 0.05).value(), 1e-12);
-  EXPECT_FALSE(ExcessRiskCostOfPrivacy(0.0, 100, 1.0, 41, 0.05).ok());
-  EXPECT_FALSE(ExcessRiskCostOfPrivacy(1.0, 0, 1.0, 41, 0.05).ok());
-  EXPECT_FALSE(ExcessRiskCostOfPrivacy(1.0, 100, 0.0, 41, 0.05).ok());
-}
-
 TEST(ExcessTrueRiskBoundTest, HoldsEmpiricallyOverSamplesAndDraws) {
   // Full pipeline check: resample data AND the Gibbs draw; compare the
   // TRUE excess risk (closed form) against the bound at joint level delta.

@@ -88,7 +88,6 @@ TEST(DeterminismTest, SubsamplingIsSeedDeterministic) {
   Rng a(19);
   Rng b(19);
   EXPECT_EQ(PoissonSubsample(data, 0.3, &a).value(), PoissonSubsample(data, 0.3, &b).value());
-  EXPECT_EQ(UniformSubsample(data, 10, &a).value(), UniformSubsample(data, 10, &b).value());
 }
 
 TEST(DeterminismTest, DifferentSeedsGiveDifferentDraws) {

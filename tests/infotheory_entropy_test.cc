@@ -23,23 +23,6 @@ TEST(EntropyTest, RejectsInvalid) {
   EXPECT_FALSE(Entropy({}).ok());
 }
 
-TEST(EntropyTest, NatsToBits) {
-  EXPECT_NEAR(NatsToBits(Entropy({0.5, 0.5}).value()), 1.0, 1e-12);
-}
-
-TEST(CrossEntropyTest, EqualsEntropyWhenDistributionsMatch) {
-  std::vector<double> p = {0.3, 0.7};
-  EXPECT_NEAR(CrossEntropy(p, p).value(), Entropy(p).value(), 1e-12);
-}
-
-TEST(CrossEntropyTest, InfiniteOnUnsupportedMass) {
-  EXPECT_TRUE(std::isinf(CrossEntropy({0.5, 0.5}, {1.0, 0.0}).value()));
-}
-
-TEST(CrossEntropyTest, RejectsMismatch) {
-  EXPECT_FALSE(CrossEntropy({1.0}, {0.5, 0.5}).ok());
-}
-
 TEST(KlDivergenceTest, ZeroIffEqual) {
   std::vector<double> p = {0.2, 0.3, 0.5};
   EXPECT_EQ(KlDivergence(p, p).value(), 0.0);
@@ -96,44 +79,6 @@ TEST(BinaryEntropyTest, KnownValues) {
 
 TEST(BinaryEntropyTest, SymmetricAroundHalf) {
   EXPECT_NEAR(BinaryEntropy(0.3).value(), BinaryEntropy(0.7).value(), 1e-12);
-}
-
-TEST(BernoulliKlTest, MatchesVectorKl) {
-  const double p = 0.3;
-  const double q = 0.6;
-  EXPECT_NEAR(BernoulliKl(p, q).value(),
-              KlDivergence({p, 1.0 - p}, {q, 1.0 - q}).value(), 1e-12);
-}
-
-TEST(CrossEntropyTest, InfiniteWhenQIsZeroOnPSupport) {
-  // p puts mass where q puts none: H(p, q) = +inf, the defined limit of
-  // -p log q, not a domain error and not a crash.
-  auto h = CrossEntropy({0.5, 0.5}, {1.0, 0.0});
-  ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(std::isinf(h.value()));
-  EXPECT_GT(h.value(), 0.0);
-}
-
-TEST(CrossEntropyTest, ZeroPTermsContributeNothing) {
-  // 0 * log(0) terms are skipped: a shared zero cell must not poison the
-  // sum, so the answer equals the cross-entropy of the restricted supports.
-  auto h = CrossEntropy({0.0, 1.0}, {0.0, 1.0});
-  ASSERT_TRUE(h.ok());
-  EXPECT_EQ(h.value(), 0.0);
-
-  // q's extra mass off p's support only shows up through log q on p's
-  // support, never through an inf/nan from the zero cell.
-  auto mixed = CrossEntropy({0.0, 0.4, 0.6}, {0.2, 0.4, 0.4});
-  ASSERT_TRUE(mixed.ok());
-  EXPECT_NEAR(mixed.value(), -0.4 * std::log(0.4) - 0.6 * std::log(0.4), 1e-12);
-}
-
-TEST(BernoulliKlTest, EdgeCases) {
-  EXPECT_EQ(BernoulliKl(0.4, 0.4).value(), 0.0);
-  EXPECT_TRUE(std::isinf(BernoulliKl(0.5, 0.0).value()));
-  EXPECT_TRUE(std::isinf(BernoulliKl(0.5, 1.0).value()));
-  EXPECT_EQ(BernoulliKl(0.0, 0.0).value(), 0.0);
-  EXPECT_FALSE(BernoulliKl(-0.1, 0.5).ok());
 }
 
 }  // namespace

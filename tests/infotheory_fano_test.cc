@@ -36,12 +36,24 @@ TEST(FanoTest, Validation) {
   EXPECT_FALSE(FanoErrorLowerBound(-0.1, 4).ok());
 }
 
+TEST(FanoTest, RejectsNan) {
+  // Clamp would turn the NaN bound into 0, a vacuous floor that any
+  // decoder passes.
+  EXPECT_EQ(FanoErrorLowerBound(std::nan(""), 13).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(LeCamTest, KnownValuesAndValidation) {
   EXPECT_EQ(LeCamErrorLowerBound(0.0).value(), 0.5);
   EXPECT_EQ(LeCamErrorLowerBound(1.0).value(), 0.0);
   EXPECT_NEAR(LeCamErrorLowerBound(0.4).value(), 0.3, 1e-12);
   EXPECT_FALSE(LeCamErrorLowerBound(-0.1).ok());
   EXPECT_FALSE(LeCamErrorLowerBound(1.1).ok());
+}
+
+TEST(LeCamTest, RejectsNan) {
+  EXPECT_EQ(LeCamErrorLowerBound(std::nan("")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PinskerTest, KnownValuesAndValidation) {
@@ -51,20 +63,16 @@ TEST(PinskerTest, KnownValuesAndValidation) {
   EXPECT_FALSE(PinskerTvUpperBound(-1.0).ok());
 }
 
+TEST(PinskerTest, RejectsNan) {
+  // min(1, NaN) is 1, which Le Cam would turn into a vacuous floor of 0.
+  EXPECT_EQ(PinskerTvUpperBound(std::nan("")).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(PinskerTest, DominatesActualTvOnExamples) {
   // TV({0.8,0.2},{0.5,0.5}) = 0.3; KL = ...; Pinsker must dominate.
   const double kl = KlDivergence({0.8, 0.2}, {0.5, 0.5}).value();
   EXPECT_GE(PinskerTvUpperBound(kl).value(), 0.3 - 1e-12);
-}
-
-TEST(DpPackingTest, StrongPrivacyForcesError) {
-  // eps ~ 0: error >= 1 - 1/M.
-  EXPECT_NEAR(DpPackingErrorLowerBound(1e-9, 1, 10).value(), 0.9, 1e-6);
-  // Large eps: vacuous.
-  EXPECT_EQ(DpPackingErrorLowerBound(10.0, 5, 10).value(), 0.0);
-  EXPECT_FALSE(DpPackingErrorLowerBound(-1.0, 1, 10).ok());
-  EXPECT_FALSE(DpPackingErrorLowerBound(1.0, 0, 10).ok());
-  EXPECT_FALSE(DpPackingErrorLowerBound(1.0, 1, 1).ok());
 }
 
 TEST(FanoOnGibbsChannelTest, BoundHoldsForBayesDecoder) {

@@ -9,17 +9,6 @@
 namespace dplearn {
 namespace {
 
-TEST(GridErmTest, FindsEmpiricalMeanOnBernoulli) {
-  ClippedSquaredLoss loss(1.0);
-  Dataset d;
-  for (int i = 0; i < 7; ++i) d.Add(Example{Vector{1.0}, 1.0});
-  for (int i = 0; i < 3; ++i) d.Add(Example{Vector{1.0}, 0.0});
-  auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 11).value();
-  auto best = GridErm(loss, hclass, d);
-  ASSERT_TRUE(best.ok());
-  EXPECT_NEAR(hclass.at(*best)[0], 0.7, 1e-12);
-}
-
 TEST(GradientErmTest, LogisticRegressionSeparatesData) {
   LogisticLoss loss(50.0);
   Dataset d;
@@ -41,7 +30,7 @@ TEST(GradientErmTest, LogisticRegressionSeparatesData) {
 TEST(GradientErmTest, StationaryPointOfRegularizedObjective) {
   LogisticLoss loss(50.0);
   Rng rng(3);
-  auto task = LogisticClassificationTask::Create({1.5, -0.5}, 1.0).value();
+  auto task = GaussianMixtureTask::Create({1.5, -0.5}, 1.0).value();
   Dataset d = task.Sample(200, &rng).value();
   GradientErmOptions options;
   options.l2_lambda = 0.05;
@@ -92,32 +81,6 @@ TEST(GradientErmTest, Validation) {
   GradientErmOptions bad_pert;
   bad_pert.linear_perturbation = {1.0, 2.0};
   EXPECT_FALSE(GradientDescentErm(loss, d, bad_pert, {0.0}).ok());
-}
-
-TEST(RidgeRegressionTest, RecoversTrueWeightsNoiseless) {
-  auto task = LinearRegressionTask::Create({2.0, -1.0}, 1.0, 0.0).value();
-  Rng rng(4);
-  Dataset d = task.Sample(200, &rng).value();
-  auto w = RidgeRegression(d, 1e-9);
-  ASSERT_TRUE(w.ok());
-  EXPECT_NEAR((*w)[0], 2.0, 1e-5);
-  EXPECT_NEAR((*w)[1], -1.0, 1e-5);
-}
-
-TEST(RidgeRegressionTest, RegularizationShrinksTowardZero) {
-  auto task = LinearRegressionTask::Create({2.0}, 1.0, 0.1).value();
-  Rng rng(5);
-  Dataset d = task.Sample(500, &rng).value();
-  const double small = std::fabs(RidgeRegression(d, 1e-6).value()[0]);
-  const double large = std::fabs(RidgeRegression(d, 10.0).value()[0]);
-  EXPECT_LT(large, small);
-  EXPECT_GT(large, 0.0);
-}
-
-TEST(RidgeRegressionTest, Validation) {
-  EXPECT_FALSE(RidgeRegression(Dataset(), 1.0).ok());
-  Dataset d({Example{Vector{1.0}, 1.0}});
-  EXPECT_FALSE(RidgeRegression(d, -1.0).ok());
 }
 
 }  // namespace

@@ -65,14 +65,6 @@ TEST(LogisticLossTest, GradientStableAtExtremeMargins) {
   EXPECT_NEAR(grad_neg[0], -1.0, 1e-12);  // saturates at -y*x
 }
 
-TEST(HingeLossTest, KnownValues) {
-  HingeLoss loss(5.0);
-  EXPECT_EQ(loss.Loss({2.0}, Classify(1.0, 1.0)), 0.0);       // margin 2 >= 1
-  EXPECT_NEAR(loss.Loss({0.5}, Classify(1.0, 1.0)), 0.5, 1e-12);  // margin 0.5
-  EXPECT_NEAR(loss.Loss({1.0}, Classify(1.0, -1.0)), 2.0, 1e-12);
-  EXPECT_EQ(loss.Loss({10.0}, Classify(1.0, -1.0)), 5.0);  // clipped
-}
-
 TEST(HuberLossTest, QuadraticInsideLinearOutside) {
   HuberLoss loss(1.0, 100.0);
   // Residual 0.5 (inside delta): 0.5 * 0.25.
@@ -96,10 +88,9 @@ TEST(AllLossesTest, HonorDeclaredBounds) {
   ClippedSquaredLoss sq(1.0);
   ClippedAbsoluteLoss abs(2.0);
   LogisticLoss logi(3.0);
-  HingeLoss hinge(4.0);
   HuberLoss huber(1.0, 2.0);
   ZeroOneLoss zo;
-  const LossFunction* losses[] = {&sq, &abs, &logi, &hinge, &huber, &zo};
+  const LossFunction* losses[] = {&sq, &abs, &logi, &huber, &zo};
   for (const LossFunction* loss : losses) {
     for (double t = -20.0; t <= 20.0; t += 0.7) {
       for (double y : {-1.0, 0.0, 1.0}) {

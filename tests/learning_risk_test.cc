@@ -65,8 +65,8 @@ TEST(MonteCarloTrueRiskTest, ConvergesToClosedForm) {
 TEST(SensitivityBoundTest, IsLossBoundOverN) {
   ClippedSquaredLoss loss(1.0);
   EXPECT_NEAR(EmpiricalRiskSensitivityBound(loss, 50).value(), 1.0 / 50.0, 1e-15);
-  HingeLoss hinge(4.0);
-  EXPECT_NEAR(EmpiricalRiskSensitivityBound(hinge, 10).value(), 0.4, 1e-15);
+  ClippedAbsoluteLoss absolute(4.0);
+  EXPECT_NEAR(EmpiricalRiskSensitivityBound(absolute, 10).value(), 0.4, 1e-15);
   EXPECT_FALSE(EmpiricalRiskSensitivityBound(loss, 0).ok());
 }
 

@@ -38,13 +38,6 @@ TEST(SequentialCompositionTest, RejectsEmptyOrInvalid) {
   EXPECT_FALSE(SequentialComposition({{0.5, 0.0}, {0.0, 0.0}}).ok());
 }
 
-TEST(ParallelCompositionTest, TakesMax) {
-  auto total = ParallelComposition({{0.5, 0.0}, {0.9, 1e-7}, {0.2, 1e-6}});
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ(total->epsilon, 0.9);
-  EXPECT_EQ(total->delta, 1e-6);
-}
-
 TEST(AdvancedCompositionTest, BeatsBasicCompositionForManyMechanisms) {
   const PrivacyBudget per = {0.1, 0.0};
   const std::size_t k = 100;
@@ -71,13 +64,6 @@ TEST(AdvancedCompositionTest, Validation) {
   EXPECT_FALSE(AdvancedComposition({0.1, 0.0}, 0, 1e-5).ok());
   EXPECT_FALSE(AdvancedComposition({0.1, 0.0}, 10, 0.0).ok());
   EXPECT_FALSE(AdvancedComposition({0.1, 0.0}, 10, 1.0).ok());
-}
-
-TEST(GroupPrivacyTest, LinearInGroupSize) {
-  EXPECT_NEAR(GroupPrivacyEpsilon(0.5, 4).value(), 2.0, 1e-12);
-  EXPECT_NEAR(GroupPrivacyEpsilon(1.0, 1).value(), 1.0, 1e-12);
-  EXPECT_FALSE(GroupPrivacyEpsilon(0.0, 4).ok());
-  EXPECT_FALSE(GroupPrivacyEpsilon(0.5, 0).ok());
 }
 
 TEST(PrivacyAccountantTest, TracksSpending) {

@@ -110,17 +110,21 @@ TEST(ParallelDeterminismTest, OrderedFoldOfPipelineScalarsIsBitIdentical) {
   auto body = [&fixture](std::size_t t, Rng& rng) {
     return fixture.RunTrial(t, rng).laplace_release;
   };
-  auto fold = [](double acc, double value) { return acc + value; };
+  auto fold = [](const std::vector<double>& values) {
+    double acc = 0.0;
+    for (double value : values) acc += value;
+    return acc;
+  };
 
   Rng base_inline(1717);
   parallel::ParallelTrialRunner inline_runner(nullptr);
-  const double reference = inline_runner.MapReduceTrials<double>(
-      kTrials, &base_inline, body, 0.0, fold);
+  const double reference =
+      fold(inline_runner.MapTrials<double>(kTrials, &base_inline, body));
 
   parallel::ThreadPool pool(8);
   parallel::ParallelTrialRunner runner(&pool);
   Rng base(1717);
-  const double got = runner.MapReduceTrials<double>(kTrials, &base, body, 0.0, fold);
+  const double got = fold(runner.MapTrials<double>(kTrials, &base, body));
   EXPECT_EQ(got, reference);  // exact, not NEAR
 }
 

@@ -78,22 +78,6 @@ TEST(ParallelTrialRunnerTest, BaseRngAdvancesAsIfSerial) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(base_a.NextUint64(), base_b.NextUint64());
 }
 
-TEST(ParallelTrialRunnerTest, MapReduceFoldsInTrialOrder) {
-  // The reduction must consume results in trial order, never completion
-  // order; an order-sensitive accumulator makes any violation visible.
-  ThreadPool pool(8);
-  ParallelTrialRunner runner(&pool);
-  Rng base(1);
-  const std::vector<std::size_t> order = runner.MapReduceTrials<std::size_t>(
-      200, &base, [](std::size_t t, Rng&) { return t; }, std::vector<std::size_t>{},
-      [](std::vector<std::size_t> acc, std::size_t t) {
-        acc.push_back(t);
-        return acc;
-      });
-  ASSERT_EQ(order.size(), 200u);
-  for (std::size_t t = 0; t < order.size(); ++t) EXPECT_EQ(order[t], t);
-}
-
 TEST(ParallelTrialRunnerTest, MapComputesPureBodies) {
   ThreadPool pool(4);
   ParallelTrialRunner runner(&pool);

@@ -120,8 +120,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GibbsOptimalityProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 // ---------------------------------------------------------------------------
-// Property: exact Catoni bound never exceeds its linearization, and both
-// decrease in n.
+// Property: exact Catoni bound never exceeds its linearization
+// (E_ρ[R̂] + (KL + ln(1/δ))/λ) / C(λ, n), which follows from 1 - e^{-x} <= x,
+// and decreases in n.
 
 class CatoniBoundProperty
     : public ::testing::TestWithParam<std::tuple<double, double>> {};
@@ -134,7 +135,8 @@ TEST_P(CatoniBoundProperty, ExactBelowLinearizedAndMonotoneInN) {
   for (std::size_t n : {50u, 200u, 800u, 3200u}) {
     const double lambda = SuggestLambda(n, kl + std::log(1.0 / delta));
     const double exact = CatoniHighProbabilityBound(risk, kl, lambda, n, delta).value();
-    const double linear = CatoniLinearizedBound(risk, kl, lambda, n, delta).value();
+    const double linear = (risk + (kl + std::log(1.0 / delta)) / lambda) /
+                          CatoniContractionFactor(lambda, static_cast<double>(n));
     EXPECT_LE(exact, linear + 1e-12);
     EXPECT_LE(exact, previous_exact + 1e-12);
     previous_exact = exact;

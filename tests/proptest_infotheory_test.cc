@@ -90,24 +90,6 @@ TEST(ProptestInfotheory, RenyiDivergenceNonNegativeAndZeroOnDiagonal) {
       Check("renyi_nonnegative", pair_and_alpha, property, SuiteConfig(202)));
 }
 
-TEST(ProptestInfotheory, RenyiEntropyNonNegativeIncludingPointMass) {
-  auto dist_and_alpha = PairOf(ArbitraryDistribution(1, 12), ArbitraryDpParams(1.0));
-  auto property = [](const std::pair<std::vector<double>, DpParams>& v) -> Status {
-    auto h = RenyiEntropy(v.first, v.second.alpha);
-    if (!h.ok()) return Violation(h.status().message());
-    if (!(h.value() >= 0.0)) {
-      return Violation("H_alpha = " + std::to_string(h.value()) + " < 0");
-    }
-    const double cap = std::log(static_cast<double>(v.first.size()));
-    if (h.value() > cap + 1e-9) {
-      return Violation("H_alpha exceeds log support size");
-    }
-    return Status::Ok();
-  };
-  DPLEARN_EXPECT_PROPERTY(
-      Check("renyi_entropy_nonnegative", dist_and_alpha, property, SuiteConfig(203)));
-}
-
 TEST(ProptestInfotheory, JensenShannonBounded) {
   auto property = [](const DistPair& pq) -> Status {
     auto js = JensenShannonDivergence(pq.first, pq.second);

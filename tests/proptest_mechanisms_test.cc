@@ -1,8 +1,6 @@
 // Generative invariants over the mechanism layer: every mechanism's
-// pairwise likelihood ratio on adjacent datasets stays within e^ε, batched
-// samplers are stream-identical to loops, and subsampling amplification is
-// monotone, bounded by the base ε, and finite deep into the overflow regime
-// that used to produce NaN (the exp(2ε) bug).
+// pairwise likelihood ratio on adjacent datasets stays within e^ε, and
+// batched samplers are stream-identical to loops.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -18,7 +16,6 @@
 #include "mechanisms/geometric.h"
 #include "mechanisms/laplace.h"
 #include "mechanisms/sensitivity.h"
-#include "mechanisms/subsample.h"
 #include "proptest/generators.h"
 #include "proptest/property.h"
 #include "util/math_util.h"
@@ -194,73 +191,6 @@ TEST(ProptestMechanisms, ExponentialSampleBatchMatchesLoop) {
   };
   DPLEARN_EXPECT_PROPERTY(Check("exponential_batch_vs_loop", ArbitraryScenario(3.0, 2, 8),
                                 property, SuiteConfig(105)));
-}
-
-// --------------------------------------------------------------------------
-// Subsampling amplification (satellite 1 made generative): for every
-// (ε, q) — including ε deep in the regime where exp(2ε) overflows —
-//   0 <= amplified_poisson <= amplified_replace <= ε,
-//   amplification is monotone in q and never exceeds the base ε,
-//   and the inverse calibration round-trips.
-
-TEST(ProptestMechanisms, AmplificationBoundedMonotoneAndFinite) {
-  auto property = [](const DpParams& params) -> Status {
-    const double eps = params.epsilon;
-    const double q = params.q;
-    auto poisson = AmplifiedEpsilonPoisson(eps, q);
-    auto replace = AmplifiedEpsilonPoissonReplace(eps, q);
-    if (!poisson.ok()) return Violation(poisson.status().message());
-    if (!replace.ok()) return Violation(replace.status().message());
-    if (!std::isfinite(poisson.value()) || !std::isfinite(replace.value())) {
-      return Violation("amplified epsilon is not finite (overflow regime bug)");
-    }
-    if (poisson.value() < 0.0 || replace.value() < 0.0) {
-      return Violation("amplified epsilon is negative");
-    }
-    if (poisson.value() > eps * (1.0 + 1e-12) + 1e-12) {
-      return Violation("poisson amplification exceeds base epsilon");
-    }
-    if (replace.value() > eps * (1.0 + 1e-12) + 1e-12) {
-      return Violation("replace amplification exceeds base epsilon");
-    }
-    if (replace.value() + 1e-9 < poisson.value()) {
-      return Violation("replace-one amplification below add/remove form");
-    }
-    // Monotone in q: halving the sampling rate cannot weaken amplification.
-    auto half = AmplifiedEpsilonPoisson(eps, q / 2.0);
-    auto half_replace = AmplifiedEpsilonPoissonReplace(eps, q / 2.0);
-    if (!half.ok() || !half_replace.ok()) return Violation("half-rate evaluation failed");
-    if (half.value() > poisson.value() + 1e-9) {
-      return Violation("poisson amplification not monotone in q");
-    }
-    if (half_replace.value() > replace.value() + 1e-9) {
-      return Violation("replace amplification not monotone in q");
-    }
-    return Status::Ok();
-  };
-  DPLEARN_EXPECT_PROPERTY(Check("amplification_invariants", ArbitraryDpParams(1e4),
-                                property, SuiteConfig(106)));
-}
-
-TEST(ProptestMechanisms, AmplificationCalibrationRoundTrips) {
-  auto property = [](const DpParams& params) -> Status {
-    // target must be achievable: amplified <= base always, so any target is
-    // reachable with a large enough base ε; the inverse is defined for all
-    // target > 0, q in (0,1].
-    const double target = params.epsilon;
-    auto base = BaseEpsilonForAmplifiedTarget(target, params.q);
-    if (!base.ok()) return Violation(base.status().message());
-    if (!std::isfinite(base.value())) return Violation("base epsilon not finite");
-    auto amplified = AmplifiedEpsilonPoisson(base.value(), params.q);
-    if (!amplified.ok()) return Violation(amplified.status().message());
-    if (!ApproxEqual(amplified.value(), target, 1e-8, 1e-8)) {
-      return Violation("round trip drifted: target " + std::to_string(target) +
-                       " recovered " + std::to_string(amplified.value()));
-    }
-    return Status::Ok();
-  };
-  DPLEARN_EXPECT_PROPERTY(Check("amplification_roundtrip", ArbitraryDpParams(1e3),
-                                property, SuiteConfig(107)));
 }
 
 }  // namespace

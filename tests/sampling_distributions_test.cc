@@ -81,12 +81,11 @@ TEST(LaplaceTest, MomentsMatchTheory) {
 TEST(LaplaceTest, PdfIntegratesAndCdfConsistent) {
   // pdf at the mean is 1/(2b).
   EXPECT_NEAR(LaplacePdf(0.0, 0.0, 2.0), 0.25, 1e-12);
-  EXPECT_NEAR(LaplaceCdf(0.0, 0.0, 2.0), 0.5, 1e-12);
-  // CDF increments match pdf (finite difference).
-  const double h = 1e-6;
-  const double x = 1.3;
-  EXPECT_NEAR((LaplaceCdf(x + h, 0.0, 2.0) - LaplaceCdf(x - h, 0.0, 2.0)) / (2.0 * h),
-              LaplacePdf(x, 0.0, 2.0), 1e-6);
+  // Midpoint rule over [-60, 60]: the tails beyond hold e^{-30} of the mass.
+  const double h = 1e-3;
+  double mass = 0.0;
+  for (double x = -60.0 + h / 2.0; x < 60.0; x += h) mass += LaplacePdf(x, 0.0, 2.0) * h;
+  EXPECT_NEAR(mass, 1.0, 1e-6);
   // Log pdf consistent with pdf.
   EXPECT_NEAR(std::exp(LaplaceLogPdf(1.0, 0.0, 2.0)), LaplacePdf(1.0, 0.0, 2.0), 1e-12);
 }
@@ -97,17 +96,8 @@ TEST(LaplaceTest, EmpiricalCdfMatches) {
   for (int i = 0; i < kN; ++i) {
     if (SampleLaplace(&rng, 0.0, 1.0).value() < 1.0) ++below;
   }
-  EXPECT_NEAR(static_cast<double>(below) / kN, LaplaceCdf(1.0, 0.0, 1.0), 0.005);
-}
-
-TEST(ExponentialTest, MeanIsInverseRate) {
-  Rng rng(5);
-  std::vector<double> xs(kN);
-  for (double& x : xs) {
-    x = SampleExponential(&rng, 2.0).value();
-    ASSERT_GE(x, 0.0);
-  }
-  EXPECT_NEAR(SampleMean(xs), 0.5, 0.01);
+  // Laplace(0, 1) CDF at 1: 1 - e^{-1}/2.
+  EXPECT_NEAR(static_cast<double>(below) / kN, 1.0 - 0.5 * std::exp(-1.0), 0.005);
 }
 
 TEST(GammaTest, MomentsForShapeAboveOne) {
