@@ -8,6 +8,8 @@
 /// cross-run 25% regression threshold).
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -52,12 +54,13 @@ void BM_EmpiricalRiskProfileScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_EmpiricalRiskProfileScalar)->Arg(201);
 
-/// Steady-state cache hit through the class overload the library calls:
-/// after the first iteration a hit combines the two memoized content hashes,
-/// finds the entry under the shared lock, skips both bitwise compares because
-/// the class id and the dataset generation were verified by the fill, and
-/// copies the risks. Compare against BM_EmpiricalRiskProfile/201 for the
-/// hit-vs-compute gap.
+/// Steady-state cache hit through the class overload, in its copying form
+/// (CachedRiskProfile, which the channel builder and Posterior take): after
+/// the first iteration a hit combines the two memoized content hashes,
+/// finds the entry under this thread's reader stripe, skips both bitwise
+/// compares because the class id and the dataset generation were verified
+/// by the fill, and copies the risks out. Compare against
+/// BM_EmpiricalRiskProfile/201 for the hit-vs-compute gap.
 void BM_RiskProfileCacheHit(benchmark::State& state) {
   ClippedSquaredLoss loss(1.0);
   const FiniteHypothesisClass hclass = bench::MakeScalarGrid(201);
@@ -73,9 +76,11 @@ void BM_RiskProfileCacheHit(benchmark::State& state) {
 BENCHMARK(BM_RiskProfileCacheHit);
 
 /// The same hit from four threads at once on one entry, as the pool
-/// workers of a channel sweep make them: the per-thread time shows how the
-/// lookup's shared lock scales. Thread 0 fills the entry before the timed
-/// loop, which every thread enters together.
+/// workers of a channel sweep make them. Each thread takes its own reader
+/// stripe and counts its hits there, so the per-thread time shows what is
+/// still shared: the entry's lines, which hits only read, and the heap the
+/// copies come from. Thread 0 fills the entry before the timed loop, which
+/// every thread enters together.
 void BM_RiskProfileCacheHitContended(benchmark::State& state) {
   static ClippedSquaredLoss loss(1.0);
   static const FiniteHypothesisClass hclass = bench::MakeScalarGrid(201);
@@ -93,6 +98,58 @@ void BM_RiskProfileCacheHitContended(benchmark::State& state) {
   if (state.thread_index() == 0) perf::SetRiskCacheEnabled(prev);
 }
 BENCHMARK(BM_RiskProfileCacheHitContended)->Threads(4);
+
+/// The channel sweep's draw at the offline_channel shape: |Θ| = 101 and the
+/// 101 representative datasets of n = 100 Bernoulli labels (k ones, then
+/// zeros), all cached, and one Sample() per iteration on the next dataset.
+/// A warm draw tilts the cached risks in place and copies nothing.
+struct OfflineDrawShape {
+  OfflineDrawShape() : gibbs(GibbsEstimator::CreateUniform(&loss, bench::MakeScalarGrid(101),
+                                                           4.0).value()) {
+    for (std::size_t k = 0; k <= 100; ++k) {
+      Dataset data;
+      for (std::size_t i = 0; i < 100; ++i) data.Add(Example{Vector{1.0}, i < k ? 1.0 : 0.0});
+      datasets.push_back(std::move(data));
+    }
+  }
+  void Warm() const {
+    perf::SetRiskCacheEnabled(true);
+    perf::RiskProfileCache::Global().Clear();
+    for (const Dataset& data : datasets) (void)gibbs.RiskProfile(data).value();
+  }
+
+  ClippedSquaredLoss loss{1.0};
+  GibbsEstimator gibbs;
+  std::vector<Dataset> datasets;
+};
+
+void RunCachedDraws(benchmark::State& state, const OfflineDrawShape& shape) {
+  Rng rng(20 + static_cast<std::uint64_t>(state.thread_index()));
+  std::size_t k = static_cast<std::size_t>(state.thread_index()) * 31;
+  for (auto _ : state) {
+    k = k == 100 ? 0 : k + 1;
+    benchmark::DoNotOptimize(shape.gibbs.Sample(shape.datasets[k], &rng).value());
+  }
+}
+
+void BM_GibbsSampleCached(benchmark::State& state) {
+  static const OfflineDrawShape shape;
+  shape.Warm();
+  RunCachedDraws(state, shape);
+}
+BENCHMARK(BM_GibbsSampleCached);
+
+/// BM_GibbsSampleCached from four threads at once, as the channel sweep's
+/// pool workers draw: ideally the per-thread time equals the one-thread
+/// time, and the ratio of the two is the cost of what the draws share.
+/// Thread 0 warms the cache before the timed loop, which every thread
+/// enters together.
+void BM_GibbsSampleCachedContended(benchmark::State& state) {
+  static const OfflineDrawShape shape;
+  if (state.thread_index() == 0) shape.Warm();
+  RunCachedDraws(state, shape);
+}
+BENCHMARK(BM_GibbsSampleCachedContended)->Threads(4);
 
 void BM_GibbsPosterior(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));

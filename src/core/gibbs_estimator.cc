@@ -15,6 +15,30 @@
 #include "util/math_util.h"
 
 namespace dplearn {
+namespace {
+
+/// Per-thread scratch of the single-draw paths. λ-selection sweeps and the
+/// channel sweep's draws call them thousands of times, and reusing these
+/// keeps the steady state allocation-free (pinned by tests/perf_alloc_test)
+/// while staying stream-identical to the allocating SampleFromLogWeights
+/// overload.
+struct DrawScratch {
+  std::vector<double> log_w;
+  std::vector<double> uniforms;
+};
+
+DrawScratch& ThreadDrawScratch() {
+  thread_local DrawScratch scratch;
+  return scratch;
+}
+
+void CountSamples(std::size_t k) {
+  if (!obs::MetricsEnabled()) return;
+  static obs::Counter* const samples = obs::GlobalMetrics().GetCounter("gibbs.samples");
+  samples->Increment(k);
+}
+
+}  // namespace
 
 GibbsEstimator::GibbsEstimator(const LossFunction* loss, FiniteHypothesisClass hclass,
                                std::vector<double> prior, double lambda)
@@ -69,42 +93,43 @@ StatusOr<std::vector<double>> GibbsEstimator::RiskProfile(const Dataset& data) c
   return perf::CachedRiskProfile(*loss_, hclass_, data);
 }
 
+Status GibbsEstimator::TiltFromProfile(const Dataset& data, std::vector<double>* log_w) const {
+  // The tilt reads a cache hit's risks in place, under the cache's reader
+  // stripe, so a hit copies nothing. It is bitwise the tilt of a copied
+  // profile: the same kernel on the same bits.
+  obs::TraceSpan span("gibbs.risk_profile");
+  return perf::VisitCachedRiskProfile(
+      *loss_, hclass_, data,
+      [this, log_w](const std::vector<double>& risks) { LogWeightsFromRisks(risks, log_w); });
+}
+
 StatusOr<std::size_t> GibbsEstimator::Sample(const Dataset& data, Rng* rng) const {
-  DPLEARN_ASSIGN_OR_RETURN(std::vector<double> risks, RiskProfile(data));
-  return SampleGivenRisks(risks, rng);
+  DrawScratch& scratch = ThreadDrawScratch();
+  DPLEARN_RETURN_IF_ERROR(TiltFromProfile(data, &scratch.log_w));
+  obs::TraceSpan span("gibbs.sample");
+  CountSamples(1);
+  return SampleFromLogWeights(rng, scratch.log_w, &scratch.uniforms);
 }
 
 StatusOr<std::size_t> GibbsEstimator::SampleGivenRisks(const std::vector<double>& risks,
                                                        Rng* rng) const {
   obs::TraceSpan span("gibbs.sample");
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const samples = obs::GlobalMetrics().GetCounter("gibbs.samples");
-    samples->Increment();
-  }
+  CountSamples(1);
   if (risks.size() != hclass_.size()) {
     return InvalidArgumentError("SampleGivenRisks: risk profile size mismatch");
   }
-  // λ-selection sweeps call this thousands of times per profile; the
-  // thread-local scratch pair keeps the steady state allocation-free
-  // (pinned by tests/perf_alloc_test) while staying stream-identical to
-  // the allocating SampleFromLogWeights overload.
-  thread_local std::vector<double> log_w;
-  thread_local std::vector<double> uniforms;
-  LogWeightsFromRisks(risks, &log_w);
-  return SampleFromLogWeights(rng, log_w, &uniforms);
+  DrawScratch& scratch = ThreadDrawScratch();
+  LogWeightsFromRisks(risks, &scratch.log_w);
+  return SampleFromLogWeights(rng, scratch.log_w, &scratch.uniforms);
 }
 
 Status GibbsEstimator::SampleBatch(const Dataset& data, Rng* rng, std::size_t k,
                                    std::vector<std::size_t>* out) const {
   if (out == nullptr) return InvalidArgumentError("SampleBatch: out must be set");
   obs::TraceSpan span("gibbs.sample_batch");
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const samples = obs::GlobalMetrics().GetCounter("gibbs.samples");
-    samples->Increment(k);
-  }
-  DPLEARN_ASSIGN_OR_RETURN(std::vector<double> risks, RiskProfile(data));
-  thread_local std::vector<double> log_w;
-  LogWeightsFromRisks(risks, &log_w);
+  CountSamples(k);
+  std::vector<double>& log_w = ThreadDrawScratch().log_w;
+  DPLEARN_RETURN_IF_ERROR(TiltFromProfile(data, &log_w));
   return SampleFromLogWeightsBatch(rng, log_w, k, out);
 }
 
@@ -127,16 +152,13 @@ Status GibbsEstimator::SampleStreamingBatch(const StreamingRiskProfile& profile,
                                             std::vector<std::size_t>* out) const {
   if (out == nullptr) return InvalidArgumentError("SampleStreamingBatch: out must be set");
   obs::TraceSpan span("gibbs.sample_streaming_batch");
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const samples = obs::GlobalMetrics().GetCounter("gibbs.samples");
-    samples->Increment(k);
-  }
+  CountSamples(k);
   if (profile.num_hypotheses() != hclass_.size()) {
     return InvalidArgumentError("SampleStreamingBatch: profile hypothesis count mismatch");
   }
   thread_local std::vector<double> risks;
   DPLEARN_RETURN_IF_ERROR(profile.SnapshotInto(&risks));
-  thread_local std::vector<double> log_w;
+  std::vector<double>& log_w = ThreadDrawScratch().log_w;
   LogWeightsFromRisks(risks, &log_w);
   return SampleFromLogWeightsBatch(rng, log_w, k, out);
 }

@@ -52,7 +52,9 @@ class GibbsEstimator {
   /// dataset compute it once. Error if data is empty.
   StatusOr<std::vector<double>> RiskProfile(const Dataset& data) const;
 
-  /// Draws one hypothesis index from the posterior.
+  /// Draws one hypothesis index from the posterior. On a risk-cache hit it
+  /// tilts the cached profile in place, so a warm draw copies no profile
+  /// and allocates nothing.
   StatusOr<std::size_t> Sample(const Dataset& data, Rng* rng) const;
 
   /// Sample() with the risk profile supplied by the caller — the fast path
@@ -124,6 +126,11 @@ class GibbsEstimator {
   /// large problems).
   void LogWeightsFromRisks(const std::vector<double>& risks,
                            std::vector<double>* log_w) const;
+
+  /// LogWeightsFromRisks over data's risk profile, read in place from the
+  /// risk cache (perf::VisitCachedRiskProfile) — the tilt of Sample() and
+  /// SampleBatch().
+  Status TiltFromProfile(const Dataset& data, std::vector<double>* log_w) const;
 
   GibbsEstimator(const LossFunction* loss, FiniteHypothesisClass hclass,
                  std::vector<double> prior, double lambda);

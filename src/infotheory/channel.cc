@@ -114,8 +114,39 @@ StatusOr<double> DiscreteChannel::Capacity(double tol, std::size_t max_iters) co
     for (std::size_t x = 0; x < nx; ++x) {
       for (std::size_t y = 0; y < ny; ++y) q[y] += px[x] * transition_[x][y];
     }
-    for (std::size_t y = 0; y < ny; ++y) log_q[y] = std::log(q[y]);
-    for (std::size_t x = 0; x < nx; ++x) {
+    bool log_q_finite = true;
+    for (std::size_t y = 0; y < ny; ++y) {
+      log_q[y] = std::log(q[y]);
+      log_q_finite = log_q_finite && q[y] > 0.0;
+    }
+    // Σ_y W log q over the nonzero W, four rows per pass: four independent
+    // add chains instead of one, each still adding its row in y order. With
+    // every log q[y] finite, a zero W adds a signed zero, which leaves a sum
+    // that starts at +0.0 (and so is never -0.0) bitwise unchanged: the
+    // rows need no skip, and every row sum keeps its bits. A zero q[y]
+    // would make 0·log q NaN, so then the loop below skips zero W as before;
+    // it also takes the rows past the last multiple of four.
+    std::size_t x = 0;
+    if (log_q_finite) {
+      for (; x + 4 <= nx; x += 4) {
+        const double* w0 = transition_[x].data();
+        const double* w1 = transition_[x + 1].data();
+        const double* w2 = transition_[x + 2].data();
+        const double* w3 = transition_[x + 3].data();
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t y = 0; y < ny; ++y) {
+          s0 += w0[y] * log_q[y];
+          s1 += w1[y] * log_q[y];
+          s2 += w2[y] * log_q[y];
+          s3 += w3[y] * log_q[y];
+        }
+        d[x] = w_log_w[x] - s0;
+        d[x + 1] = w_log_w[x + 1] - s1;
+        d[x + 2] = w_log_w[x + 2] - s2;
+        d[x + 3] = w_log_w[x + 3] - s3;
+      }
+    }
+    for (; x < nx; ++x) {
       double w_log_q = 0.0;
       for (std::size_t y = 0; y < ny; ++y) {
         const double w = transition_[x][y];

@@ -1,7 +1,9 @@
 #include "parallel/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -9,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robustness/failpoint.h"
+#include "util/logging.h"
 
 namespace dplearn {
 namespace parallel {
@@ -109,16 +112,48 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+ThreadCountChoice ParseThreadCount(const char* env, std::size_t hardware) {
+  ThreadCountChoice choice;
+  const std::size_t fallback = hardware == 0 ? 1 : std::min(hardware, kMaxThreads);
+  if (env == nullptr || *env == '\0') {
+    choice.count = fallback;
+    return choice;
+  }
+  // Digits only, all of them: strtoull would accept a sign, leading blanks
+  // and trailing junk, and read "8x" as 8.
+  std::size_t value = 0;
+  bool overflow = false;
+  const char* p = env;
+  for (; *p >= '0' && *p <= '9'; ++p) {
+    const std::size_t digit = static_cast<std::size_t>(*p - '0');
+    if (value > (std::numeric_limits<std::size_t>::max() - digit) / 10) overflow = true;
+    if (!overflow) value = value * 10 + digit;
+  }
+  if (p == env || *p != '\0') {
+    choice.count = fallback;
+    choice.warning = "DPLEARN_THREADS='" + std::string(env) +
+                     "' is not a whole number; using " + std::to_string(fallback) + " threads";
+  } else if (value == 0) {
+    choice.count = 1;
+    choice.warning = "DPLEARN_THREADS=0 asks for no threads; running inline on 1";
+  } else if (overflow || value > kMaxThreads) {
+    choice.count = kMaxThreads;
+    choice.warning = "DPLEARN_THREADS=" + std::string(env) + " is above the cap; using " +
+                     std::to_string(kMaxThreads) + " threads";
+  } else {
+    choice.count = value;
+  }
+  return choice;
+}
+
 std::size_t DefaultThreadCount() {
   static const std::size_t count = [] {
-    const char* env = std::getenv("DPLEARN_THREADS");
-    if (env != nullptr && *env != '\0') {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1) return static_cast<std::size_t>(parsed);
-      return static_cast<std::size_t>(1);
+    const ThreadCountChoice choice =
+        ParseThreadCount(std::getenv("DPLEARN_THREADS"), std::thread::hardware_concurrency());
+    if (!choice.warning.empty()) {
+      DPLEARN_LOG(WARN) << choice.warning;
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<std::size_t>(hw == 0 ? 1 : hw);
+    return choice.count;
   }();
   return count;
 }

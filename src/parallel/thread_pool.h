@@ -7,6 +7,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,8 +66,29 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// Number of worker threads the process-wide pool uses: DPLEARN_THREADS if
-/// set (clamped to >= 1), otherwise std::thread::hardware_concurrency().
+/// The most threads DPLEARN_THREADS can ask for, well above any real host
+/// this library targets: a typo such as 80000 gets this many, not 80 000.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// What DPLEARN_THREADS asks for, and the WARN to log when it cannot be
+/// taken as written (empty otherwise).
+struct ThreadCountChoice {
+  std::size_t count = 1;
+  std::string warning;
+};
+
+/// Pure parse of DPLEARN_THREADS (`env`, nullptr when unset) on a host with
+/// `hardware` hardware threads (0 when unknown):
+///   - unset or empty: hardware, capped at kMaxThreads (1 when unknown);
+///   - a whole decimal number in [1, kMaxThreads]: that number;
+///   - above kMaxThreads: kMaxThreads, with a warning;
+///   - 0: 1, so the pool is off and trials run inline, with a warning;
+///   - anything else ("8x", "abc", "-2", " 4"): as if unset, with a warning.
+ThreadCountChoice ParseThreadCount(const char* env, std::size_t hardware);
+
+/// Number of worker threads the process-wide pool uses:
+/// ParseThreadCount(DPLEARN_THREADS, hardware concurrency), read once; its
+/// warning, if any, is logged once at WARN.
 std::size_t DefaultThreadCount();
 
 /// The process-wide pool shared by library hot paths and the experiment

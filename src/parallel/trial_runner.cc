@@ -1,8 +1,10 @@
 #include "parallel/trial_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <future>
+#include <mutex>
 
 #include "obs/trace.h"
 
@@ -22,33 +24,57 @@ void ParallelTrialRunner::ForIndex(std::size_t n,
   }
 
   obs::TraceSpan span("pool.batch");
-  // Contiguous chunks, several per worker so stragglers even out. Chunk
-  // geometry affects only scheduling, never results: every index writes its
-  // own slot and reductions happen on the caller's side in index order.
-  const std::size_t chunks = std::min(n, pool_->num_threads() * 4);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
+  // One task per worker; each claims blocks of consecutive indices from a
+  // shared counter until none is left, so a preempted worker holds back
+  // only the block it is in. About 64 blocks per worker keep the claims
+  // rare and the tail short. Block geometry affects only scheduling, never
+  // results: every index writes its own slot and reductions happen on the
+  // caller's side in index order.
+  const std::size_t workers = std::min(n, pool_->num_threads());
+  const std::size_t block = std::max<std::size_t>(1, n / (64 * workers));
+  const std::size_t num_blocks = (n + block - 1) / block;
+  std::atomic<std::size_t> next_block{0};
+  std::atomic<bool> failed{false};
+  // The lowest failing block and the exception it threw.
+  std::mutex error_mu;
+  std::size_t error_block = num_blocks;
+  std::exception_ptr block_error;
+  const auto work = [&] {
+    // After a failure no new block starts. Blocks are claimed in index
+    // order, so every block below a failing one was claimed before the
+    // failure and still runs: the lowest failing index always surfaces.
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t b = next_block.fetch_add(1, std::memory_order_relaxed);
+      if (b >= num_blocks) return;
+      const std::size_t end = std::min(n, (b + 1) * block);
+      try {
+        for (std::size_t i = b * block; i < end; ++i) fn(i);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (b < error_block) {
+          error_block = b;
+          block_error = std::current_exception();
+        }
+      }
+    }
+  };
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    if (begin >= end) break;
-    futures.push_back(pool_->Submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  // Wait for everything before rethrowing: no detached trial may outlive
-  // this call. Chunks are waited in submission (= index) order, so the
-  // surfaced exception is from the lowest-indexed failing chunk.
-  std::exception_ptr first_error;
+  futures.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) futures.push_back(pool_->Submit(work));
+  // Wait for every worker before rethrowing: they reference this frame. A
+  // task that failed before its body ran (the `pool.task` fail point)
+  // claimed no block; its exception surfaces only when no block failed.
+  std::exception_ptr task_error;
   for (std::future<void>& future : futures) {
     try {
       future.get();
     } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
+      if (task_error == nullptr) task_error = std::current_exception();
     }
   }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  if (block_error != nullptr) std::rethrow_exception(block_error);
+  if (task_error != nullptr) std::rethrow_exception(task_error);
 }
 
 }  // namespace parallel

@@ -2,6 +2,7 @@
 #define DPLEARN_PARALLEL_TRIAL_RUNNER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -18,20 +19,28 @@ namespace parallel {
 /// The contract has two halves, and both matter:
 ///
 ///  1. Stream assignment. Trial t always consumes the t-th Split() of the
-///     caller's base Rng. The runner performs all N splits up front, on the
-///     calling thread, in trial order — so which random stream a trial sees
-///     depends only on the base seed and its trial index, never on which
-///     worker runs it or when.
+///     caller's base Rng. The runner draws the N seeds up front, on the
+///     calling thread, in trial order — one NextUint64() per trial, which
+///     is exactly what Split() draws — and each worker seeds Rng(seed_t)
+///     itself, which is exactly the generator Split() returns. So which
+///     random stream a trial sees depends only on the base seed and its
+///     trial index, never on which worker runs it or when.
 ///
 ///  2. Ordered reduction. Results land in a slot per trial index and any
 ///     reduction folds the returned vector in trial order, never in
 ///     completion order. Floating-point addition is not associative;
 ///     completion-order reduction would make results depend on scheduling.
 ///
-/// Exception propagation: if trial bodies throw, one of the thrown
-/// exceptions (the earliest in index order among the chunks that failed) is
-/// rethrown on the calling thread, and only after every in-flight trial has
-/// finished — no detached work remains.
+/// Scheduling: one task per pool worker, each claiming blocks of about
+/// n/(64·workers) consecutive indices from a shared counter until none is
+/// left. A preempted or slow worker therefore delays only the block it
+/// holds, not a fixed share of the call.
+///
+/// Exception propagation: if trial bodies throw, the exception of the
+/// lowest-indexed failing trial is rethrown on the calling thread, and only
+/// after every worker has returned — no detached work remains. Once a
+/// block fails, no new block starts; blocks below it were claimed earlier
+/// and still run, which is why the lowest failing index always surfaces.
 ///
 /// Nested use is safe: a runner invoked from inside a pool worker executes
 /// inline (same results, by the contract above) instead of blocking a
@@ -69,19 +78,16 @@ class ParallelTrialRunner {
   /// serially.
   template <typename T, typename Body>
   std::vector<T> MapTrials(std::size_t num_trials, Rng* base_rng, Body&& body) const {
-    std::vector<Rng> rngs = SplitPerTrial(num_trials, base_rng);
+    // Split() is Rng(NextUint64()): draw the seeds here in trial order and
+    // build each generator on the worker that runs its trial.
+    std::vector<std::uint64_t> seeds(num_trials);
+    for (std::uint64_t& seed : seeds) seed = base_rng->NextUint64();
     std::vector<T> out(num_trials);
-    ForIndex(num_trials, [&out, &rngs, &body](std::size_t t) { out[t] = body(t, rngs[t]); });
+    ForIndex(num_trials, [&out, &seeds, &body](std::size_t t) {
+      Rng rng(seeds[t]);
+      out[t] = body(t, rng);
+    });
     return out;
-  }
-
-  /// The stream-assignment half of the contract, reusable on its own: the
-  /// N per-trial generators, split in trial order on the calling thread.
-  static std::vector<Rng> SplitPerTrial(std::size_t num_trials, Rng* base_rng) {
-    std::vector<Rng> rngs;
-    rngs.reserve(num_trials);
-    for (std::size_t t = 0; t < num_trials; ++t) rngs.push_back(base_rng->Split());
-    return rngs;
   }
 
  private:

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <iterator>
-#include <mutex>
+#include <shared_mutex>
 #include <utility>
 
 #include "learning/risk.h"
@@ -62,7 +62,23 @@ void CountHit(bool hit) {
   (hit ? hits : misses)->Increment();
 }
 
+/// Dealt once per thread, round-robin: a thread keeps its stripe for life,
+/// in every cache.
+std::size_t ThreadStripeIndex() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+  return index;
+}
+
 }  // namespace
+
+RiskProfileCache::WriterLock::WriterLock(RiskProfileCache* cache) : cache_(cache) {
+  for (Stripe& stripe : cache_->stripes_) stripe.mu.lock();
+}
+
+RiskProfileCache::WriterLock::~WriterLock() {
+  for (std::size_t i = kStripes; i-- > 0;) cache_->stripes_[i].mu.unlock();
+}
 
 RiskProfileCache::RiskProfileCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -70,6 +86,10 @@ RiskProfileCache::RiskProfileCache(std::size_t capacity)
 RiskProfileCache& RiskProfileCache::Global() {
   static RiskProfileCache* const cache = new RiskProfileCache(kDefaultCapacity);
   return *cache;
+}
+
+RiskProfileCache::Stripe& RiskProfileCache::OwnStripe() const {
+  return stripes_[ThreadStripeIndex() % kStripes];
 }
 
 bool RiskProfileCache::Matches(const Entry& entry, std::uint64_t hash,
@@ -98,46 +118,56 @@ bool RiskProfileCache::Matches(const Entry& entry, std::uint64_t hash,
   return true;
 }
 
-void RiskProfileCache::InsertLocked(EntryPtr entry) {
+void RiskProfileCache::InsertLocked(EntryList node) {
+  const std::uint64_t hash = node.front().hash;
   // A racing miss on the same key, or a colliding key, may already hold
   // this hash: the newer entry replaces it.
-  if (const auto old = by_hash_.find(entry->hash); old != by_hash_.end()) {
+  if (const auto old = by_hash_.find(hash); old != by_hash_.end()) {
     entries_.erase(old->second);
     by_hash_.erase(old);
   }
   // Second chance from the oldest end: a marked entry loses its mark and
-  // moves to the front, and the first unmarked one is evicted. Each pass
-  // clears a mark or evicts, and a mark set by a hit already past the lock
-  // can only add a pass, so the loop ends.
+  // moves to the front, and the first unmarked one is evicted. No hit runs
+  // while every stripe is held, so each pass clears a mark or evicts, and
+  // the loop ends within two laps.
   while (entries_.size() >= capacity_) {
     const auto oldest = std::prev(entries_.end());
-    if ((*oldest)->referenced.exchange(false, std::memory_order_relaxed)) {
+    if (oldest->referenced.exchange(false, std::memory_order_relaxed)) {
       entries_.splice(entries_.begin(), entries_, oldest);
       continue;
     }
-    by_hash_.erase((*oldest)->hash);
+    by_hash_.erase(oldest->hash);
     entries_.pop_back();
     ++evictions_;
   }
-  entries_.push_front(std::move(entry));
-  by_hash_.emplace(entries_.front()->hash, entries_.begin());
+  entries_.splice(entries_.begin(), node);
+  by_hash_.emplace(hash, entries_.begin());
+}
+
+Status RiskProfileCache::Visit(const LossFunction& loss, const FiniteHypothesisClass& hclass,
+                               const Dataset& data, RiskVisitor visit) {
+  return Lookup(loss, hclass.thetas(), hclass.content_hash(), hclass.id(), data, visit);
 }
 
 StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
     const LossFunction& loss, const FiniteHypothesisClass& hclass, const Dataset& data) {
-  return Lookup(loss, hclass.thetas(), hclass.content_hash(), hclass.id(), data);
+  std::vector<double> risks;
+  DPLEARN_RETURN_IF_ERROR(Visit(loss, hclass, data,
+                                [&risks](const std::vector<double>& found) { risks = found; }));
+  return risks;
 }
 
 StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
     const LossFunction& loss, const std::vector<Vector>& thetas, const Dataset& data) {
-  return Lookup(loss, thetas, ThetaContentHash(thetas), /*class_id=*/0, data);
+  std::vector<double> risks;
+  DPLEARN_RETURN_IF_ERROR(Lookup(loss, thetas, ThetaContentHash(thetas), /*class_id=*/0, data,
+                                 [&risks](const std::vector<double>& found) { risks = found; }));
+  return risks;
 }
 
-StatusOr<std::vector<double>> RiskProfileCache::Lookup(const LossFunction& loss,
-                                                       const std::vector<Vector>& thetas,
-                                                       std::uint64_t theta_hash,
-                                                       std::uint64_t class_id,
-                                                       const Dataset& data) {
+Status RiskProfileCache::Lookup(const LossFunction& loss, const std::vector<Vector>& thetas,
+                                std::uint64_t theta_hash, std::uint64_t class_id,
+                                const Dataset& data, RiskVisitor visit) {
   // One flavor read per call: the hash, the match predicate, and the stored
   // entry must agree even if DPLEARN_SIMD toggles while we compute. The
   // generation snapshot brackets the hash→compute→insert window against
@@ -146,84 +176,87 @@ StatusOr<std::vector<double>> RiskProfileCache::Lookup(const LossFunction& loss,
   const std::uint64_t generation = data.generation();
   const std::string loss_name = loss.Name();
   const std::uint64_t hash = KeyHash(flavor, loss_name, loss, theta_hash, data.content_hash());
-  EntryPtr candidate;
   {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    // This thread's stripe keeps every writer out, so the entry stays put
+    // and only its relaxed atomics can change while we verify and visit it.
+    Stripe& stripe = OwnStripe();
+    std::shared_lock<std::shared_mutex> lock(stripe.mu);
     const auto found = by_hash_.find(hash);
-    if (found != by_hash_.end()) candidate = *found->second;
-  }
-  // `candidate` keeps the entry alive through a concurrent eviction, and
-  // the verify touches only its immutable fields and relaxed atomics, so
-  // the verify, the mark and the copy need no lock.
-  if (candidate != nullptr && Matches(*candidate, hash, flavor, loss_name, loss, thetas,
-                                      class_id, data, generation)) {
-    // Written only when clear, so hits on a hot entry leave its line shared.
-    if (!candidate->referenced.load(std::memory_order_relaxed)) {
-      candidate->referenced.store(true, std::memory_order_relaxed);
+    if (found != by_hash_.end() && Matches(*found->second, hash, flavor, loss_name, loss,
+                                           thetas, class_id, data, generation)) {
+      const Entry& entry = *found->second;
+      // Written only when clear, so hits on a hot entry leave its line shared.
+      if (!entry.referenced.load(std::memory_order_relaxed)) {
+        entry.referenced.store(true, std::memory_order_relaxed);
+      }
+      stripe.hits.fetch_add(1, std::memory_order_relaxed);
+      CountHit(true);
+      visit(entry.risks);
+      return Status::Ok();
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    CountHit(true);
-    return candidate->risks;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   CountHit(false);
 
   // Compute outside the lock: the profile may fan out over the global thread
-  // pool and can take arbitrarily long; holding mu_ would serialize every
-  // other grid cell behind it.
+  // pool and can take arbitrarily long; holding the stripes would serialize
+  // every other grid cell behind it.
   obs::TraceSpan span("perf.risk_cache.fill");
   DPLEARN_ASSIGN_OR_RETURN(std::vector<double> risks,
                            EmpiricalRiskProfile(loss, thetas, data));
+  visit(risks);
 
-  auto entry = std::make_shared<Entry>();
-  entry->hash = hash;
-  entry->simd_flavor = flavor;
-  entry->loss_name = loss_name;
-  entry->loss_bound = loss.UpperBound();
-  entry->loss_fingerprint = loss.ParameterFingerprint();
-  entry->thetas = thetas;
-  entry->examples = data.examples();
-  entry->risks = risks;
+  EntryList node(1);
+  Entry& entry = node.front();
+  entry.hash = hash;
+  entry.simd_flavor = flavor;
+  entry.loss_name = loss_name;
+  entry.loss_bound = loss.UpperBound();
+  entry.loss_fingerprint = loss.ParameterFingerprint();
+  entry.thetas = thetas;
+  entry.examples = data.examples();
+  entry.risks = std::move(risks);
   // Filled from this class and, once the guard below passes, from the
   // examples at this generation.
-  entry->verified_class_id.store(class_id, std::memory_order_relaxed);
-  entry->verified_generation.store(generation, std::memory_order_relaxed);
+  entry.verified_class_id.store(class_id, std::memory_order_relaxed);
+  entry.verified_generation.store(generation, std::memory_order_relaxed);
 
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  WriterLock lock(this);
   if (data.generation() != generation) {
     // The dataset moved under us: `hash` describes the pre-mutation content
     // but `examples`/`risks` saw some post-mutation state — a torn entry
     // that could only ever alias by hash collision, but is wrong to keep.
-    // Serve the fresh risks, memoize nothing.
+    // The fresh risks were visited; memoize nothing.
     ++mutation_skips_;
-    return risks;
+    return Status::Ok();
   }
-  InsertLocked(std::move(entry));
-  return risks;
+  InsertLocked(std::move(node));
+  return Status::Ok();
 }
 
 RiskProfileCache::Stats RiskProfileCache::stats() const {
+  // Any one stripe keeps Clear() and the writers' counters still.
+  std::shared_lock<std::shared_mutex> lock(OwnStripe().mu);
   Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
+  for (const Stripe& stripe : stripes_) stats.hits += stripe.hits.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lock(mu_);
   stats.evictions = evictions_;
   stats.mutation_skips = mutation_skips_;
   return stats;
 }
 
 std::size_t RiskProfileCache::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(OwnStripe().mu);
   return entries_.size();
 }
 
 void RiskProfileCache::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  WriterLock lock(this);
   entries_.clear();
   by_hash_.clear();
   evictions_ = 0;
   mutation_skips_ = 0;
-  hits_.store(0, std::memory_order_relaxed);
+  for (Stripe& stripe : stripes_) stripe.hits.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
 }
 
@@ -245,6 +278,15 @@ StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
                                                 const Dataset& data) {
   if (!RiskCacheEnabled()) return EmpiricalRiskProfile(loss, thetas, data);
   return RiskProfileCache::Global().GetOrCompute(loss, thetas, data);
+}
+
+Status VisitCachedRiskProfile(const LossFunction& loss, const FiniteHypothesisClass& hclass,
+                              const Dataset& data, RiskProfileCache::RiskVisitor visit) {
+  if (RiskCacheEnabled()) return RiskProfileCache::Global().Visit(loss, hclass, data, visit);
+  DPLEARN_ASSIGN_OR_RETURN(const std::vector<double> risks,
+                           EmpiricalRiskProfile(loss, hclass.thetas(), data));
+  visit(risks);
+  return Status::Ok();
 }
 
 }  // namespace perf

@@ -8,6 +8,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +30,7 @@ namespace perf {
 /// never on the temperature or the prior. This cache computes it once and
 /// serves every later cell.
 ///
-/// Determinism contract (DESIGN.md §10): a hit returns the exact vector a
+/// Determinism contract (DESIGN.md §10): a hit serves the exact vector a
 /// miss would have computed — the profile is a deterministic function of its
 /// key and the cached value IS a previous output of EmpiricalRiskProfile on
 /// bitwise-equal inputs — so enabling the cache is bit-invisible to every
@@ -58,8 +59,40 @@ namespace perf {
 /// mid-process DPLEARN_SIMD toggle could serve a profile computed in the
 /// OTHER mode — bitwise-different from what a fresh compute would return,
 /// silently breaking the determinism contract above.
+///
+/// Locking: readers take a reader lock striped per thread, so hits on
+/// different threads share no lock word; an insert, an eviction and Clear
+/// take every stripe exclusively. A hit therefore finds, verifies and
+/// visits its entry in place, under its own stripe only. It copies
+/// nothing, and it writes no line of the cache that another thread's hit
+/// writes: each stripe counts its own hits, and an entry's verified
+/// records and recency mark are written only when they change. (With obs
+/// metrics on, a hit also bumps the process-wide perf.risk_cache.hits
+/// counter.)
 class RiskProfileCache {
  public:
+  /// A non-owning reference to a callable `void(const std::vector<double>&
+  /// risks)`: two pointers, so a lambda with any number of captures passes
+  /// without allocating (std::function allocates past its small buffer).
+  /// The callable must outlive the call it is passed to, which a temporary
+  /// lambda at the call site does.
+  class RiskVisitor {
+   public:
+    template <typename F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, RiskVisitor>)
+    RiskVisitor(F&& visit)  // NOLINT(google-explicit-constructor): call sites pass lambdas
+        : callable_(static_cast<const void*>(std::addressof(visit))),
+          invoke_([](const void* callable, const std::vector<double>& risks) {
+            (*static_cast<std::remove_reference_t<F>*>(const_cast<void*>(callable)))(risks);
+          }) {}
+
+    void operator()(const std::vector<double>& risks) const { invoke_(callable_, risks); }
+
+   private:
+    const void* callable_;
+    void (*invoke_)(const void*, const std::vector<double>&);
+  };
+
   /// `capacity` bounds the number of cached profiles; beyond it an insert
   /// evicts by second chance (CLOCK): from the oldest end, an entry hit
   /// since the last pass is kept once more, and the first one that was not
@@ -71,26 +104,33 @@ class RiskProfileCache {
   /// kDefaultCapacity.
   static RiskProfileCache& Global();
 
-  /// Returns the cached profile for (loss, hclass, data), computing and
-  /// inserting it on a miss. Thread-safe. A lookup holds the lock shared,
-  /// for the O(1) find by key hash only: the key verify, the hit's recency
-  /// mark and the copy of the risks run outside it on a shared entry that
-  /// is immutable except for relaxed atomics (its verified id and
-  /// generation, and the mark), and stays alive even if a concurrent miss
-  /// evicts it. Only an insert takes the lock exclusively. A miss computes
-  /// outside the lock, so concurrent misses on the same key may compute
-  /// twice; the later insert replaces the earlier (bit-identical) entry.
-  /// Errors propagate from EmpiricalRiskProfile unchanged and are never
-  /// cached.
+  /// Calls `visit` once with the profile of (loss, hclass, data), computing
+  /// and inserting it on a miss. Thread-safe. A hit finds the entry, proves
+  /// its key and calls `visit` on the entry's own risks, all under this
+  /// thread's reader stripe; the risks are valid only during the call. A
+  /// miss computes outside every lock and calls `visit` on the fresh
+  /// risks, also outside the locks, before it inserts them; concurrent
+  /// misses on the same key may compute twice, and the later insert
+  /// replaces the earlier (bit-identical) entry. Errors propagate from
+  /// EmpiricalRiskProfile unchanged, are never cached, and skip `visit`.
+  ///
+  /// A visitor must not call into any RiskProfileCache: an insert takes
+  /// every stripe, including the one the visitor's thread holds, so a call
+  /// back into this cache deadlocks, and visitors calling across two caches
+  /// can deadlock each other.
   ///
   /// Mutation guard: `data.generation()` is snapshotted before hashing and
   /// re-read before insertion — if the dataset was mutated in place (e.g. a
   /// SetLabel walk) while the profile computed, the fresh risks are still
-  /// returned but the torn (hash ≠ content) entry is NOT memoized
+  /// visited but the torn (hash ≠ content) entry is NOT memoized
   /// (stats().mutation_skips counts these). Sequential mutate-then-lookup
   /// through one Dataset object is always safe: the mutation takes a fresh
   /// generation, which no entry has verified, so the bitwise compare
   /// decides and a stale entry can never match.
+  Status Visit(const LossFunction& loss, const FiniteHypothesisClass& hclass,
+               const Dataset& data, RiskVisitor visit);
+
+  /// Visit() that returns a copy of the profile, for callers that keep it.
   StatusOr<std::vector<double>> GetOrCompute(const LossFunction& loss,
                                              const FiniteHypothesisClass& hclass,
                                              const Dataset& data);
@@ -102,8 +142,8 @@ class RiskProfileCache {
                                              const std::vector<Vector>& thetas,
                                              const Dataset& data);
 
-  /// Counters since construction (or the last Clear()). Every GetOrCompute
-  /// call counts exactly one hit or one miss.
+  /// Counters since construction (or the last Clear()). Every Visit and
+  /// GetOrCompute call counts exactly one hit or one miss.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -122,8 +162,8 @@ class RiskProfileCache {
   static constexpr std::size_t kDefaultCapacity = 512;
 
  private:
-  /// Immutable once published, except for the relaxed atomics below:
-  /// readers verify and copy it without the lock.
+  /// Written once before insertion. Readers share it under their stripe
+  /// lock, so only the relaxed atomics below change while it is cached.
   struct Entry {
     std::uint64_t hash = 0;
     std::uint64_t simd_flavor = 0;
@@ -140,35 +180,58 @@ class RiskProfileCache {
     /// The second-chance mark: set by a hit, cleared by an eviction pass.
     mutable std::atomic<bool> referenced{false};
   };
-  using EntryPtr = std::shared_ptr<const Entry>;
-  using EntryList = std::list<EntryPtr>;
+  /// Entries live in list nodes, so an entry never moves: a miss fills a
+  /// one-node list outside the lock and splices it in.
+  using EntryList = std::list<Entry>;
+
+  /// One reader lock and one hit count per cache line. A thread always
+  /// takes the same stripe (threads are dealt stripes round-robin), so with
+  /// up to kStripes threads no two readers touch the same stripe.
+  struct alignas(64) Stripe {
+    std::shared_mutex mu;
+    std::atomic<std::uint64_t> hits{0};
+  };
+  static constexpr std::size_t kStripes = 16;
+
+  /// Takes every stripe exclusively, in index order, for a writer.
+  class WriterLock {
+   public:
+    explicit WriterLock(RiskProfileCache* cache);
+    ~WriterLock();
+    WriterLock(const WriterLock&) = delete;
+    WriterLock& operator=(const WriterLock&) = delete;
+
+   private:
+    RiskProfileCache* cache_;
+  };
 
   /// Both overloads: `class_id` is 0 for a bare Θ list.
-  StatusOr<std::vector<double>> Lookup(const LossFunction& loss,
-                                       const std::vector<Vector>& thetas,
-                                       std::uint64_t theta_hash, std::uint64_t class_id,
-                                       const Dataset& data);
+  Status Lookup(const LossFunction& loss, const std::vector<Vector>& thetas,
+                std::uint64_t theta_hash, std::uint64_t class_id, const Dataset& data,
+                RiskVisitor visit);
 
   static bool Matches(const Entry& entry, std::uint64_t hash, std::uint64_t simd_flavor,
                       const std::string& loss_name, const LossFunction& loss,
                       const std::vector<Vector>& thetas, std::uint64_t class_id,
                       const Dataset& data, std::uint64_t generation);
 
-  /// Needs mu_ held exclusively.
-  void InsertLocked(EntryPtr entry);
+  /// Needs every stripe held exclusively. Moves the one node of `node` in.
+  void InsertLocked(EntryList node);
+
+  /// This thread's stripe.
+  Stripe& OwnStripe() const;
 
   const std::size_t capacity_;
-  mutable std::shared_mutex mu_;
+  mutable Stripe stripes_[kStripes];
   /// Front = newest or most recently given a second chance; evictions scan
-  /// from the back. Guarded by mu_, as is by_hash_.
+  /// from the back. Written only under every stripe, so any one stripe
+  /// guards a read, as it does for by_hash_ and the two counters below.
   EntryList entries_;
   /// One entry per key hash; a second key with the same hash replaces it.
   std::unordered_map<std::uint64_t, EntryList::iterator> by_hash_;
-  /// Guarded by mu_.
   std::uint64_t evictions_ = 0;
   std::uint64_t mutation_skips_ = 0;
-  /// Counted outside the lock, after the verify decides.
-  std::atomic<std::uint64_t> hits_{0};
+  /// Misses compute for microseconds or more, so one shared count is cheap.
   std::atomic<std::uint64_t> misses_{0};
 };
 
@@ -190,6 +253,13 @@ StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
 StatusOr<std::vector<double>> CachedRiskProfile(const LossFunction& loss,
                                                 const std::vector<Vector>& thetas,
                                                 const Dataset& data);
+
+/// The visiting form: RiskProfileCache::Global().Visit() when
+/// RiskCacheEnabled(), otherwise `visit` on a freshly computed profile.
+/// For callers that consume the risks at once, such as a Gibbs draw's
+/// tilt; the same rule holds that `visit` must not call into the cache.
+Status VisitCachedRiskProfile(const LossFunction& loss, const FiniteHypothesisClass& hclass,
+                              const Dataset& data, RiskProfileCache::RiskVisitor visit);
 
 }  // namespace perf
 }  // namespace dplearn

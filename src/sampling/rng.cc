@@ -25,13 +25,38 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9e3779b97f4a7c15ULL;
 }
 
-void Rng::NextDoubleBatch(double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = NextDouble();
+template <bool kOpen>
+void Rng::FillDoubles(double* out, std::size_t n) {
+  // An armed fail point may zero any draw, so take one draw at a time and
+  // let the hook see every index, exactly as n single draws would.
+  if (robustness::FailPointsEnabled()) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = kOpen ? NextDoubleOpen() : NextDouble();
+    return;
+  }
+  // Disarmed, the xoshiro256++ steps of NextUint64 run on local state, which
+  // the compiler keeps in registers for the whole block.
+  std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t result = std::rotl(s0 + s3, 23) + s0;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = std::rotl(s3, 45);
+    const double top = static_cast<double>(result >> 11);
+    out[i] = (kOpen ? top + 0.5 : top) * 0x1.0p-53;
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
 }
 
-void Rng::NextDoubleOpenBatch(double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = NextDoubleOpen();
-}
+void Rng::NextDoubleBatch(double* out, std::size_t n) { FillDoubles<false>(out, n); }
+
+void Rng::NextDoubleOpenBatch(double* out, std::size_t n) { FillDoubles<true>(out, n); }
 
 std::uint64_t Rng::NextBounded(std::uint64_t bound) {
   DPLEARN_CHECK_GT(bound, 0u);

@@ -60,7 +60,9 @@ class Rng {
   /// Fills out[0..n) with the next n uniform doubles in [0, 1) — bit- and
   /// stream-identical to n NextDouble() calls, and the fail-point hook fires
   /// on the same draw indices. Batched consumers (alias tables, Gumbel-max
-  /// draws) use it to keep the generator state in registers across a block.
+  /// draws) use it to keep the generator state in registers across a block:
+  /// with no fail point armed it checks the hook once per batch, not once
+  /// per draw.
   void NextDoubleBatch(double* out, std::size_t n);
 
   /// Blocked NextDoubleOpen(): fills out[0..n) with doubles in (0, 1),
@@ -77,6 +79,11 @@ class Rng {
   Rng Split();
 
  private:
+  /// The two batch fills: NextDoubleOpen() values when kOpen, else
+  /// NextDouble() values.
+  template <bool kOpen>
+  void FillDoubles(double* out, std::size_t n);
+
   std::uint64_t s_[4];
 };
 

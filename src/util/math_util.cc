@@ -146,9 +146,4 @@ StatusOr<double> CatoniPhi(double gamma, double r) {
   return -std::log(arg) / gamma;
 }
 
-double CatoniContractionFactor(double lambda, double n) {
-  const double gamma = lambda / n;
-  return -std::expm1(-gamma) / gamma;
-}
-
 }  // namespace dplearn

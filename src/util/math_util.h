@@ -136,10 +136,6 @@ StatusOr<std::vector<double>> Linspace(double lo, double hi, std::size_t count);
 /// Domain: r < 1/(1 - exp(-gamma)). Error outside the domain.
 StatusOr<double> CatoniPhi(double gamma, double r);
 
-/// The factor n/lambda * (1 - exp(-lambda/n)) that Catoni notes is within
-/// [1 - lambda/(2n), 1]; used to sanity-check bound implementations.
-double CatoniContractionFactor(double lambda, double n);
-
 }  // namespace dplearn
 
 #endif  // DPLEARN_UTIL_MATH_UTIL_H_

@@ -93,77 +93,4 @@ StatusOr<Vector> Matrix::MatVec(const Vector& x) const {
   return out;
 }
 
-StatusOr<Vector> Matrix::TransposeMatVec(const Vector& x) const {
-  if (x.size() != rows_) {
-    return InvalidArgumentError("Matrix::TransposeMatVec: size mismatch");
-  }
-  Vector out(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += At(r, c) * x[r];
-  }
-  return out;
-}
-
-Matrix Matrix::Gram() const {
-  Matrix g(cols_, cols_);
-  for (std::size_t i = 0; i < cols_; ++i) {
-    for (std::size_t j = i; j < cols_; ++j) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) s += At(r, i) * At(r, j);
-      g.At(i, j) = s;
-      g.At(j, i) = s;
-    }
-  }
-  return g;
-}
-
-Status Matrix::AddDiagonal(double lambda) {
-  if (rows_ != cols_) {
-    return InvalidArgumentError("Matrix::AddDiagonal: matrix must be square");
-  }
-  for (std::size_t i = 0; i < rows_; ++i) At(i, i) += lambda;
-  return Status::Ok();
-}
-
-StatusOr<Vector> Matrix::CholeskySolve(const Vector& b) const {
-  if (rows_ != cols_) {
-    return InvalidArgumentError("CholeskySolve: matrix must be square");
-  }
-  if (b.size() != rows_) {
-    return InvalidArgumentError("CholeskySolve: rhs size mismatch");
-  }
-  const std::size_t n = rows_;
-  // Lower-triangular factor L with this = L * L^T.
-  std::vector<double> l(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = At(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l[i * n + k] * l[j * n + k];
-      if (i == j) {
-        if (s <= 0.0) {
-          return FailedPreconditionError("CholeskySolve: matrix not positive definite");
-        }
-        l[i * n + j] = std::sqrt(s);
-      } else {
-        l[i * n + j] = s / l[j * n + j];
-      }
-    }
-  }
-  // Forward substitution: L y = b.
-  Vector y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l[i * n + k] * y[k];
-    y[i] = s / l[i * n + i];
-  }
-  // Back substitution: L^T x = y.
-  Vector x(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l[k * n + ii] * x[k];
-    x[ii] = s / l[ii * n + ii];
-  }
-  return x;
-}
-
 }  // namespace dplearn

@@ -63,21 +63,6 @@ class Matrix {
   /// Returns this * x. Error if x.size() != cols().
   StatusOr<Vector> MatVec(const Vector& x) const;
 
-  /// Returns this^T * x. Error if x.size() != rows().
-  StatusOr<Vector> TransposeMatVec(const Vector& x) const;
-
-  /// Returns this^T * this (a cols x cols Gram matrix).
-  Matrix Gram() const;
-
-  /// Adds `lambda` to every diagonal entry (ridge regularization). Error if
-  /// the matrix is not square.
-  Status AddDiagonal(double lambda);
-
-  /// Solves (this) * x = b for symmetric positive-definite `this` via
-  /// Cholesky factorization. Error if not square, size mismatch, or the
-  /// matrix is not numerically positive definite.
-  StatusOr<Vector> CholeskySolve(const Vector& b) const;
-
  private:
   std::size_t rows_;
   std::size_t cols_;

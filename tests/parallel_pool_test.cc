@@ -5,6 +5,7 @@
 #include <future>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -169,6 +170,42 @@ TEST(ThreadPoolTest, MetricsBalanceAfterQuiescence) {
   EXPECT_DOUBLE_EQ(depth->Value(), 0.0);
   EXPECT_EQ(task_us->GetSnapshot().count, tasks_before + 32);
   obs::SetMetricsEnabled(was_enabled);
+}
+
+TEST(ThreadCountTest, ParsesWholeNumbersAndFallsBackOnTheRest) {
+  // Only the parse runs here: no pool of the parsed size is ever started.
+  struct Case {
+    const char* env;
+    std::size_t hardware;
+    std::size_t want;
+    bool warns;
+  };
+  const Case cases[] = {
+      {nullptr, 6, 6, false},
+      {"", 6, 6, false},
+      {nullptr, 0, 1, false},
+      {nullptr, 100000, kMaxThreads, false},
+      {"1", 6, 1, false},
+      {"8", 6, 8, false},
+      {"256", 6, 256, false},
+      {"257", 6, kMaxThreads, true},
+      {"80000", 6, kMaxThreads, true},
+      {"99999999999999999999999999", 6, kMaxThreads, true},
+      {"0", 6, 1, true},
+      {"8x", 6, 6, true},
+      {"abc", 6, 6, true},
+      {"-2", 6, 6, true},
+      {" 4", 6, 6, true},
+      {"4 ", 6, 6, true},
+      {"+4", 6, 6, true},
+      {"abc", 0, 1, true},
+  };
+  for (const Case& c : cases) {
+    const std::string label = c.env == nullptr ? "(unset)" : "'" + std::string(c.env) + "'";
+    const ThreadCountChoice choice = ParseThreadCount(c.env, c.hardware);
+    EXPECT_EQ(choice.count, c.want) << label << " on " << c.hardware << " hardware threads";
+    EXPECT_EQ(!choice.warning.empty(), c.warns) << label << ": " << choice.warning;
+  }
 }
 
 }  // namespace

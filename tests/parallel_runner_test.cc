@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "parallel/thread_pool.h"
+#include "robustness/failpoint.h"
 #include "sampling/rng.h"
 
 namespace dplearn {
@@ -137,14 +139,79 @@ TEST(ParallelTrialRunnerTest, NestedRunnerExecutesInlineWithoutDeadlock) {
   for (int sum : inner_sums) EXPECT_EQ(sum, 36);
 }
 
-TEST(ParallelTrialRunnerTest, SplitPerTrialMatchesManualSplits) {
-  Rng base_a(4242);
-  Rng base_b(4242);
-  std::vector<Rng> streams = ParallelTrialRunner::SplitPerTrial(16, &base_a);
-  for (std::size_t t = 0; t < streams.size(); ++t) {
-    Rng manual = base_b.Split();
-    for (int i = 0; i < 16; ++i) EXPECT_EQ(streams[t].NextUint64(), manual.NextUint64());
+TEST(ParallelTrialRunnerTest, MapTrialsStreamsMatchManualSplits) {
+  // Trial t's generator is the t-th Split() of the base, seeded on the
+  // worker from a NextUint64() the caller drew in trial order.
+  constexpr std::size_t kTrials = 300;
+  Rng base_manual(4242);
+  std::vector<std::vector<std::uint64_t>> want(kTrials);
+  for (std::vector<std::uint64_t>& draws : want) {
+    Rng manual = base_manual.Split();
+    for (int i = 0; i < 16; ++i) draws.push_back(manual.NextUint64());
   }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ParallelTrialRunner runner(p);
+    Rng base(4242);
+    const std::vector<std::vector<std::uint64_t>> got =
+        runner.MapTrials<std::vector<std::uint64_t>>(kTrials, &base, [](std::size_t, Rng& rng) {
+          std::vector<std::uint64_t> draws;
+          for (int i = 0; i < 16; ++i) draws.push_back(rng.NextUint64());
+          return draws;
+        });
+    EXPECT_EQ(got, want) << (p == nullptr ? "inline" : "pool");
+    EXPECT_EQ(base.NextUint64(), Rng(base_manual).NextUint64()) << "base advanced differently";
+  }
+}
+
+TEST(ParallelTrialRunnerTest, LowestFailingTrialSurfaces) {
+  // Trials 5 and 60 sit in different blocks; whichever throws first in
+  // wall time, trial 5's exception is the one the caller sees.
+  ThreadPool pool(4);
+  ParallelTrialRunner runner(&pool);
+  for (int round = 0; round < 50; ++round) {
+    try {
+      runner.ForIndex(64, [](std::size_t i) {
+        if (i == 5) {
+          std::this_thread::yield();  // give trial 60 a head start
+          throw std::runtime_error("trial 5");
+        }
+        if (i == 60) throw std::runtime_error("trial 60");
+      });
+      FAIL() << "expected a rethrown trial exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "trial 5") << "round " << round;
+    }
+  }
+}
+
+TEST(ParallelTrialRunnerTest, InjectedTaskFaultRethrownAfterEveryWorkerLeft) {
+  // `pool.task` kills one worker task before it claims a block. The other
+  // workers take every block, and the call rethrows the injected fault only
+  // once they have all returned: nothing is running in the call's frame,
+  // which ASan and TSan check.
+  robustness::FailPointRegistry::Global().ClearAll();
+  ThreadPool pool(4);
+  ParallelTrialRunner runner(&pool);
+  constexpr std::size_t kTrials = 2000;
+  std::vector<int> runs(kTrials, 0);
+  std::atomic<int> in_flight{0};
+  {
+    robustness::ScopedFailPoint fp("pool.task", "first:1");
+    try {
+      runner.ForIndex(kTrials, [&](std::size_t i) {
+        in_flight.fetch_add(1);
+        ++runs[i];
+        in_flight.fetch_sub(1);
+      });
+      FAIL() << "expected the injected task fault";
+    } catch (const std::runtime_error& error) {
+      EXPECT_TRUE(robustness::IsInjectedFaultMessage(error.what())) << error.what();
+    }
+  }
+  robustness::FailPointRegistry::Global().ClearAll();
+  EXPECT_EQ(in_flight.load(), 0);
+  for (std::size_t i = 0; i < kTrials; ++i) EXPECT_EQ(runs[i], 1) << "trial " << i;
 }
 
 }  // namespace

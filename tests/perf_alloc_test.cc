@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "learning/hypothesis.h"
 #include "learning/loss.h"
 #include "learning/streaming_risk.h"
+#include "perf/risk_profile_cache.h"
 #include "sampling/alias_sampler.h"
 #include "sampling/distributions.h"
 #include "sampling/rng.h"
@@ -146,6 +148,38 @@ TEST(PerfAllocTest, GibbsSampleGivenRisksIsAllocationFreeInSteadyState) {
     }
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(PerfAllocTest, GibbsSampleOnWarmCacheAllocatesNothing) {
+  // The channel sweep's draw: Sample(data, rng) on a cached profile. A hit
+  // tilts the entry's risks in place under the cache's reader stripe, so
+  // the draw copies no profile and, with the scratch sized, allocates
+  // nothing at all.
+  const ClippedSquaredLoss loss(1.0);
+  auto grid = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 101).value();
+  auto gibbs = GibbsEstimator::CreateUniform(&loss, std::move(grid), 4.0).value();
+  std::vector<Dataset> datasets;
+  for (std::size_t k = 0; k <= 100; k += 10) {
+    Dataset data;
+    for (std::size_t i = 0; i < 100; ++i) data.Add(Example{Vector{1.0}, i < k ? 1.0 : 0.0});
+    datasets.push_back(std::move(data));
+  }
+  const bool was_enabled = perf::RiskCacheEnabled();
+  perf::SetRiskCacheEnabled(true);
+  perf::RiskProfileCache::Global().Clear();
+  Rng rng(8);
+  for (const Dataset& data : datasets) ASSERT_TRUE(gibbs.Sample(data, &rng).ok());  // fills
+  const std::uint64_t hits_before = perf::RiskProfileCache::Global().stats().hits;
+  const std::uint64_t allocs = CountAllocations([&] {
+    for (int j = 0; j < 200; ++j) {
+      auto draw = gibbs.Sample(datasets[static_cast<std::size_t>(j) % datasets.size()], &rng);
+      ASSERT_TRUE(draw.ok());
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(perf::RiskProfileCache::Global().stats().hits - hits_before, 200u);
+  perf::RiskProfileCache::Global().Clear();
+  perf::SetRiskCacheEnabled(was_enabled);
 }
 
 TEST(PerfAllocTest, StreamingAddRemoveAndSampleAreAllocationFreeInSteadyState) {

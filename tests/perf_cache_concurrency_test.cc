@@ -1,9 +1,9 @@
 /// Concurrency of the src/perf risk-profile cache (DESIGN.md §10): hits
-/// find their entry under the shared lock and verify, mark and copy it
-/// outside it while misses on other threads evict that entry by second
-/// chance, and the identity records (an entry's verified class id and
-/// generation, a dataset's memoized content hash) are written by whichever
-/// thread gets there first. Tagged TSAN, so it also runs under
+/// find, verify, mark and visit their entry under their own reader stripe
+/// while misses on other threads take every stripe to evict that entry by
+/// second chance, and the identity records (an entry's verified class id
+/// and generation, a dataset's memoized content hash) are written by
+/// whichever thread gets there first. Tagged TSAN, so it also runs under
 /// ThreadSanitizer.
 
 #include <atomic>
@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "core/gibbs_estimator.h"
 #include "learning/generators.h"
 #include "learning/hypothesis.h"
 #include "learning/loss.h"
@@ -196,6 +198,74 @@ TEST(RiskProfileCacheConcurrencyTest, SharedHitsRaceSecondChanceEvictionsAndClea
   ASSERT_TRUE(cache.GetOrCompute(loss, hclass, datasets[0]).ok());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(RiskProfileCacheConcurrencyTest, GibbsDrawsTiltHitsInPlaceWhileInsertsEvict) {
+  // The offline channel sweep's draws: eight threads call Sample() over the
+  // 101 representative datasets (k ones in n = 100) through the global
+  // cache, while a ninth inserts past its capacity, so entries the draws
+  // are tilting from get marked, passed over and evicted around them.
+  constexpr std::size_t kDrawThreads = 8;
+  constexpr std::size_t kDrawsPerThread = 300;
+  constexpr std::size_t kInserts = perf::RiskProfileCache::kDefaultCapacity + 64;
+  ClippedSquaredLoss loss(1.0);
+  const auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 101).value();
+  const auto gibbs = GibbsEstimator::CreateUniform(&loss, hclass, 4.0).value();
+  std::vector<Dataset> representatives;
+  std::vector<std::vector<double>> expected;
+  for (std::size_t k = 0; k <= 100; ++k) {
+    Dataset data;
+    for (std::size_t i = 0; i < 100; ++i) data.Add(Example{Vector{1.0}, i < k ? 1.0 : 0.0});
+    expected.push_back(EmpiricalRiskProfile(loss, hclass.thetas(), data).value());
+    representatives.push_back(std::move(data));
+  }
+  std::vector<Dataset> fillers;
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    const double label = static_cast<double>(i + 1) / static_cast<double>(kInserts + 1);
+    fillers.push_back(Dataset({Example{Vector{1.0}, label}, Example{Vector{1.0}, 0.5}}));
+  }
+
+  const bool was_enabled = perf::RiskCacheEnabled();
+  perf::SetRiskCacheEnabled(true);
+  perf::RiskProfileCache& cache = perf::RiskProfileCache::Global();
+  cache.Clear();
+  std::vector<std::size_t> wrong(kDrawThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kDrawThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng pick(500 + t);
+      for (std::size_t j = 0; j < kDrawsPerThread; ++j) {
+        const std::size_t k = static_cast<std::size_t>(pick.NextBounded(101));
+        Rng draw_rng(pick.NextUint64());
+        Rng reference_rng = draw_rng;
+        auto got = gibbs.Sample(representatives[k], &draw_rng);
+        auto want = gibbs.SampleGivenRisks(expected[k], &reference_rng);
+        if (!got.ok() || !want.ok() || *got != *want ||
+            draw_rng.NextUint64() != reference_rng.NextUint64()) {
+          ++wrong[t];
+        }
+      }
+    });
+  }
+  std::size_t insert_failures = 0;
+  threads.emplace_back([&] {
+    for (const Dataset& data : fillers) {
+      if (!cache.GetOrCompute(loss, hclass, data).ok()) ++insert_failures;
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kDrawThreads; ++t) {
+    EXPECT_EQ(wrong[t], 0u) << "thread " << t << " drew differently from the uncached path";
+  }
+  EXPECT_EQ(insert_failures, 0u);
+  const perf::RiskProfileCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kDrawThreads * kDrawsPerThread + kInserts);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(cache.size(), perf::RiskProfileCache::kDefaultCapacity);
+  cache.Clear();
+  perf::SetRiskCacheEnabled(was_enabled);
 }
 
 }  // namespace

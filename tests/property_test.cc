@@ -135,8 +135,10 @@ TEST_P(CatoniBoundProperty, ExactBelowLinearizedAndMonotoneInN) {
   for (std::size_t n : {50u, 200u, 800u, 3200u}) {
     const double lambda = SuggestLambda(n, kl + std::log(1.0 / delta));
     const double exact = CatoniHighProbabilityBound(risk, kl, lambda, n, delta).value();
-    const double linear = (risk + (kl + std::log(1.0 / delta)) / lambda) /
-                          CatoniContractionFactor(lambda, static_cast<double>(n));
+    // C(λ, n) = (n/λ)(1 − e^{−λ/n}), computed with expm1 for small λ/n.
+    const double gamma = lambda / static_cast<double>(n);
+    const double contraction = -std::expm1(-gamma) / gamma;
+    const double linear = (risk + (kl + std::log(1.0 / delta)) / lambda) / contraction;
     EXPECT_LE(exact, linear + 1e-12);
     EXPECT_LE(exact, previous_exact + 1e-12);
     previous_exact = exact;

@@ -3,6 +3,8 @@
 /// promises (typed error, retry, or drop-and-count), and disarming must
 /// restore byte-identical behavior.
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <future>
 #include <stdexcept>
@@ -59,6 +61,51 @@ TEST_F(ChaosTest, RngDegenerateEveryNZeroesThoseDraws) {
     } else {
       EXPECT_EQ(got, want[static_cast<std::size_t>(i - 1)]) << "draw " << i;
     }
+  }
+}
+
+std::uint64_t DegenerateHits() {
+  for (const robustness::FailPointStats& stats : FailPointRegistry::Global().Stats()) {
+    if (stats.name == "rng.degenerate") return stats.hits;
+  }
+  return 0;
+}
+
+TEST_F(ChaosTest, RngDegenerateBatchFillsMatchSingleDraws) {
+  // Armed, a batch fill takes the per-draw path, so the hook fires on the
+  // same indices as single draws: the same bits, the same degenerate
+  // values, the same hit count, and the generator ends in the same state.
+  constexpr std::size_t kDraws = 50;
+  for (const bool open : {false, true}) {
+    std::vector<double> single(kDraws);
+    std::uint64_t single_hits = 0;
+    Rng one(123);
+    {
+      ScopedFailPoint fp("rng.degenerate", "every:7");
+      for (double& u : single) u = open ? one.NextDoubleOpen() : one.NextDouble();
+      single_hits = DegenerateHits();
+    }
+    std::vector<double> batch(kDraws);
+    std::uint64_t batch_hits = 0;
+    Rng many(123);
+    {
+      ScopedFailPoint fp("rng.degenerate", "every:7");
+      if (open) {
+        many.NextDoubleOpenBatch(batch.data(), batch.size());
+      } else {
+        many.NextDoubleBatch(batch.data(), batch.size());
+      }
+      batch_hits = DegenerateHits();
+    }
+    EXPECT_EQ(single_hits, kDraws);
+    EXPECT_EQ(batch_hits, single_hits);
+    const double degenerate = open ? 0.5 * 0x1.0p-53 : 0.0;
+    for (std::size_t i = 0; i < kDraws; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i]), std::bit_cast<std::uint64_t>(single[i]))
+          << "draw " << i << (open ? " (open)" : "");
+      EXPECT_EQ(batch[i] == degenerate, (i + 1) % 7 == 0) << "draw " << i;
+    }
+    EXPECT_EQ(one.NextUint64(), many.NextUint64());
   }
 }
 

@@ -211,15 +211,5 @@ TEST(KahanSumTest, ResetAndInitialValue) {
   EXPECT_EQ(kahan.Value(), 2.5);
 }
 
-TEST(CatoniContractionFactorTest, InCatoniRange) {
-  // The paper notes (n/lambda)(1 - e^{-lambda/n}) lies in [1 - lambda/(2n), 1].
-  for (double lambda : {1.0, 10.0, 100.0}) {
-    const double n = 200.0;
-    const double c = CatoniContractionFactor(lambda, n);
-    EXPECT_LE(c, 1.0);
-    EXPECT_GE(c, 1.0 - lambda / (2.0 * n));
-  }
-}
-
 }  // namespace
 }  // namespace dplearn

@@ -1,7 +1,5 @@
 #include "util/matrix.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace dplearn {
@@ -49,79 +47,6 @@ TEST(MatrixTest, MatVec) {
   ASSERT_TRUE(y.ok());
   EXPECT_EQ(*y, (Vector{-2.0, -2.0}));
   EXPECT_FALSE(m.MatVec({1.0, 2.0}).ok());
-}
-
-TEST(MatrixTest, TransposeMatVec) {
-  Matrix m = Matrix::FromRowMajor(2, 3, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}).value();
-  auto y = m.TransposeMatVec({1.0, 1.0});
-  ASSERT_TRUE(y.ok());
-  EXPECT_EQ(*y, (Vector{5.0, 7.0, 9.0}));
-  EXPECT_FALSE(m.TransposeMatVec({1.0, 2.0, 3.0}).ok());
-}
-
-TEST(MatrixTest, GramIsSymmetricPsd) {
-  Matrix m = Matrix::FromRowMajor(3, 2, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}).value();
-  Matrix g = m.Gram();
-  EXPECT_EQ(g.rows(), 2u);
-  EXPECT_EQ(g.At(0, 1), g.At(1, 0));
-  EXPECT_NEAR(g.At(0, 0), 1.0 + 9.0 + 25.0, 1e-12);
-  EXPECT_NEAR(g.At(0, 1), 2.0 + 12.0 + 30.0, 1e-12);
-}
-
-TEST(MatrixTest, AddDiagonalRequiresSquare) {
-  Matrix sq(2, 2);
-  EXPECT_TRUE(sq.AddDiagonal(1.0).ok());
-  EXPECT_EQ(sq.At(0, 0), 1.0);
-  Matrix rect(2, 3);
-  EXPECT_FALSE(rect.AddDiagonal(1.0).ok());
-}
-
-TEST(CholeskySolveTest, SolvesSpdSystem) {
-  // A = [[4,2],[2,3]], b = [10, 9] => x = [1.5, 2].
-  Matrix a = Matrix::FromRowMajor(2, 2, {4.0, 2.0, 2.0, 3.0}).value();
-  auto x = a.CholeskySolve({10.0, 9.0});
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 1.5, 1e-10);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-10);
-}
-
-TEST(CholeskySolveTest, IdentityReturnsRhs) {
-  Matrix id = Matrix::Identity(4);
-  Vector b = {1.0, -2.0, 3.0, -4.0};
-  auto x = id.CholeskySolve(b);
-  ASSERT_TRUE(x.ok());
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR((*x)[i], b[i], 1e-12);
-}
-
-TEST(CholeskySolveTest, RejectsIndefiniteAndMismatch) {
-  Matrix indef = Matrix::FromRowMajor(2, 2, {1.0, 2.0, 2.0, 1.0}).value();
-  EXPECT_FALSE(indef.CholeskySolve({1.0, 1.0}).ok());
-  Matrix id = Matrix::Identity(2);
-  EXPECT_FALSE(id.CholeskySolve({1.0, 1.0, 1.0}).ok());
-  Matrix rect(2, 3);
-  EXPECT_FALSE(rect.CholeskySolve({1.0, 1.0}).ok());
-}
-
-TEST(CholeskySolveTest, LargerRandomishSystemRoundTrips) {
-  // Build SPD A = M^T M + I and verify A * solve(A, b) == b.
-  const std::size_t n = 6;
-  Matrix m(n, n);
-  double v = 0.1;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      m.At(i, j) = std::sin(v);  // deterministic pseudo-arbitrary entries
-      v += 0.7;
-    }
-  }
-  Matrix a = m.Gram();
-  ASSERT_TRUE(a.AddDiagonal(1.0).ok());
-  Vector b(n);
-  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<double>(i) - 2.5;
-  auto x = a.CholeskySolve(b);
-  ASSERT_TRUE(x.ok());
-  auto back = a.MatVec(*x);
-  ASSERT_TRUE(back.ok());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR((*back)[i], b[i], 1e-9);
 }
 
 }  // namespace
