@@ -260,6 +260,23 @@ void BM_StreamingUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingUpdate);
 
+/// Seeding a fresh stream from a served dataset, the first append of a
+/// `serve_gibbs` tenant: n = 2000 examples folded one at a time into
+/// |Θ| = 1001 compensated sums, on the event loop that takes the append.
+void BM_StreamingSeed(benchmark::State& state) {
+  ClippedSquaredLoss loss(1.0);
+  const FiniteHypothesisClass hclass = bench::MakeScalarGrid(1001);
+  Dataset data = bench::MakeBernoulliData(2000, 7);
+  for (auto _ : state) {
+    auto profile = StreamingRiskProfile::Create(&loss, hclass.thetas()).value();
+    for (const Example& z : data.examples()) {
+      if (!profile.AddExample(z).ok()) state.SkipWithError("seed add failed");
+    }
+    benchmark::DoNotOptimize(profile.size());
+  }
+}
+BENCHMARK(BM_StreamingSeed);
+
 /// What the same turnover costs without the streaming layer: a full
 /// |Θ|·n EmpiricalRiskProfile recompute per step.
 void BM_StreamingVsFullRecompute(benchmark::State& state) {

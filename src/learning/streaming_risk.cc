@@ -1,5 +1,6 @@
 #include "learning/streaming_risk.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -27,68 +28,7 @@ bool BitwiseExampleEqual(const Example& a, const Example& b) {
   return DoubleBits(a.label) == DoubleBits(b.label) && BitwiseEqual(a.features, b.features);
 }
 
-/// The shared delta-row core: validates `z` and writes l_{θ_i}(z) into
-/// out[0..|Θ|). `spec`/`uniform_dim` are the caller's precomputed kernel
-/// eligibility (nullopt / mismatched dim falls back to the virtual loop).
-Status FillLossRow(const LossFunction& loss, const std::optional<simd::LossSpec>& spec,
-                   bool thetas_uniform, std::size_t uniform_dim,
-                   const std::vector<Vector>& thetas, const Example& z,
-                   simd::DatasetSoA* soa, double* out) {
-  // Same NaN-poisoning policy as the batch path (DESIGN.md §14): clipped
-  // losses launder NaN into 0, so poisoned INPUTS must be rejected up front.
-  if (!std::isfinite(z.label)) {
-    return OutOfRangeError("LossRow: non-finite label");
-  }
-  for (std::size_t j = 0; j < z.features.size(); ++j) {
-    if (!std::isfinite(z.features[j])) {
-      return OutOfRangeError("LossRow: non-finite feature " + std::to_string(j));
-    }
-  }
-
-  if (spec.has_value() && simd::SimdEnabled() && thetas_uniform &&
-      uniform_dim == z.features.size()) {
-    // One-example SoA through the shared kernel: n=1 < kBlockedSumMinN, so
-    // the kernel is sequential and the mean is sum/1.0 — the delta row is
-    // bitwise the per-example loss the batch kernel would sum.
-    soa->Reset(1, z.features.size());
-    soa->mutable_labels()[0] = z.label;
-    for (std::size_t j = 0; j < z.features.size(); ++j) {
-      soa->mutable_column(j)[0] = z.features[j];
-    }
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-      out[i] = simd::MeanLossKernel(*spec, thetas[i].data(), thetas[i].size(), *soa);
-    }
-    return Status::Ok();
-  }
-
-  for (std::size_t i = 0; i < thetas.size(); ++i) {
-    const double l = loss.Loss(thetas[i], z);
-    // Built-in losses are bounded by construction; only a custom formula can
-    // emit a non-finite value on finite inputs (same check as the batch
-    // scalar path).
-    if (!std::isfinite(l)) {
-      return OutOfRangeError("LossRow: loss '" + loss.Name() +
-                             "' produced a non-finite value on finite inputs");
-    }
-    out[i] = l;
-  }
-  return Status::Ok();
-}
-
 }  // namespace
-
-Status LossRow(const LossFunction& loss, const std::vector<Vector>& thetas,
-               const Example& z, std::vector<double>* out) {
-  if (out == nullptr) return InvalidArgumentError("LossRow: out must be set");
-  if (thetas.empty()) return InvalidArgumentError("LossRow: empty hypothesis list");
-  const std::optional<simd::LossSpec> spec = SimdLossSpec(loss);
-  bool uniform = true;
-  const std::size_t dim = thetas[0].size();
-  for (const Vector& theta : thetas) uniform = uniform && theta.size() == dim;
-  out->resize(thetas.size());
-  thread_local simd::DatasetSoA soa;
-  return FillLossRow(loss, spec, uniform, dim, thetas, z, &soa, out->data());
-}
 
 StreamingRiskProfile::StreamingRiskProfile(const LossFunction* loss,
                                            std::vector<Vector> thetas, Options options)
@@ -99,7 +39,17 @@ StreamingRiskProfile::StreamingRiskProfile(const LossFunction* loss,
   for (const Vector& theta : thetas_) {
     thetas_uniform_ = thetas_uniform_ && theta.size() == uniform_theta_dim_;
   }
+  if (simd_spec_.has_value() && thetas_uniform_) {
+    const std::size_t m = thetas_.size();
+    theta_block_.resize(m * uniform_theta_dim_);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < uniform_theta_dim_; ++j) {
+        theta_block_[j * m + i] = thetas_[i][j];
+      }
+    }
+  }
   sums_.resize(thetas_.size());
+  comps_.resize(thetas_.size());
   delta_row_.resize(thetas_.size());
   resync_risks_.resize(thetas_.size());
   if (options.reserve_examples > 0) {
@@ -133,17 +83,52 @@ StatusOr<StreamingRiskProfile> StreamingRiskProfile::Create(const LossFunction* 
   return StreamingRiskProfile(loss, std::move(thetas), options);
 }
 
-Status StreamingRiskProfile::ComputeDeltaRow(const Example& z) {
+Status StreamingRiskProfile::PrepareFold(const Example& z, bool* fused) {
   if (feature_dim_known_ && z.features.size() != feature_dim_) {
     return InvalidArgumentError("StreamingRiskProfile: ragged example — has " +
                                 std::to_string(z.features.size()) +
                                 " features, stream established " +
                                 std::to_string(feature_dim_));
   }
-  // Member scratch (delta_soa_, delta_row_) keeps the steady state
-  // allocation-free; FillLossRow validates finiteness on the way.
-  return FillLossRow(*loss_, simd_spec_, thetas_uniform_, uniform_theta_dim_, thetas_, z,
-                     &delta_soa_, delta_row_.data());
+  // Same NaN-poisoning policy as the batch path (DESIGN.md §14): clipped
+  // losses launder NaN into 0, so poisoned INPUTS must be rejected up front.
+  if (!std::isfinite(z.label)) {
+    return OutOfRangeError("StreamingRiskProfile: non-finite label");
+  }
+  for (std::size_t j = 0; j < z.features.size(); ++j) {
+    if (!std::isfinite(z.features[j])) {
+      return OutOfRangeError("StreamingRiskProfile: non-finite feature " +
+                             std::to_string(j));
+    }
+  }
+  *fused = simd_spec_.has_value() && thetas_uniform_ && simd::SimdEnabled() &&
+           uniform_theta_dim_ == z.features.size();
+  if (*fused) return Status::Ok();
+
+  for (std::size_t i = 0; i < thetas_.size(); ++i) {
+    const double l = loss_->Loss(thetas_[i], z);
+    // Built-in losses are bounded by construction; only a custom formula can
+    // emit a non-finite value on finite inputs (same check as the batch
+    // scalar path).
+    if (!std::isfinite(l)) {
+      return OutOfRangeError("StreamingRiskProfile: loss '" + loss_->Name() +
+                             "' produced a non-finite value on finite inputs");
+    }
+    delta_row_[i] = l;
+  }
+  return Status::Ok();
+}
+
+void StreamingRiskProfile::Fold(const Example& z, bool fused, bool remove) {
+  if (fused) {
+    simd::FoldExampleLoss(*simd_spec_, theta_block_.data(), thetas_.size(),
+                          uniform_theta_dim_, z.features.data(), z.label, remove,
+                          sums_.data(), comps_.data());
+    return;
+  }
+  for (std::size_t i = 0; i < sums_.size(); ++i) {
+    CompensatedAdd(remove ? -delta_row_[i] : delta_row_[i], &sums_[i], &comps_[i]);
+  }
 }
 
 Status StreamingRiskProfile::AfterMutation() {
@@ -157,7 +142,8 @@ Status StreamingRiskProfile::AfterMutation() {
 }
 
 Status StreamingRiskProfile::AddExample(const Example& z) {
-  DPLEARN_RETURN_IF_ERROR(ComputeDeltaRow(z));
+  bool fused = false;
+  DPLEARN_RETURN_IF_ERROR(PrepareFold(z, &fused));
   if (!feature_dim_known_) {
     feature_dim_ = z.features.size();
     feature_dim_known_ = true;
@@ -173,7 +159,7 @@ Status StreamingRiskProfile::AddExample(const Example& z) {
     hashes_.push_back(hash);
   }
   ++live_count_;
-  for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i].Add(delta_row_[i]);
+  Fold(z, fused, /*remove=*/false);
   return AfterMutation();
 }
 
@@ -181,7 +167,8 @@ Status StreamingRiskProfile::RemoveExample(const Example& z) {
   if (live_count_ == 0) {
     return FailedPreconditionError("StreamingRiskProfile: remove from an empty stream");
   }
-  DPLEARN_RETURN_IF_ERROR(ComputeDeltaRow(z));
+  bool fused = false;
+  DPLEARN_RETURN_IF_ERROR(PrepareFold(z, &fused));
   const std::uint64_t hash = HashExample(z);
   std::size_t index = live_count_;
   for (std::size_t i = 0; i < live_count_; ++i) {
@@ -194,7 +181,7 @@ Status StreamingRiskProfile::RemoveExample(const Example& z) {
     return NotFoundError("StreamingRiskProfile: no live example matches the "
                          "removal candidate bitwise");
   }
-  for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i].Add(-delta_row_[i]);
+  Fold(z, fused, /*remove=*/true);
   // Swap-compact: the removed slot takes the last live example; retired
   // slots keep their capacity for recycling by a later Add.
   const std::size_t last = live_count_ - 1;
@@ -221,7 +208,7 @@ Status StreamingRiskProfile::SnapshotInto(std::vector<double>* out) const {
   }
   const double n = static_cast<double>(live_count_);
   for (std::size_t i = 0; i < sums_.size(); ++i) {
-    (*out)[i] = sums_[i].Value() / n;
+    (*out)[i] = (sums_[i] + comps_[i]) / n;  // KahanSum::Value() / n
   }
   return Status::Ok();
 }
@@ -243,7 +230,8 @@ Status StreamingRiskProfile::Resync() {
   if (live_count_ == 0) {
     // An empty stream has nothing to recompute; resetting the accumulators
     // is the exact (bitwise-trivial) resync.
-    for (KahanSum& sum : sums_) sum.Reset();
+    std::fill(sums_.begin(), sums_.end(), 0.0);
+    std::fill(comps_.begin(), comps_.end(), 0.0);
     synced_ = false;
     return Status::Ok();
   }
@@ -254,7 +242,8 @@ Status StreamingRiskProfile::Resync() {
     resync_risks_[i] = full[i];
     // Future deltas continue from the recomputed mean; the (mean·n) rounding
     // is one ulp of re-seeding error, covered by the drift contract.
-    sums_[i].Reset(full[i] * n);
+    sums_[i] = full[i] * n;
+    comps_[i] = 0.0;
   }
   synced_ = true;
   ++resyncs_;

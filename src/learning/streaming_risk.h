@@ -8,22 +8,11 @@
 
 #include "learning/dataset.h"
 #include "learning/loss.h"
-#include "simd/dataset_soa.h"
 #include "simd/kernels.h"
 #include "util/math_util.h"
 #include "util/status.h"
 
 namespace dplearn {
-
-/// Per-hypothesis loss row l_{θ_i}(z) into *out (resized to |Θ|) — the
-/// O(|Θ|) delta a streaming update folds into its sums, routed through
-/// simd::MeanLossKernel on a one-example SoA when the loss has a
-/// devirtualized kernel (bitwise-equal to the scalar formula at n=1).
-/// Shared with the risk-profile cache's revision path so both deltas sum
-/// identical bits. OutOfRange on non-finite input or a custom loss emitting
-/// a non-finite value; InvalidArgument on an empty hypothesis list.
-Status LossRow(const LossFunction& loss, const std::vector<Vector>& thetas,
-               const Example& z, std::vector<double>* out);
 
 /// Incrementally maintained empirical-risk profile over a finite hypothesis
 /// class — the streaming form of EmpiricalRiskProfile for data that arrives
@@ -35,11 +24,12 @@ Status LossRow(const LossFunction& loss, const std::vector<Vector>& thetas,
 /// evaluations instead of the O(|Θ|·n) full recompute. Per hypothesis the
 /// running loss sum is a Kahan–Babuška–Neumaier accumulator, so a long
 /// add/remove stream accrues O(u) error per mutation instead of O(n·u).
-/// The delta row is routed through simd::MeanLossKernel on a one-example
-/// SoA when the loss has a devirtualized kernel (SimdLossSpec) and
-/// simd::SimdEnabled(): a one-example kernel call is below
-/// simd::kBlockedSumMinN, hence sequential and bitwise-equal to the scalar
-/// loss formula — both paths feed identical per-example bits into the sums.
+/// When the loss has a devirtualized kernel (SimdLossSpec) and
+/// simd::SimdEnabled(), a mutation is one simd::FoldExampleLoss pass that
+/// evaluates every hypothesis's loss and folds it straight into its sum;
+/// each loss is bitwise what simd::MeanLossKernel gives for a one-example
+/// dataset (DESIGN.md §15.1). A custom loss, or DPLEARN_SIMD=0, fills a
+/// delta row through the virtual Loss() and folds that.
 ///
 /// Numerical drift contract (DESIGN.md §15): the incremental snapshot and a
 /// full EmpiricalRiskProfile recompute over the same live multiset sum the
@@ -60,7 +50,7 @@ Status LossRow(const LossFunction& loss, const std::vector<Vector>& thetas,
 /// snapshots of an empty stream with FailedPrecondition.
 ///
 /// Steady state is allocation-free at constant occupancy: the per-Θ sums,
-/// the delta row and the one-example SoA are sized at construction, example
+/// the Θ block and the delta row are sized at construction, example
 /// slots are recycled by copy-assignment (feature-vector capacity reused),
 /// and removal swaps with the last live slot. Resync() is the amortized
 /// slow path and may allocate. Not thread-safe; callers serialize (the
@@ -135,9 +125,13 @@ class StreamingRiskProfile {
   StreamingRiskProfile(const LossFunction* loss, std::vector<Vector> thetas,
                        Options options);
 
-  /// Per-hypothesis loss row l_{θ_i}(z) into delta_row_, kernel-routed when
-  /// eligible; validates finiteness/dimension on the way.
-  Status ComputeDeltaRow(const Example& z);
+  /// Checks `z` against the stream (ragged, then non-finite) and decides
+  /// the path into *fused. On the virtual path it fills delta_row_, which
+  /// rejects a custom loss's non-finite value. Changes no sum.
+  Status PrepareFold(const Example& z, bool* fused);
+  /// Adds l_{θ_i}(z) to every sum, or subtracts it when `remove`: the
+  /// kernel pass when `fused`, else delta_row_ from PrepareFold.
+  void Fold(const Example& z, bool fused, bool remove);
   /// Bumps the mutation counters and auto-resyncs at the configured period.
   Status AfterMutation();
 
@@ -148,10 +142,15 @@ class StreamingRiskProfile {
   /// theta.size() == feature dim, checked against each incoming example.
   std::size_t uniform_theta_dim_ = 0;
   bool thetas_uniform_ = false;
+  /// Θ feature-major (coordinate j of θ_i at j·|Θ| + i) for the kernel
+  /// pass; filled only when the thetas are uniform and the loss has a kernel.
+  std::vector<double> theta_block_;
 
-  std::vector<KahanSum> sums_;          // per-θ compensated loss sums
-  std::vector<double> delta_row_;       // scratch: l_{θ_i}(z), pre-sized
-  simd::DatasetSoA delta_soa_;          // scratch: the one-example SoA
+  /// Per-θ compensated loss sums, KahanSum's two terms as two arrays for
+  /// the kernel pass: the running sum and its correction.
+  std::vector<double> sums_;
+  std::vector<double> comps_;
+  std::vector<double> delta_row_;       // scratch: l_{θ_i}(z) on the virtual path
   std::vector<Example> examples_;       // slots [0, live_count_) are live
   std::vector<std::uint64_t> hashes_;   // content hash per live slot
   std::size_t live_count_ = 0;

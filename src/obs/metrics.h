@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,18 +28,41 @@ inline void AtomicAddDouble(std::atomic<double>* target, double delta) {
   }
 }
 
+/// This thread's index, dealt once per thread in the order threads first
+/// ask, and kept for life. Per-thread striped state (Counter cells, the
+/// risk-profile cache's reader stripes) takes it modulo its stripe count,
+/// so up to that many threads never share a stripe.
+inline std::size_t ThreadIndex() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+  return index;
+}
+
 /// A monotonically increasing event count. All operations are lock-free
-/// relaxed atomics — the metrics fast path.
+/// relaxed atomics — the metrics fast path. Each thread adds to its own
+/// cache-line cell (ThreadIndex() modulo kCells), so threads that count the
+/// same event do not contend; Value() sums the cells.
 class Counter {
  public:
+  static constexpr std::size_t kCells = 16;
+
   void Increment(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[ThreadIndex() % kCells].value.fetch_add(delta, std::memory_order_relaxed);
   }
-  std::uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  std::uint64_t Value() const {
+    std::uint64_t total = 0;
+    for (const Cell& cell : cells_) total += cell.value.load(std::memory_order_relaxed);
+    return total;
+  }
+  void Reset() {
+    for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  Cell cells_[kCells];
 };
 
 /// A last-written instantaneous value (e.g. an acceptance rate). Lock-free.

@@ -62,14 +62,6 @@ void CountHit(bool hit) {
   (hit ? hits : misses)->Increment();
 }
 
-/// Dealt once per thread, round-robin: a thread keeps its stripe for life,
-/// in every cache.
-std::size_t ThreadStripeIndex() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-  return index;
-}
-
 }  // namespace
 
 RiskProfileCache::WriterLock::WriterLock(RiskProfileCache* cache) : cache_(cache) {
@@ -89,7 +81,8 @@ RiskProfileCache& RiskProfileCache::Global() {
 }
 
 RiskProfileCache::Stripe& RiskProfileCache::OwnStripe() const {
-  return stripes_[ThreadStripeIndex() % kStripes];
+  // A thread keeps its index, and so its stripe, for life, in every cache.
+  return stripes_[obs::ThreadIndex() % kStripes];
 }
 
 bool RiskProfileCache::Matches(const Entry& entry, std::uint64_t hash,

@@ -185,7 +185,7 @@ class RiskProfileCache {
   using EntryList = std::list<Entry>;
 
   /// One reader lock and one hit count per cache line. A thread always
-  /// takes the same stripe (threads are dealt stripes round-robin), so with
+  /// takes the same stripe (obs::ThreadIndex() modulo kStripes), so with
   /// up to kStripes threads no two readers touch the same stripe.
   struct alignas(64) Stripe {
     std::shared_mutex mu;

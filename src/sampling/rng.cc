@@ -45,8 +45,8 @@ void Rng::FillDoubles(double* out, std::size_t n) {
     s0 ^= s3;
     s2 ^= t;
     s3 = std::rotl(s3, 45);
-    const double top = static_cast<double>(result >> 11);
-    out[i] = (kOpen ? top + 0.5 : top) * 0x1.0p-53;
+    out[i] = kOpen ? OpenUnitFromBits(result)
+                   : static_cast<double>(result >> 11) * 0x1.0p-53;
   }
   s_[0] = s0;
   s_[1] = s1;

@@ -50,11 +50,18 @@ class Rng {
     return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
   }
 
-  /// Returns a uniform double in the open interval (0, 1); never 0, so it is
-  /// safe as an argument to log() in inverse-CDF samplers.
-  double NextDoubleOpen() {
-    // (u + 0.5) / 2^53 lies in (0, 1) strictly.
-    return (static_cast<double>(NextUint64() >> 11) + 0.5) * 0x1.0p-53;
+  /// Returns a uniform double in the open interval (0, 1); never 0 or 1, so
+  /// it is safe as an argument to log() and log1p(-u) in inverse-CDF
+  /// samplers.
+  double NextDoubleOpen() { return OpenUnitFromBits(NextUint64()); }
+
+  /// The NextDoubleOpen() value of 64 raw bits: (k + 0.5)·2⁻⁵³ for their
+  /// top 53 bits k. For k = 2⁵³ − 1 that sum rounds to 2⁵³, so the all-ones
+  /// draw maps to 1 − 2⁻⁵³, the largest double below 1; every other k keeps
+  /// its value. Range: [2⁻⁵⁴, 1 − 2⁻⁵³].
+  static double OpenUnitFromBits(std::uint64_t bits) {
+    const double u = (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
   }
 
   /// Fills out[0..n) with the next n uniform doubles in [0, 1) — bit- and

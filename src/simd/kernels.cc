@@ -182,7 +182,7 @@ double SumLossDispatchDim1(double theta0, const double* x, const double* y,
 }
 
 template <typename F>
-double DispatchKind(LossKind kind, F&& f) {
+decltype(auto) DispatchKind(LossKind kind, F&& f) {
   switch (kind) {
     case LossKind::kZeroOne:
       return f.template operator()<LossKind::kZeroOne>();
@@ -193,9 +193,32 @@ double DispatchKind(LossKind kind, F&& f) {
     case LossKind::kLogistic:
       return f.template operator()<LossKind::kLogistic>();
     case LossKind::kHuber:
-      return f.template operator()<LossKind::kHuber>();
+      break;
   }
-  return 0.0;  // unreachable: all kinds enumerated
+  return f.template operator()<LossKind::kHuber>();
+}
+
+/// d[i] += t·v[i] for i < n: the dot-product step both loss kernels sweep
+/// feature by feature, MeanLossKernel over examples and FoldExampleLoss
+/// over hypotheses. One loop for both keeps each dot's products and sums
+/// the same, including any multiply-add the target contracts.
+inline void AddScaled(double t, const double* v, std::size_t n, double* d) {
+  for (std::size_t i = 0; i < n; ++i) d[i] += t * v[i];
+}
+
+/// The fold of FoldExampleLoss for one kind and direction: the sum i gets
+/// ±LossElem(a[i]·scale, y). Dim 1 passes (Θ, x₀), so a[i]·scale is the
+/// single multiply θ_i0·x₀ that MeanLossKernel forms; dim > 1 passes (the
+/// dots, 1.0), and multiplying by 1.0 is exact.
+/// n = 1 keeps MeanLossKernel's sum sequential: 0.0 + l and l / 1.0 are l
+/// itself, because no loss formula returns -0.0.
+template <LossKind K, bool kRemove>
+void FoldLosses(const double* a, double scale, std::size_t m, double y, double clip,
+                double delta, double* sums, double* comps) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double l = LossElem<K>::Eval(a[i] * scale, y, clip, delta);
+    CompensatedAdd(kRemove ? -l : l, &sums[i], &comps[i]);
+  }
 }
 
 /// Max scan that propagates the FIRST NaN (matching util::LogSumExp's
@@ -285,16 +308,33 @@ double MeanLossKernel(const LossSpec& spec, const double* theta, std::size_t dim
     thread_local std::vector<double> dots;
     dots.assign(n, 0.0);
     double* d = dots.data();
-    for (std::size_t j = 0; j < dim; ++j) {
-      const double tj = theta[j];
-      const double* col = data.column(j);
-      for (std::size_t i = 0; i < n; ++i) d[i] += tj * col[i];
-    }
+    for (std::size_t j = 0; j < dim; ++j) AddScaled(theta[j], data.column(j), n, d);
     sum = DispatchKind(spec.kind, [&]<LossKind K>() {
       return SumLossDots<K>(d, y, n, clip, delta);
     });
   }
   return sum / static_cast<double>(n);
+}
+
+void FoldExampleLoss(const LossSpec& spec, const double* thetas, std::size_t m,
+                     std::size_t dim, const double* x, double y, bool remove,
+                     double* sums, double* comps) {
+  const double* a = thetas;
+  const double scale = dim == 1 ? x[0] : 1.0;
+  if (dim != 1) {
+    // The dots θ_i·x, feature-major as MeanLossKernel sums them.
+    thread_local std::vector<double> dots;
+    dots.assign(m, 0.0);
+    for (std::size_t j = 0; j < dim; ++j) AddScaled(x[j], thetas + j * m, m, dots.data());
+    a = dots.data();
+  }
+  DispatchKind(spec.kind, [&]<LossKind K>() {
+    if (remove) {
+      FoldLosses<K, true>(a, scale, m, y, spec.clip, spec.delta, sums, comps);
+    } else {
+      FoldLosses<K, false>(a, scale, m, y, spec.clip, spec.delta, sums, comps);
+    }
+  });
 }
 
 double LogSumExp(const double* x, std::size_t n) {

@@ -19,6 +19,9 @@ namespace simd {
 ///     GumbelMaxIndex has no vector variant: it is the one Gumbel-max loop
 ///     every sampler calls, whatever DPLEARN_SIMD says, so the kernels
 ///     never change which hypothesis a sampler draws.
+///   * FoldExampleLoss evaluates one example under every hypothesis with
+///     MeanLossKernel's per-element formula and folds each loss into that
+///     hypothesis's compensated sum; per hypothesis it is reorder-free.
 ///   * REDUCTION kernels (MeanLossKernel, LogSumExp) accumulate in
 ///     kReductionLanes independent lanes below a fixed pairwise combine —
 ///     a reordered but deterministic sum. For n < kBlockedSumMinN the sum
@@ -69,6 +72,19 @@ struct LossSpec {
 /// every kind.
 double MeanLossKernel(const LossSpec& spec, const double* theta, std::size_t dim,
                       const DatasetSoA& data);
+
+/// The streaming risk profile's per-example pass (DESIGN.md §15.1): for
+/// each of m hypotheses, adds the loss l_i = l_{θ_i}(x, y) to the
+/// compensated sum (sums[i], comps[i]) with CompensatedAdd, the step of
+/// KahanSum::Add, or subtracts it when `remove`. `thetas` is feature-major:
+/// thetas[j·m + i] is coordinate j of θ_i. l_i is MeanLossKernel's
+/// per-element formula on θ_i·x, the dot product summed in feature order
+/// from 0.0 (dim 1: θ_i0·x_0), so it is bitwise what MeanLossKernel returns
+/// for the one-example dataset {(x, y)}. Preconditions as MeanLossKernel:
+/// all inputs finite.
+void FoldExampleLoss(const LossSpec& spec, const double* thetas, std::size_t m,
+                     std::size_t dim, const double* x, double y, bool remove,
+                     double* sums, double* comps);
 
 /// log Σ exp(x_i) with the blocked reduction. Edge cases match
 /// util::LogSumExp exactly: n==0 → -inf, any NaN → that NaN (first one),

@@ -63,8 +63,6 @@ double XLogXOverY(double x, double y) {
   return x * std::log(x / y);
 }
 
-double Clamp(double x, double lo, double hi) { return std::min(hi, std::max(lo, x)); }
-
 bool ApproxEqual(double a, double b, double abs_tol, double rel_tol) {
   const double diff = std::fabs(a - b);
   return diff <= abs_tol + rel_tol * std::max(std::fabs(a), std::fabs(b));

@@ -1,6 +1,7 @@
 #ifndef DPLEARN_UTIL_MATH_UTIL_H_
 #define DPLEARN_UTIL_MATH_UTIL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -53,8 +54,11 @@ double XLogX(double x);
 /// Returns x*log(x/y) with conventions 0*log(0/y)=0; +inf when x>0 and y==0.
 double XLogXOverY(double x, double y);
 
-/// Clamps `x` to [lo, hi].
-double Clamp(double x, double lo, double hi);
+/// Clamps `x` to [lo, hi]. Inline: every loss formula ends in it, and the
+/// kernels evaluate those formulas once per hypothesis and example.
+inline double Clamp(double x, double lo, double hi) {
+  return std::min(hi, std::max(lo, x));
+}
 
 /// The library-wide non-negativity clamp policy for information measures
 /// (entropy, KL / Rényi divergence, mutual information, RDP curves). These
@@ -74,6 +78,21 @@ inline double ClampRoundingNegative(double x) {
 /// Returns true iff |a-b| <= abs_tol + rel_tol*max(|a|,|b|).
 bool ApproxEqual(double a, double b, double abs_tol = 1e-9, double rel_tol = 1e-9);
 
+/// One compensated (Kahan–Babuška–Neumaier) step: *sum += x, and the
+/// rounding error of that addition goes into the correction *c. The error
+/// is Knuth's TwoSum, which is exact for any two finite operands whose sum
+/// does not overflow, whichever is larger. Neumaier's rule, branching on
+/// |*sum| >= |x|, computes the same exact error (and +0 when there is none),
+/// so the two agree bitwise on such operands; without the branch a loop of
+/// steps vectorizes. KahanSum::Add is this step, and the streaming risk
+/// profile runs it over its arrays of sums.
+inline void CompensatedAdd(double x, double* sum, double* c) {
+  const double t = *sum + x;
+  const double x_part = t - *sum;
+  *c += (*sum - (t - x_part)) + (x - x_part);
+  *sum = t;
+}
+
 /// Compensated (Kahan–Babuška–Neumaier) accumulator: the running error of
 /// each addition is carried in a correction term, so summing n values costs
 /// O(u) error instead of O(n·u). Used wherever many small increments must
@@ -84,16 +103,7 @@ class KahanSum {
   KahanSum() = default;
   explicit KahanSum(double initial) : sum_(initial) {}
 
-  void Add(double x) {
-    const double t = sum_ + x;
-    // Neumaier's branch keeps the correction valid when |x| > |sum_|.
-    if ((sum_ >= 0 ? sum_ : -sum_) >= (x >= 0 ? x : -x)) {
-      c_ += (sum_ - t) + x;
-    } else {
-      c_ += (x - t) + sum_;
-    }
-    sum_ = t;
-  }
+  void Add(double x) { CompensatedAdd(x, &sum_, &c_); }
 
   /// The compensated total.
   double Value() const { return sum_ + c_; }

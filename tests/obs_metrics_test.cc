@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -23,6 +25,31 @@ TEST(ObsCounterTest, IncrementAndReset) {
   EXPECT_EQ(c.Value(), 42u);
   c.Reset();
   EXPECT_EQ(c.Value(), 0u);
+}
+
+// Eight threads count on their own cells while the main thread sums the
+// cells: the total is exact once they join, and Reset clears every cell.
+TEST(ObsCounterTest, StripedIncrementsFromEightThreadsSumExactly) {
+  Counter counter;
+  constexpr int kThreads = 8;
+  constexpr int kIncrementsPerThread = 100000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter] {
+      for (int i = 0; i < kIncrementsPerThread; ++i) counter.Increment();
+    });
+  }
+  std::uint64_t last = 0;
+  for (int r = 0; r < 100; ++r) last = std::max(last, counter.Value());
+  for (std::thread& t : threads) t.join();
+  const std::uint64_t expected = static_cast<std::uint64_t>(kThreads) * kIncrementsPerThread;
+  EXPECT_LE(last, expected);
+  EXPECT_EQ(counter.Value(), expected);
+  counter.Reset();
+  EXPECT_EQ(counter.Value(), 0u);
+  counter.Increment(3);
+  EXPECT_EQ(counter.Value(), 3u);
 }
 
 TEST(ObsGaugeTest, SetAddReset) {

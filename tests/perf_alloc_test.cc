@@ -185,9 +185,9 @@ TEST(PerfAllocTest, GibbsSampleOnWarmCacheAllocatesNothing) {
 TEST(PerfAllocTest, StreamingAddRemoveAndSampleAreAllocationFreeInSteadyState) {
   // The streaming contract (DESIGN.md §15): at constant occupancy, the
   // add → remove → draw loop of a long-running stream touches the heap zero
-  // times. Example slots are recycled by copy-assignment, the delta row and
-  // one-example SoA are sized at construction, and SampleStreaming reuses
-  // the estimator's thread_local scratch.
+  // times. Example slots are recycled by copy-assignment, the Θ block, sums
+  // and delta row are sized at construction, and SampleStreaming reuses the
+  // estimator's thread_local scratch.
   const ClippedSquaredLoss loss(1.0);
   auto grid = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 101).value();
   StreamingRiskProfile::Options options;

@@ -1,6 +1,7 @@
 #include "sampling/rng.h"
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -40,6 +41,39 @@ TEST(RngTest, NextDoubleOpenNeverZeroOrOne) {
     const double u = rng.NextDoubleOpen();
     EXPECT_GT(u, 0.0);
     EXPECT_LT(u, 1.0);
+  }
+}
+
+// No seed is known to reach the all-ones draw, so the ends of the open
+// interval are pinned through the bits-to-double map itself.
+TEST(RngTest, OpenUnitFromBitsStaysInsideTheOpenIntervalAtBothEnds) {
+  const double top = Rng::OpenUnitFromBits(~std::uint64_t{0});
+  const double bottom = Rng::OpenUnitFromBits(0);
+  EXPECT_EQ(top, 0x1.fffffffffffffp-1);  // 1 − 2⁻⁵³, not (2⁵³ − 0.5)·2⁻⁵³ → 1.0
+  EXPECT_EQ(bottom, 0x1p-54);
+  // The next draw down keeps its old value, 1 − 2⁻⁵².
+  EXPECT_EQ(Rng::OpenUnitFromBits(~std::uint64_t{0} - (std::uint64_t{1} << 11)),
+            0x1.ffffffffffffep-1);
+  // What the samplers make of the ends: SampleLaplace's log1p(−2|u − ½|)
+  // and the Gumbel noise −log(−log u) stay finite, G ∈ [−3.62, 36.74].
+  EXPECT_TRUE(std::isfinite(std::log1p(-2.0 * std::fabs(top - 0.5))));
+  EXPECT_NEAR(-std::log(-std::log(top)), 36.74, 0.005);
+  EXPECT_NEAR(-std::log(-std::log(bottom)), -3.62, 0.005);
+}
+
+TEST(RngTest, OpenUnitFromBitsKeepsEveryOtherDrawsBits) {
+  Rng bits(31);
+  Rng single(31);
+  Rng batched(31);
+  std::vector<double> batch(4096);
+  batched.NextDoubleOpenBatch(batch.data(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::uint64_t raw = bits.NextUint64();
+    const double old_formula = (static_cast<double>(raw >> 11) + 0.5) * 0x1.0p-53;
+    ASSERT_LT(old_formula, 1.0);
+    EXPECT_EQ(Rng::OpenUnitFromBits(raw), old_formula);
+    EXPECT_EQ(single.NextDoubleOpen(), old_formula);
+    EXPECT_EQ(batch[i], old_formula);
   }
 }
 

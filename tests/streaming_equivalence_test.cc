@@ -10,8 +10,12 @@
 ///     over LiveDataset(), and stays bitwise-stable until the next mutation;
 ///   * an add-then-remove round trip returns to the starting profile within
 ///     the drift bound;
-///   * the scalar and SIMD streaming paths agree (the one-example delta row
-///     is sequential in both modes);
+///   * every mutation's sums are BITWISE a compensated sum the test keeps
+///     itself — the per-example losses in arrival order — for each kernel
+///     loss kind at dims 1 and 3, a custom loss and DPLEARN_SIMD=0, and a
+///     rejected mutation leaves every sum as it was;
+///   * the scalar and SIMD streaming paths agree (both evaluate each
+///     example's loss on its own, with no reduction over examples);
 ///   * GibbsEstimator::SampleStreaming is bit- and stream-identical to
 ///     SampleGivenRisks on the snapshot, and SampleStreamingBatch to k
 ///     single draws.
@@ -21,6 +25,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,8 +38,12 @@
 #include "learning/risk.h"
 #include "learning/streaming_risk.h"
 #include "sampling/rng.h"
+#include "simd/dataset_soa.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
+#include "util/content_hash.h"
+#include "util/math_util.h"
+#include "util/matrix.h"
 #include "util/status.h"
 
 namespace dplearn {
@@ -272,7 +281,9 @@ TEST(StreamingEquivalence, AddRemoveOrderingsMatchFull) {
       // Interleave: re-admit fresh content, retire some of it again.
       for (std::size_t i = 0; i < extra.size(); ++i) {
         ASSERT_TRUE(profile.AddExample(extra[i]).ok());
-        if (i % 2 == 1) ASSERT_TRUE(profile.RemoveExample(extra[i]).ok());
+        if (i % 2 == 1) {
+          ASSERT_TRUE(profile.RemoveExample(extra[i]).ok());
+        }
       }
       EXPECT_EQ(profile.size(), examples.size() - 32 + extra.size() / 2);
       ExpectSnapshotWithinDriftBound(profile, named.name + " after interleave ordering=" +
@@ -349,9 +360,228 @@ TEST(StreamingEquivalence, AutoResyncFiresEveryConfiguredPeriod) {
 }
 
 // --------------------------------------------------------------------------
-// Mode equivalence: the delta row is a one-example (sequential) kernel call
-// in SIMD mode and the scalar formula otherwise; both streams stay within a
-// small mode-independent envelope of each other.
+// The fused pass (DESIGN.md §15.1): a mutation folds each hypothesis's loss
+// straight into its compensated sum. The sums must be bitwise what the
+// per-example delta row gave, which ReferenceSums rebuilds outside the
+// profile: one KahanSum per hypothesis over the per-example losses in
+// arrival order, restarted from mean·n at a resync.
+
+/// On targets with fused multiply-add the compiler may contract loss.cc's
+/// and kernels.cc's copies of a formula differently (SimdEquivalence's
+/// 4-ulp small-n budget covers that gap).
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+constexpr bool kMayContract = true;
+#else
+constexpr bool kMayContract = false;
+#endif
+
+/// The loss a mutation folds in, bitwise. On the virtual path (a custom
+/// loss, or DPLEARN_SIMD=0) it is the virtual Loss(). On the kernel path it
+/// is simd::MeanLossKernel over the one-example dataset {z}, the delta row
+/// the fused pass replaced; without FP contraction that is the virtual
+/// Loss() as well, which this checks.
+double FoldedLoss(const LossFunction& loss, const Vector& theta, const Example& z) {
+  const double virtual_loss = loss.Loss(theta, z);
+  const std::optional<simd::LossSpec> spec = SimdLossSpec(loss);
+  if (!spec.has_value() || !simd::SimdEnabled()) return virtual_loss;
+  simd::DatasetSoA one;
+  EXPECT_TRUE(BuildDatasetSoA(Dataset({z}), &one).ok());
+  const double kernel_loss = simd::MeanLossKernel(*spec, theta.data(), theta.size(), one);
+  if (!kMayContract) {
+    EXPECT_EQ(DoubleBits(kernel_loss), DoubleBits(virtual_loss))
+        << loss.Name() << ": the kernel's one-example loss is not the virtual Loss()";
+  }
+  return kernel_loss;
+}
+
+class ReferenceSums {
+ public:
+  ReferenceSums(const LossFunction& loss, const std::vector<Vector>& thetas)
+      : loss_(loss), thetas_(thetas), sums_(thetas.size()) {}
+
+  void Add(const Example& z) { Fold(z, /*remove=*/false); }
+  void Remove(const Example& z) { Fold(z, /*remove=*/true); }
+
+  /// Restarts every sum from the batch mean, as StreamingRiskProfile::Resync.
+  void Resync(const std::vector<double>& batch) {
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      sums_[i].Reset(batch[i] * static_cast<double>(n_));
+    }
+  }
+
+  std::vector<double> Snapshot() const {
+    std::vector<double> out(sums_.size());
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      out[i] = sums_[i].Value() / static_cast<double>(n_);
+    }
+    return out;
+  }
+
+ private:
+  void Fold(const Example& z, bool remove) {
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      const double l = FoldedLoss(loss_, thetas_[i], z);
+      sums_[i].Add(remove ? -l : l);
+    }
+    n_ = remove ? n_ - 1 : n_ + 1;
+  }
+
+  const LossFunction& loss_;
+  const std::vector<Vector>& thetas_;
+  std::vector<KahanSum> sums_;
+  std::size_t n_ = 0;
+};
+
+/// A loss with no kernel: half the absolute residual, clipped at 1.5. It
+/// emits +inf on the label 7, so the virtual path's non-finite check has
+/// something to reject.
+class HalfAbsoluteLoss final : public LossFunction {
+ public:
+  double Loss(const Vector& theta, const Example& z) const override {
+    if (z.label == 7.0) return std::numeric_limits<double>::infinity();
+    return Clamp(0.5 * std::fabs(Dot(theta, z.features) - z.label), 0.0, 1.5);
+  }
+  double UpperBound() const override { return 1.5; }
+  std::string Name() const override { return "half_absolute"; }
+};
+
+std::vector<NamedLoss> KernelAndCustomLosses() {
+  std::vector<NamedLoss> losses = AllBuiltinLosses();
+  losses.push_back({"custom", std::make_unique<HalfAbsoluteLoss>()});
+  return losses;
+}
+
+/// Examples of any feature dimension with mixed-sign features, ±1 and real
+/// labels, and a signed-zero example.
+std::vector<Example> MixedExamples(std::size_t n, std::size_t dim, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Example> examples(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    examples[i].features.resize(dim);
+    for (double& x : examples[i].features) x = 3.0 * rng.NextDouble() - 1.5;
+    examples[i].label = i % 3 == 0 ? 2.0 * rng.NextDouble() - 0.5
+                                   : (rng.NextDouble() < 0.5 ? -1.0 : 1.0);
+  }
+  examples[n / 2].features.assign(dim, -0.0);
+  examples[n / 2].label = -0.0;
+  return examples;
+}
+
+TEST(StreamingEquivalence, FusedPassSumsMatchCompensatedReferenceBitwise) {
+  for (const NamedLoss& named : KernelAndCustomLosses()) {
+    for (const std::size_t dim : {std::size_t{1}, std::size_t{3}}) {
+      for (const bool simd_on : {true, false}) {
+        ScopedSimd mode(simd_on);
+        const std::string context = named.name + " dim=" + std::to_string(dim) +
+                                    (simd_on ? " simd" : " scalar");
+        const std::vector<Vector> thetas = dim == 1 ? ScalarThetas(41) : DenseThetas(41, 3, 71);
+        const std::vector<Example> examples = MixedExamples(72, dim, 72 + dim);
+        auto profile =
+            StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
+        ReferenceSums reference(*named.loss, thetas);
+
+        // Seed, then turn the stream over: remove the first, the newest and
+        // every fifth of the seed, add the rest.
+        for (std::size_t i = 0; i < 48; ++i) {
+          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+          reference.Add(examples[i]);
+        }
+        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(), context + " seed");
+        for (std::size_t i = 0; i < 48; i += 5) {
+          ASSERT_TRUE(profile.RemoveExample(examples[i]).ok()) << context;
+          reference.Remove(examples[i]);
+        }
+        ASSERT_TRUE(profile.RemoveExample(examples[47]).ok()) << context;
+        reference.Remove(examples[47]);
+        for (std::size_t i = 48; i < 60; ++i) {
+          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+          reference.Add(examples[i]);
+        }
+        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
+                       context + " adds and removes");
+
+        // A resync pins the batch bits, and the sums restart from them.
+        ASSERT_TRUE(profile.Resync().ok()) << context;
+        const std::vector<double> batch = FullRecompute(profile);
+        ExpectBitEqual(profile.Snapshot().value(), batch, context + " resync");
+        reference.Resync(batch);
+        for (std::size_t i = 60; i < examples.size(); ++i) {
+          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+          reference.Add(examples[i]);
+        }
+        ASSERT_TRUE(profile.RemoveExample(examples[1]).ok()) << context;
+        reference.Remove(examples[1]);
+        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
+                       context + " after resync");
+      }
+    }
+  }
+}
+
+TEST(StreamingEquivalence, RejectedMutationsLeaveEverySumUntouched) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const NamedLoss& named : KernelAndCustomLosses()) {
+    for (const std::size_t dim : {std::size_t{1}, std::size_t{3}}) {
+      for (const bool simd_on : {true, false}) {
+        ScopedSimd mode(simd_on);
+        const std::string context = named.name + " dim=" + std::to_string(dim) +
+                                    (simd_on ? " simd" : " scalar");
+        const std::vector<Vector> thetas = dim == 1 ? ScalarThetas(17) : DenseThetas(17, 3, 81);
+        const std::vector<Example> examples = MixedExamples(24, dim, 82 + dim);
+        auto profile =
+            StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
+        ReferenceSums reference(*named.loss, thetas);
+        for (std::size_t i = 0; i < 20; ++i) {
+          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+          reference.Add(examples[i]);
+        }
+        const std::vector<double> before = profile.Snapshot().value();
+
+        Example nan_feature = examples[20];
+        nan_feature.features[dim - 1] = kNaN;
+        Example inf_label = examples[20];
+        inf_label.label = kInf;
+        Example ragged = examples[20];
+        ragged.features.push_back(0.5);
+        Example live_nan = examples[3];
+        live_nan.features[0] = kNaN;
+        EXPECT_EQ(profile.AddExample(nan_feature).code(), StatusCode::kOutOfRange) << context;
+        EXPECT_EQ(profile.AddExample(inf_label).code(), StatusCode::kOutOfRange) << context;
+        EXPECT_EQ(profile.AddExample(ragged).code(), StatusCode::kInvalidArgument) << context;
+        EXPECT_EQ(profile.RemoveExample(live_nan).code(), StatusCode::kOutOfRange) << context;
+        EXPECT_EQ(profile.RemoveExample(ragged).code(), StatusCode::kInvalidArgument)
+            << context;
+        EXPECT_EQ(profile.RemoveExample(examples[21]).code(), StatusCode::kNotFound)
+            << context;
+        if (named.name == "custom") {
+          // The virtual path's own check: a finite example the custom loss
+          // maps to +inf.
+          Example exploding = examples[20];
+          exploding.label = 7.0;
+          EXPECT_EQ(profile.AddExample(exploding).code(), StatusCode::kOutOfRange) << context;
+        }
+        EXPECT_EQ(profile.size(), 20u) << context;
+        EXPECT_EQ(profile.mutations(), 20u) << context;
+        ExpectBitEqual(profile.Snapshot().value(), before, context + " after rejections");
+
+        // The compensation terms are untouched too: later mutations still
+        // land on the reference's bits.
+        ASSERT_TRUE(profile.AddExample(examples[20]).ok()) << context;
+        reference.Add(examples[20]);
+        ASSERT_TRUE(profile.RemoveExample(examples[3]).ok()) << context;
+        reference.Remove(examples[3]);
+        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
+                       context + " mutations after rejections");
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Mode equivalence: each example's loss is the kernel formula in SIMD mode
+// and the virtual Loss() otherwise; both streams stay within a small
+// mode-independent envelope of each other.
 
 TEST(StreamingEquivalence, ScalarAndSimdStreamsAgree) {
   const std::vector<Example> dense = RegressionExamples(96, 61);

@@ -1,6 +1,8 @@
 #include "util/math_util.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -199,6 +201,62 @@ TEST(KahanSumTest, RecoversSmallTermNextToHugeTerm) {
   KahanSum kahan;
   for (const double x : {1.0, 1e100, 1.0, -1e100}) kahan.Add(x);
   EXPECT_EQ(kahan.Value(), 2.0);
+}
+
+/// Neumaier's rule as KahanSum::Add wrote it before the step became
+/// branch-free: the reference CompensatedAdd must match bitwise.
+void BranchyNeumaierAdd(double x, double* sum, double* c) {
+  const double t = *sum + x;
+  if ((*sum >= 0 ? *sum : -*sum) >= (x >= 0 ? x : -x)) {
+    *c += (*sum - t) + x;
+  } else {
+    *c += (x - t) + *sum;
+  }
+  *sum = t;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+TEST(KahanSumTest, CompensatedAddIsNeumaiersRuleBitwise) {
+  const double kTiny = std::numeric_limits<double>::denorm_min();
+  const double kBig = std::numeric_limits<double>::max() / 4.0;
+  // (sum, correction, x): |x| > |sum| and the reverse, signed zeros,
+  // exact cancellation, subnormals, huge next to tiny, inexact sums.
+  const std::vector<std::vector<double>> cases = {
+      {0.0, 0.0, 0.0},       {-0.0, 0.0, 0.0},      {0.0, 0.0, -0.0},
+      {-0.0, -0.0, -0.0},    {-0.0, 0.0, 1.5},      {2.5, -0.0, -0.0},
+      {1.0, 0.0, 1e100},     {1e100, 0.0, 1.0},     {1.0, 1e-17, -1e100},
+      {3.0, 0.0, -3.0},      {-3.0, 0.0, 3.0},      {0.1, 0.0, 0.2},
+      {0.2, 1e-18, 0.1},     {kTiny, 0.0, kTiny},   {kTiny, 0.0, -1.0},
+      {1.0, 0.0, kTiny},     {kBig, 0.0, kBig},     {kBig, 0.0, -kTiny},
+      {-kBig, 5e300, 1.0},   {1e16, 0.0, 1.0},      {1e16, 0.0, -1.0},
+      {-1e16, 0.0, 3.0},     {0.7, 0.0, -0.7000000000000001},
+  };
+  for (const std::vector<double>& pair : cases) {
+    double s_ref = pair[0], c_ref = pair[1];
+    double s = pair[0], c = pair[1];
+    BranchyNeumaierAdd(pair[2], &s_ref, &c_ref);
+    CompensatedAdd(pair[2], &s, &c);
+    EXPECT_TRUE(SameBits(s, s_ref) && SameBits(c, c_ref))
+        << "sum " << pair[0] << " c " << pair[1] << " x " << pair[2] << ": got (" << s
+        << ", " << c << "), want (" << s_ref << ", " << c_ref << ")";
+  }
+  // Long streams of mixed signs and magnitudes, including terms far larger
+  // than the running sum and cancellations back to it.
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  double s_ref = 0.0, c_ref = 0.0;
+  KahanSum kahan;
+  for (int i = 0; i < 200000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double mantissa = static_cast<double>(state >> 11) * 0x1.0p-53;
+    const int exponent = static_cast<int>((state >> 3) % 80) - 40;
+    double x = std::ldexp(mantissa, exponent);
+    if ((state & 1) != 0) x = -x;
+    if (i % 97 == 0) x = -(s_ref + c_ref);
+    BranchyNeumaierAdd(x, &s_ref, &c_ref);
+    kahan.Add(x);
+    ASSERT_TRUE(SameBits(kahan.Value(), s_ref + c_ref)) << "step " << i;
+  }
 }
 
 TEST(KahanSumTest, ResetAndInitialValue) {
