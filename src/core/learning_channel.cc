@@ -84,23 +84,6 @@ StatusOr<double> ChannelMutualInformation(const GibbsLearningChannel& channel) {
   return channel.channel.MutualInformation(channel.input_marginal);
 }
 
-StatusOr<double> ChannelExpectedEmpiricalRisk(const GibbsLearningChannel& channel) {
-  const std::size_t num_inputs = channel.channel.num_inputs();
-  if (channel.input_marginal.size() != num_inputs ||
-      channel.risk_matrix.size() != num_inputs) {
-    return InvalidArgumentError("ChannelExpectedEmpiricalRisk: inconsistent channel");
-  }
-  double expected = 0.0;
-  for (std::size_t k = 0; k < num_inputs; ++k) {
-    double row = 0.0;
-    for (std::size_t i = 0; i < channel.channel.num_outputs(); ++i) {
-      row += channel.channel.TransitionProbability(k, i) * channel.risk_matrix[k][i];
-    }
-    expected += channel.input_marginal[k] * row;
-  }
-  return expected;
-}
-
 double ChannelPrivacyLevel(const GibbsLearningChannel& channel) {
   return channel.channel.MaxLogRatio(channel.neighbor_pairs);
 }

@@ -48,10 +48,6 @@ StatusOr<GibbsLearningChannel> BuildBernoulliGibbsChannel(const BernoulliMeanTas
 /// privacy parameter regularizes in Theorem 4.2.
 StatusOr<double> ChannelMutualInformation(const GibbsLearningChannel& channel);
 
-/// E_Ẑ E_{θ~π̂}[R̂_Ẑ(θ)] of the channel — the other term of the
-/// regularized objective.
-StatusOr<double> ChannelExpectedEmpiricalRisk(const GibbsLearningChannel& channel);
-
 /// The channel's tight privacy level ε* = max over neighbor pairs and
 /// outputs of the log transition ratio (Definition 2.1 made computable).
 double ChannelPrivacyLevel(const GibbsLearningChannel& channel);

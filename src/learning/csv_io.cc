@@ -118,13 +118,4 @@ StatusOr<Dataset> LoadCsvFile(const std::string& path) {
   return ParseCsv(contents.str());
 }
 
-Status SaveCsvFile(const Dataset& data, const std::string& path) {
-  DPLEARN_ASSIGN_OR_RETURN(std::string csv, ToCsv(data));
-  std::ofstream file(path);
-  if (!file) return InternalError("SaveCsvFile: cannot open '" + path + "' for writing");
-  file << csv;
-  if (!file) return InternalError("SaveCsvFile: write failed for '" + path + "'");
-  return Status::Ok();
-}
-
 }  // namespace dplearn

@@ -26,9 +26,6 @@ StatusOr<std::string> ToCsv(const Dataset& data);
 /// Reads a CSV file from disk. Errors on I/O failure or parse failure.
 StatusOr<Dataset> LoadCsvFile(const std::string& path);
 
-/// Writes a dataset to a CSV file. Errors on I/O failure.
-Status SaveCsvFile(const Dataset& data, const std::string& path);
-
 }  // namespace dplearn
 
 #endif  // DPLEARN_LEARNING_CSV_IO_H_

@@ -29,14 +29,6 @@ double ClippedSquaredLoss::Loss(const Vector& theta, const Example& z) const {
   return Clamp(r * r, 0.0, clip_);
 }
 
-ClippedAbsoluteLoss::ClippedAbsoluteLoss(double clip) : clip_(clip) {
-  DPLEARN_CHECK_GT(clip, 0.0);
-}
-
-double ClippedAbsoluteLoss::Loss(const Vector& theta, const Example& z) const {
-  return Clamp(std::fabs(Dot(theta, z.features) - z.label), 0.0, clip_);
-}
-
 LogisticLoss::LogisticLoss(double clip) : clip_(clip) { DPLEARN_CHECK_GT(clip, 0.0); }
 
 double LogisticLoss::Loss(const Vector& theta, const Example& z) const {
@@ -64,12 +56,6 @@ double HuberLoss::Loss(const Vector& theta, const Example& z) const {
   const double raw =
       r <= delta_ ? 0.5 * r * r : delta_ * (r - 0.5 * delta_);
   return Clamp(raw, 0.0, clip_);
-}
-
-Vector HuberLoss::Gradient(const Vector& theta, const Example& z) const {
-  const double r = Dot(theta, z.features) - z.label;
-  const double slope = Clamp(r, -delta_, delta_);
-  return Scale(z.features, slope);
 }
 
 }  // namespace dplearn

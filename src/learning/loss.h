@@ -15,7 +15,6 @@ namespace dplearn {
 enum class LossKind {
   kZeroOne,
   kClippedSquared,
-  kClippedAbsolute,
   kLogistic,
   kHuber,
   kCustom,
@@ -29,8 +28,8 @@ enum class LossKind {
 ///   * the global sensitivity of the empirical risk, Δ(R̂) <= B/n, which
 ///     calibrates the Gibbs estimator's privacy level (Theorem 4.1), and
 ///   * the [0,1]-scaling required by Catoni's PAC-Bayes bound (Theorem 3.1).
-/// Losses that are naturally unbounded (squared, absolute) are provided in
-/// clipped form.
+/// Losses that are naturally unbounded (squared) are provided in clipped
+/// form.
 class LossFunction {
  public:
   virtual ~LossFunction() = default;
@@ -93,19 +92,6 @@ class ClippedSquaredLoss final : public LossFunction {
   double clip_;
 };
 
-/// Absolute loss |theta . x - label| clipped to [0, clip].
-class ClippedAbsoluteLoss final : public LossFunction {
- public:
-  explicit ClippedAbsoluteLoss(double clip);
-  double Loss(const Vector& theta, const Example& z) const override;
-  double UpperBound() const override { return clip_; }
-  std::string Name() const override { return "clipped_absolute"; }
-  LossKind Kind() const override { return LossKind::kClippedAbsolute; }
-
- private:
-  double clip_;
-};
-
 /// Logistic loss log(1 + exp(-label * theta . x)) clipped to [0, clip];
 /// labels in {-1, +1}. Differentiable: the loss used by the private
 /// logistic-regression baselines (Chaudhuri–Monteleoni). The gradient is of
@@ -126,7 +112,7 @@ class LogisticLoss final : public LossFunction {
 };
 
 /// Huber loss: quadratic within `delta` of the residual, linear beyond,
-/// clipped to [0, clip]. Differentiable everywhere.
+/// clipped to [0, clip].
 class HuberLoss final : public LossFunction {
  public:
   HuberLoss(double delta, double clip);
@@ -136,8 +122,6 @@ class HuberLoss final : public LossFunction {
   LossKind Kind() const override { return LossKind::kHuber; }
   /// `delta` shapes the loss but is invisible in Name()/UpperBound().
   double ParameterFingerprint() const override { return delta_; }
-  bool HasGradient() const override { return true; }
-  Vector Gradient(const Vector& theta, const Example& z) const override;
 
  private:
   double delta_;

@@ -1,9 +1,5 @@
 #include "learning/preprocess.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "util/math_util.h"
 
 namespace dplearn {
@@ -34,41 +30,6 @@ StatusOr<Dataset> ClipLabels(const Dataset& data, double lo, double hi) {
     out.Add(std::move(clipped));
   }
   return out;
-}
-
-StatusOr<Dataset> AppendBiasFeature(const Dataset& data) {
-  const std::size_t dim = data.FeatureDim();
-  Dataset out;
-  for (const Example& z : data.examples()) {
-    if (z.features.size() != dim) {
-      return InvalidArgumentError("AppendBiasFeature: ragged feature dimensions");
-    }
-    Example extended = z;
-    extended.features.push_back(1.0);
-    out.Add(std::move(extended));
-  }
-  return out;
-}
-
-StatusOr<FeatureStats> ComputeFeatureStats(const Dataset& data) {
-  if (data.empty()) return InvalidArgumentError("ComputeFeatureStats: empty dataset");
-  FeatureStats stats;
-  stats.dimension = data.FeatureDim();
-  stats.min_label = std::numeric_limits<double>::infinity();
-  stats.max_label = -std::numeric_limits<double>::infinity();
-  double norm_sum = 0.0;
-  for (const Example& z : data.examples()) {
-    if (z.features.size() != stats.dimension) {
-      return InvalidArgumentError("ComputeFeatureStats: ragged feature dimensions");
-    }
-    const double norm = Norm2(z.features);
-    stats.max_norm = std::max(stats.max_norm, norm);
-    norm_sum += norm;
-    stats.min_label = std::min(stats.min_label, z.label);
-    stats.max_label = std::max(stats.max_label, z.label);
-  }
-  stats.mean_norm = norm_sum / static_cast<double>(data.size());
-  return stats;
 }
 
 }  // namespace dplearn

@@ -1,8 +1,6 @@
 #ifndef DPLEARN_LEARNING_PREPROCESS_H_
 #define DPLEARN_LEARNING_PREPROCESS_H_
 
-#include <cstddef>
-
 #include "learning/dataset.h"
 #include "util/matrix.h"
 #include "util/status.h"
@@ -23,23 +21,6 @@ StatusOr<Dataset> ClipFeatureNorm(const Dataset& data, double max_norm);
 
 /// Clamps labels into [lo, hi] per record. Error if lo >= hi.
 StatusOr<Dataset> ClipLabels(const Dataset& data, double lo, double hi);
-
-/// Appends a constant-1 bias feature to every record (dimension grows by
-/// one). Error if the dataset is ragged.
-StatusOr<Dataset> AppendBiasFeature(const Dataset& data);
-
-/// Summary of feature geometry, for choosing clip thresholds.
-struct FeatureStats {
-  std::size_t dimension = 0;
-  double max_norm = 0.0;
-  double mean_norm = 0.0;
-  double min_label = 0.0;
-  double max_label = 0.0;
-};
-
-/// Computes the (NON-private — do not release) feature statistics.
-/// Error if the dataset is empty or ragged.
-StatusOr<FeatureStats> ComputeFeatureStats(const Dataset& data);
 
 }  // namespace dplearn
 

@@ -79,9 +79,6 @@ std::optional<simd::LossSpec> SimdLossSpec(const LossFunction& loss) {
     case LossKind::kClippedSquared:
       spec.kind = simd::LossKind::kClippedSquared;
       break;
-    case LossKind::kClippedAbsolute:
-      spec.kind = simd::LossKind::kClippedAbsolute;
-      break;
     case LossKind::kLogistic:
       spec.kind = simd::LossKind::kLogistic;
       break;
@@ -205,11 +202,6 @@ StatusOr<std::vector<double>> EmpiricalRiskProfile(const LossFunction& loss,
     DPLEARN_ASSIGN_OR_RETURN(risks[i], ScalarMeanLoss(loss, thetas[i], data));
   }
   return risks;
-}
-
-StatusOr<double> MonteCarloTrueRisk(const LossFunction& loss, const Vector& theta,
-                                    const Dataset& fresh_sample) {
-  return EmpiricalRisk(loss, theta, fresh_sample);
 }
 
 StatusOr<double> EmpiricalRiskSensitivityBound(const LossFunction& loss, std::size_t n) {

@@ -48,12 +48,6 @@ StatusOr<std::vector<double>> EmpiricalRiskProfile(const LossFunction& loss,
                                                    const std::vector<Vector>& thetas,
                                                    const Dataset& data);
 
-/// Monte-Carlo estimate of the true risk R(theta) = E_Z[l_theta(Z)] from a
-/// large held-out sample drawn from Q. (Tasks in generators.h also expose
-/// closed-form true risk where available.)
-StatusOr<double> MonteCarloTrueRisk(const LossFunction& loss, const Vector& theta,
-                                    const Dataset& fresh_sample);
-
 /// The a-priori upper bound on the global sensitivity of empirical risk:
 /// replacing one example moves R̂ by at most B/n for a loss in [0, B].
 /// Error if n == 0.

@@ -123,27 +123,6 @@ std::vector<std::vector<double>> RandomizedResponseChannel::TransitionMatrix() c
   return transition;
 }
 
-StatusOr<std::vector<double>> RandomizedResponseChannel::DebiasedFrequencies(
-    const std::vector<double>& reports) const {
-  if (reports.empty()) {
-    return InvalidArgumentError(
-        "RandomizedResponseChannel::DebiasedFrequencies: empty reports");
-  }
-  std::vector<double> counts(labels_.size(), 0.0);
-  for (const double report : reports) {
-    DPLEARN_ASSIGN_OR_RETURN(const std::size_t index, LabelIndex(report));
-    counts[index] += 1.0;
-  }
-  const double n = static_cast<double>(reports.size());
-  // E[freq[i]] = pi[i] * p_truth + (1 - pi[i]) * p_other, so inverting is a
-  // per-entry affine map; the estimates sum to 1 because the frequencies do.
-  std::vector<double> estimate(labels_.size(), 0.0);
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    estimate[i] = (counts[i] / n - p_other_) / (p_truth_ - p_other_);
-  }
-  return estimate;
-}
-
 StatusOr<std::size_t> RandomizedResponseChannel::LabelIndex(double label) const {
   for (std::size_t i = 0; i < labels_.size(); ++i) {
     if (labels_[i] == label) return i;
@@ -276,29 +255,6 @@ StatusOr<Example> DjwL2Channel::Privatize(const Example& example, Rng* rng) cons
 StatusOr<double> DjwL2Channel::OutputLogDensity(const Example& input,
                                                 const Example& output) const {
   return VectorLogDensity(input.features, output.features);
-}
-
-// ---------------------------------------------------------------------------
-// ComposedExampleChannel.
-
-StatusOr<ComposedExampleChannel> ComposedExampleChannel::Create(
-    DjwL2Channel feature_channel, RandomizedResponseChannel label_channel) {
-  return ComposedExampleChannel(std::move(feature_channel), std::move(label_channel));
-}
-
-StatusOr<Example> ComposedExampleChannel::Privatize(const Example& example,
-                                                    Rng* rng) const {
-  DPLEARN_ASSIGN_OR_RETURN(Example features_done, feature_channel_.Privatize(example, rng));
-  return label_channel_.Privatize(features_done, rng);
-}
-
-StatusOr<double> ComposedExampleChannel::OutputLogDensity(const Example& input,
-                                                          const Example& output) const {
-  DPLEARN_ASSIGN_OR_RETURN(const double feature_term,
-                           feature_channel_.OutputLogDensity(input, output));
-  DPLEARN_ASSIGN_OR_RETURN(const double label_term,
-                           label_channel_.OutputLogDensity(input, output));
-  return feature_term + label_term;
 }
 
 }  // namespace localdp

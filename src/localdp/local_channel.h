@@ -76,8 +76,7 @@ class LocalChannel {
 /// k-ary randomized response over a fixed finite label alphabet: report the
 /// true label with probability e^eps / (e^eps + k - 1), otherwise one of the
 /// k - 1 other labels uniformly. Guards the LABEL component only; features
-/// pass through verbatim (pair it with DjwL2Channel via
-/// ComposedExampleChannel when features are sensitive too). The likelihood
+/// pass through verbatim (DjwL2Channel guards features). The likelihood
 /// ratio bound e^eps is met with equality, making this the canonical
 /// extremal channel for the contraction experiments.
 class RandomizedResponseChannel final : public LocalChannel {
@@ -100,13 +99,6 @@ class RandomizedResponseChannel final : public LocalChannel {
   /// labels[i]) — plugs straight into infotheory::DiscreteChannel for exact
   /// mutual-information / contraction computations.
   std::vector<std::vector<double>> TransitionMatrix() const;
-
-  /// Unbiased estimate of the true label distribution from privatized
-  /// reports: inverts the transition matrix in closed form,
-  /// pi_hat[i] = (freq[i] - p_other) / (p_truth - p_other). Entries may be
-  /// slightly negative or above one at small n; they sum to one exactly.
-  StatusOr<std::vector<double>> DebiasedFrequencies(
-      const std::vector<double>& reports) const;
 
   /// Index of `label` in the alphabet; InvalidArgumentError when absent.
   StatusOr<std::size_t> LabelIndex(double label) const;
@@ -181,35 +173,6 @@ class DjwL2Channel final : public LocalChannel {
   std::size_t dim_;
   double tau_;          // e^eps / (e^eps + 1)
   double output_norm_;  // B
-};
-
-/// Sequential composition of the two component channels: features through
-/// DJW, then the label through randomized response. The whole example is
-/// guarded with epsilon = eps_features + eps_label (basic composition holds
-/// per example because the two randomizations are independent given the
-/// input), and OutputLogDensity is the sum of the component log-densities.
-class ComposedExampleChannel final : public LocalChannel {
- public:
-  static StatusOr<ComposedExampleChannel> Create(DjwL2Channel feature_channel,
-                                                 RandomizedResponseChannel label_channel);
-
-  const char* Name() const override { return "localdp.composed"; }
-  double epsilon() const override {
-    return feature_channel_.epsilon() + label_channel_.epsilon();
-  }
-  const DjwL2Channel& feature_channel() const { return feature_channel_; }
-  const RandomizedResponseChannel& label_channel() const { return label_channel_; }
-
-  StatusOr<Example> Privatize(const Example& example, Rng* rng) const override;
-  StatusOr<double> OutputLogDensity(const Example& input,
-                                    const Example& output) const override;
-
- private:
-  ComposedExampleChannel(DjwL2Channel f, RandomizedResponseChannel l)
-      : feature_channel_(std::move(f)), label_channel_(std::move(l)) {}
-
-  DjwL2Channel feature_channel_;
-  RandomizedResponseChannel label_channel_;
 };
 
 /// E[<u, w> | <u, w> > 0] for u uniform on the unit sphere in d dimensions

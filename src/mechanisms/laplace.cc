@@ -68,10 +68,6 @@ double LaplaceMechanism::OutputDensity(const Dataset& data, double output) const
   return LaplacePdf(output, query_.query(data), scale_);
 }
 
-double LaplaceMechanism::OutputLogDensity(const Dataset& data, double output) const {
-  return LaplaceLogPdf(output, query_.query(data), scale_);
-}
-
 StatusOr<GaussianMechanism> GaussianMechanism::Create(SensitiveQuery query,
                                                       PrivacyBudget budget) {
   if (!query.query) return InvalidArgumentError("GaussianMechanism: query must be set");
@@ -101,10 +97,6 @@ StatusOr<double> GaussianMechanism::Release(const Dataset& data, Rng* rng) const
   }
   const double true_value = query_.query(data);
   return SampleNormal(rng, true_value, stddev_);
-}
-
-double GaussianMechanism::OutputDensity(const Dataset& data, double output) const {
-  return std::exp(NormalLogPdf(output, query_.query(data), stddev_));
 }
 
 StatusOr<RandomizedResponse> RandomizedResponse::Create(double epsilon) {

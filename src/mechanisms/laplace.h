@@ -40,9 +40,6 @@ class LaplaceMechanism {
   /// empirical DP verifier compares between neighboring datasets.
   double OutputDensity(const Dataset& data, double output) const;
 
-  /// Log of OutputDensity.
-  double OutputLogDensity(const Dataset& data, double output) const;
-
   /// Noise scale b = Δf / ε.
   double noise_scale() const { return scale_; }
 
@@ -71,7 +68,6 @@ class GaussianMechanism {
   static StatusOr<GaussianMechanism> Create(SensitiveQuery query, PrivacyBudget budget);
 
   StatusOr<double> Release(const Dataset& data, Rng* rng) const;
-  double OutputDensity(const Dataset& data, double output) const;
   double noise_stddev() const { return stddev_; }
   PrivacyBudget Guarantee() const { return budget_; }
 

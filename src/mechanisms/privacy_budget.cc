@@ -107,11 +107,6 @@ std::vector<BudgetAuditEntry> BudgetAuditLog::Entries() const {
   return entries_;
 }
 
-std::size_t BudgetAuditLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 Status BudgetAuditLog::ReplayVerify() const {
   const std::vector<BudgetAuditEntry> entries = Entries();
   KahanSum epsilon;
@@ -180,7 +175,5 @@ Status PrivacyAccountant::Spend(const PrivacyBudget& cost, std::string_view mech
   }
   return Status::Ok();
 }
-
-PrivacyBudget PrivacyAccountant::Remaining() const { return RemainingBudget(total_, spent()); }
 
 }  // namespace dplearn

@@ -89,8 +89,6 @@ class BudgetAuditLog {
   PrivacyBudget spent() const;
 
   std::vector<BudgetAuditEntry> Entries() const;
-  std::size_t size() const;
-  bool empty() const { return size() == 0; }
 
   /// Replays the ledger: sequence numbers must be 0..n-1 and every entry's
   /// stored cumulative totals must equal the running sequential-composition
@@ -138,9 +136,6 @@ class PrivacyAccountant {
 
   PrivacyBudget spent() const { return ledger_->spent(); }
   PrivacyBudget total() const { return total_; }
-
-  /// Remaining budget (total - spent), clamped at zero.
-  PrivacyBudget Remaining() const;
 
  private:
   explicit PrivacyAccountant(PrivacyBudget total)

@@ -116,8 +116,6 @@ JsonWriter& JsonWriter::Value(std::int64_t value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Value(int value) { return Value(static_cast<std::int64_t>(value)); }
-
 JsonWriter& JsonWriter::Value(bool value) {
   BeforeValue();
   out_ += value ? "true" : "false";

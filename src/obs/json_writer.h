@@ -36,7 +36,6 @@ class JsonWriter {
   JsonWriter& Value(double value);  // non-finite values serialize as null
   JsonWriter& Value(std::uint64_t value);
   JsonWriter& Value(std::int64_t value);
-  JsonWriter& Value(int value);
   JsonWriter& Value(bool value);
 
   /// Splices pre-serialized JSON in value position (for embedding documents

@@ -288,11 +288,8 @@ Arbitrary<LossConfig> ArbitraryLossConfig() {
   Arbitrary<LossConfig> arb;
   arb.generate = [](Rng* rng) {
     LossConfig config;
-    switch (rng->NextBounded(3)) {
-      case 0: config.kind = LossConfig::Kind::kClippedSquared; break;
-      case 1: config.kind = LossConfig::Kind::kClippedAbsolute; break;
-      default: config.kind = LossConfig::Kind::kLogistic; break;
-    }
+    config.kind = rng->NextBounded(2) == 0 ? LossConfig::Kind::kClippedSquared
+                                           : LossConfig::Kind::kLogistic;
     config.clip = std::exp(std::log(0.25) + std::log(16.0) * rng->NextDouble());
     return config;
   };
@@ -318,8 +315,6 @@ std::unique_ptr<LossFunction> MakeLoss(const LossConfig& config) {
   switch (config.kind) {
     case LossConfig::Kind::kClippedSquared:
       return std::make_unique<ClippedSquaredLoss>(config.clip);
-    case LossConfig::Kind::kClippedAbsolute:
-      return std::make_unique<ClippedAbsoluteLoss>(config.clip);
     case LossConfig::Kind::kLogistic:
       return std::make_unique<LogisticLoss>(config.clip);
   }
@@ -331,7 +326,6 @@ std::string DescribeLossConfig(const LossConfig& config) {
   os.precision(17);
   switch (config.kind) {
     case LossConfig::Kind::kClippedSquared: os << "clipped_squared"; break;
-    case LossConfig::Kind::kClippedAbsolute: os << "clipped_absolute"; break;
     case LossConfig::Kind::kLogistic: os << "logistic"; break;
   }
   os << "(clip=" << config.clip << ")";
@@ -348,8 +342,6 @@ Arbitrary<DpParams> ArbitraryDpParams(double eps_hi) {
     // undefined and callers switch to KL).
     params.alpha = 4.0 * rng->NextDoubleOpen();
     if (std::fabs(params.alpha - 1.0) < 1e-3) params.alpha = 1.5;
-    params.q = rng->NextDoubleOpen();
-    if (rng->NextBounded(8) == 0) params.q = 1.0;  // the q = 1 (no-op) corner
     return params;
   };
   arb.shrink = [](const DpParams& params) {
@@ -364,11 +356,6 @@ Arbitrary<DpParams> ArbitraryDpParams(double eps_hi) {
       p.lambda = lambda;
       out.push_back(p);
     }
-    for (double q : ShrinkDoubleToward(params.q, 1.0)) {
-      DpParams p = params;
-      p.q = q;
-      out.push_back(p);
-    }
     if (params.alpha != 2.0) {
       DpParams p = params;
       p.alpha = 2.0;
@@ -380,7 +367,7 @@ Arbitrary<DpParams> ArbitraryDpParams(double eps_hi) {
     std::ostringstream os;
     os.precision(17);
     os << "{eps=" << params.epsilon << ", lambda=" << params.lambda
-       << ", alpha=" << params.alpha << ", q=" << params.q << "}";
+       << ", alpha=" << params.alpha << "}";
     return os.str();
   };
   return arb;

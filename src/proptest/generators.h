@@ -16,7 +16,7 @@ namespace proptest {
 
 /// Domain-specific instance generators for the paper's invariant suites:
 /// datasets, hypothesis grids, loss configurations, probability
-/// distributions, and (ε, λ, α, q) parameter ranges. Structured values are
+/// distributions, and (ε, λ, α) parameter ranges. Structured values are
 /// generated through small spec structs so shrinking operates on the spec
 /// (drop an example, narrow a grid) rather than on opaque objects.
 
@@ -80,8 +80,7 @@ StatusOr<FiniteHypothesisClass> MakeGrid(const GridSpec& spec);
 
 /// Spec for a bounded loss function.
 struct LossConfig {
-  enum class Kind { kClippedSquared, kClippedAbsolute, kLogistic } kind =
-      Kind::kClippedSquared;
+  enum class Kind { kClippedSquared, kLogistic } kind = Kind::kClippedSquared;
   double clip = 1.0;
 };
 
@@ -98,19 +97,16 @@ std::string DescribeLossConfig(const LossConfig& config);
 // ---------------------------------------------------------------------------
 // DP parameter ranges.
 
-/// The (ε, λ, α, q) tuple the mechanism and info-theory suites sweep.
+/// The (ε, λ, α) tuple the mechanism and info-theory suites sweep.
 struct DpParams {
   double epsilon = 1.0;  // log-uniform over [1e-3, eps_hi]
   double lambda = 1.0;   // log-uniform over [1e-2, 1e3]
   double alpha = 2.0;    // Rényi order: (0, 4], never exactly 1
-  double q = 0.5;        // subsampling rate in (0, 1]
 };
 
 /// Random parameter tuple. `eps_hi` controls how far the ε sweep reaches;
-/// suites probing the overflow regime pass 1e4 (where the pre-fix
-/// subsampling amplification returned NaN), mechanism-release suites pass
-/// single digits. Shrinks every coordinate toward benign values (ε, λ → small;
-/// α → 2; q → 1).
+/// mechanism-release suites pass single digits. Shrinks every coordinate
+/// toward benign values (ε, λ → small; α → 2).
 Arbitrary<DpParams> ArbitraryDpParams(double eps_hi);
 
 }  // namespace proptest

@@ -1,59 +1,28 @@
 #include "robustness/retry.h"
 
-#include <algorithm>
 #include <thread>
 
 namespace dplearn {
 namespace robustness {
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+constexpr std::chrono::microseconds kInitialBackoff{100};
 
 }  // namespace
 
-RetryPolicy::RetryPolicy(RetryOptions options, std::uint64_t jitter_seed)
-    : options_(options), jitter_state_(jitter_seed) {
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
-  if (options_.multiplier < 1.0) options_.multiplier = 1.0;
-  if (options_.jitter < 0.0) options_.jitter = 0.0;
-  if (options_.jitter > 1.0) options_.jitter = 1.0;
-}
-
-double RetryPolicy::NextJitterFactor() {
-  if (options_.jitter == 0.0) return 1.0;
-  const double u = static_cast<double>(SplitMix64(&jitter_state_) >> 11) * 0x1.0p-53;
-  return 1.0 + options_.jitter * (2.0 * u - 1.0);
-}
-
 Status RetryPolicy::Run(const std::function<Status()>& fn) {
-  return Run(fn, &RetryPolicy::IsRetryable);
-}
-
-Status RetryPolicy::Run(const std::function<Status()>& fn,
-                        const std::function<bool(const Status&)>& retryable) {
   last_attempts_ = 0;
   last_total_backoff_ = std::chrono::microseconds{0};
-  double backoff_us = static_cast<double>(options_.initial_backoff.count());
+  std::chrono::microseconds backoff = kInitialBackoff;
   Status status;
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     ++last_attempts_;
     status = fn();
-    if (status.ok() || !retryable(status)) return status;
-    if (attempt + 1 == options_.max_attempts) break;
-    const double capped =
-        std::min(backoff_us, static_cast<double>(options_.max_backoff.count()));
-    const auto sleep_us =
-        std::chrono::microseconds(static_cast<std::int64_t>(capped * NextJitterFactor()));
-    last_total_backoff_ += sleep_us;
-    if (options_.sleep && sleep_us.count() > 0) {
-      std::this_thread::sleep_for(sleep_us);
-    }
-    backoff_us *= options_.multiplier;
+    if (status.ok() || !IsRetryable(status)) return status;
+    if (attempt + 1 == kMaxAttempts) break;
+    std::this_thread::sleep_for(backoff);
+    last_total_backoff_ += backoff;
+    backoff *= 2;
   }
   return status;
 }

@@ -2,7 +2,6 @@
 #define DPLEARN_ROBUSTNESS_RETRY_H_
 
 #include <chrono>
-#include <cstdint>
 #include <functional>
 
 #include "util/status.h"
@@ -10,48 +9,23 @@
 namespace dplearn {
 namespace robustness {
 
-/// Configuration for RetryPolicy. The defaults suit sub-millisecond local
-/// I/O (sink writes, record files): four attempts spanning ~1ms total.
-struct RetryOptions {
-  /// Total attempts including the first (>= 1).
-  int max_attempts = 4;
-  /// Sleep before the first retry; doubles (times `multiplier`) afterwards.
-  std::chrono::microseconds initial_backoff{100};
-  double multiplier = 2.0;
-  /// Backoff ceiling after multiplication.
-  std::chrono::microseconds max_backoff{100000};
-  /// Each sleep is scaled by a factor uniform in [1 - jitter, 1 + jitter]
-  /// so that concurrent retriers decorrelate. Set 0 to disable.
-  double jitter = 0.25;
-  /// Tests set false to skip the actual sleeps (the computed schedule is
-  /// still recorded in RetryPolicy::last_total_backoff()).
-  bool sleep = true;
-};
-
-/// Bounded exponential backoff around a Status-returning operation.
+/// Bounded exponential backoff around a Status-returning operation, on one
+/// fixed schedule sized for sub-millisecond local I/O (sink writes, record
+/// files): kMaxAttempts attempts, sleeping 100 µs before the first retry and
+/// twice as long before each later one (100, 200, 400 µs).
 ///
-/// Jitter is deterministic: the policy owns a splitmix64 stream — the same
-/// primitive Rng::Split uses to derive child seeds — seeded at construction,
-/// so a given (seed, attempt sequence) always produces the same schedule.
-/// Callers inside deterministic pipelines seed it from their trial stream
-/// (`rng->NextUint64()`); infrastructure callers use the fixed default.
-///
-/// By default only UNAVAILABLE errors (transient by the DESIGN.md §9
-/// taxonomy) are retried; everything else is returned immediately.
+/// Only UNAVAILABLE errors (transient by the DESIGN.md §9 taxonomy) are
+/// retried; everything else is returned immediately.
 class RetryPolicy {
  public:
-  explicit RetryPolicy(RetryOptions options = RetryOptions(),
-                       std::uint64_t jitter_seed = 0x5eed5eed5eed5eedULL);
+  /// Total attempts including the first.
+  static constexpr int kMaxAttempts = 4;
 
   /// Runs `fn` until it returns OK, a non-retryable error, or attempts are
   /// exhausted; returns the last Status either way.
   Status Run(const std::function<Status()>& fn);
 
-  /// As Run, but `retryable(status)` decides what to retry.
-  Status Run(const std::function<Status()>& fn,
-             const std::function<bool(const Status&)>& retryable);
-
-  /// True for the errors the default policy retries (UNAVAILABLE).
+  /// True for the errors the policy retries (UNAVAILABLE).
   static bool IsRetryable(const Status& status) {
     return status.code() == StatusCode::kUnavailable;
   }
@@ -59,15 +33,10 @@ class RetryPolicy {
   /// Attempts consumed by the most recent Run (0 before any Run).
   int last_attempts() const { return last_attempts_; }
 
-  /// Total backoff scheduled by the most recent Run (accumulated even when
-  /// options.sleep is false, so tests can assert the schedule).
+  /// Total backoff slept by the most recent Run.
   std::chrono::microseconds last_total_backoff() const { return last_total_backoff_; }
 
  private:
-  double NextJitterFactor();
-
-  RetryOptions options_;
-  std::uint64_t jitter_state_;
   int last_attempts_ = 0;
   std::chrono::microseconds last_total_backoff_{0};
 };

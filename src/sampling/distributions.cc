@@ -10,8 +10,6 @@
 namespace dplearn {
 
 namespace {
-constexpr double kSqrt2Pi = 2.5066282746310002;
-
 /// Gumbel-max poisoning guard: a NaN log-weight silently LOSES every
 /// comparison (NaN + G is NaN; NaN > best is false), so a poisoned score
 /// never wins and never errors — the sampler would quietly draw from the
@@ -66,11 +64,6 @@ StatusOr<double> SampleNormal(Rng* rng, double mean, double stddev) {
   return mean + stddev * SampleStandardNormal(rng);
 }
 
-double NormalLogPdf(double x, double mean, double stddev) {
-  const double z = (x - mean) / stddev;
-  return -0.5 * z * z - std::log(stddev * kSqrt2Pi);
-}
-
 double NormalCdf(double x, double mean, double stddev) {
   return 0.5 * std::erfc(-(x - mean) / (stddev * 1.4142135623730951));
 }
@@ -85,10 +78,6 @@ StatusOr<double> SampleLaplace(Rng* rng, double mean, double scale) {
 
 double LaplacePdf(double x, double mean, double scale) {
   return std::exp(-std::fabs(x - mean) / scale) / (2.0 * scale);
-}
-
-double LaplaceLogPdf(double x, double mean, double scale) {
-  return -std::fabs(x - mean) / scale - std::log(2.0 * scale);
 }
 
 StatusOr<double> SampleGamma(Rng* rng, double shape, double scale) {

@@ -23,9 +23,6 @@ double SampleStandardNormal(Rng* rng);
 /// Draws Normal(mean, stddev). Error if stddev <= 0.
 StatusOr<double> SampleNormal(Rng* rng, double mean, double stddev);
 
-/// Log-density of Normal(mean, stddev) at x.
-double NormalLogPdf(double x, double mean, double stddev);
-
 /// CDF of Normal(mean, stddev) at x.
 double NormalCdf(double x, double mean, double stddev);
 
@@ -35,9 +32,6 @@ StatusOr<double> SampleLaplace(Rng* rng, double mean, double scale);
 
 /// Density of Laplace(mean, scale) at x: exp(-|x-mean|/scale) / (2*scale).
 double LaplacePdf(double x, double mean, double scale);
-
-/// Log-density of Laplace(mean, scale) at x.
-double LaplaceLogPdf(double x, double mean, double scale);
 
 /// Draws Gamma(shape, scale) via Marsaglia–Tsang. Error if shape <= 0 or
 /// scale <= 0. Used to sample the norm of the noise vector in

@@ -33,6 +33,10 @@ constexpr std::size_t kShardCount = 16;
 constexpr std::uint32_t kMaxCountPerRequest = 4096;
 /// Cap on how many same-shape requests one run coalesces.
 constexpr std::size_t kMaxCoalescedRequests = 64;
+/// Cap on a tenant stream's live examples; an append past it is
+/// RESOURCE_EXHAUSTED. It bounds a stream's memory and the O(|Θ|·n) resync
+/// its event loop runs every few thousand appends.
+constexpr std::size_t kMaxStreamExamples = std::size_t{1} << 15;
 
 /// FNV-1a over the tenant id, mixed with the server's root seed — a stable,
 /// platform-independent function (std::hash is not guaranteed stable), so a
@@ -730,6 +734,16 @@ Response DpReleaseServer::ProcessStreamAppend(const Request& request) {
              .first;
   }
 
+  if (it->second->profile.size() >= kMaxStreamExamples) {
+    if (obs::MetricsEnabled()) {
+      static obs::Counter* const rejected =
+          ServiceCounter("service.stream_appends_rejected");
+      rejected->Increment();
+    }
+    return Response::Error(
+        request, ResourceExhaustedError("service: stream holds the maximum of " +
+                                        std::to_string(kMaxStreamExamples) + " examples"));
+  }
   Example example;
   example.features = Vector(request.features.begin(), request.features.end());
   example.label = request.label;

@@ -50,13 +50,6 @@ struct LossElem<LossKind::kClippedSquared> {
 };
 
 template <>
-struct LossElem<LossKind::kClippedAbsolute> {
-  static inline double Eval(double dot, double y, double clip, double) {
-    return Clamp(std::fabs(dot - y), 0.0, clip);
-  }
-};
-
-template <>
 struct LossElem<LossKind::kLogistic> {
   static inline double Eval(double dot, double y, double clip, double) {
     const double margin = y * dot;
@@ -188,8 +181,6 @@ decltype(auto) DispatchKind(LossKind kind, F&& f) {
       return f.template operator()<LossKind::kZeroOne>();
     case LossKind::kClippedSquared:
       return f.template operator()<LossKind::kClippedSquared>();
-    case LossKind::kClippedAbsolute:
-      return f.template operator()<LossKind::kClippedAbsolute>();
     case LossKind::kLogistic:
       return f.template operator()<LossKind::kLogistic>();
     case LossKind::kHuber:
@@ -363,10 +354,6 @@ double LogSumExp(const double* x, std::size_t n) {
 void TiltLogWeights(const double* values, const double* log_addend, std::size_t n,
                     double scale, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = scale * values[i] + log_addend[i];
-}
-
-void SoftmaxFromLogInto(const double* log_w, std::size_t n, double lse, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(log_w[i] - lse);
 }
 
 std::ptrdiff_t GumbelMaxIndex(const double* log_w, const double* uniforms,

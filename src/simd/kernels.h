@@ -13,8 +13,7 @@ namespace simd {
 /// no thread-count, call-order, or cache-state dependence. The numerical
 /// contract relative to the legacy scalar code is two-tiered:
 ///
-///   * ELEMENT-WISE kernels (TiltLogWeights, SoftmaxFromLogInto,
-///     GumbelMaxIndex) perform the same per-element arithmetic as the
+///   * ELEMENT-WISE kernels (TiltLogWeights, GumbelMaxIndex) perform the same per-element arithmetic as the
 ///     scalar formulas and no reduction, so they are reorder-free.
 ///     GumbelMaxIndex has no vector variant: it is the one Gumbel-max loop
 ///     every sampler calls, whatever DPLEARN_SIMD says, so the kernels
@@ -50,7 +49,6 @@ inline constexpr std::size_t kBlockedSumMinN = 32;
 enum class LossKind {
   kZeroOne,
   kClippedSquared,
-  kClippedAbsolute,
   kLogistic,
   kHuber,
 };
@@ -99,10 +97,6 @@ double LogSumExp(const double* x, std::size_t n);
 /// (out == values) is allowed.
 void TiltLogWeights(const double* values, const double* log_addend, std::size_t n,
                     double scale, double* out);
-
-/// out[i] = exp(log_w[i] - lse) — softmax row construction given the
-/// normalizer. Element-wise, reorder-free. In-place allowed.
-void SoftmaxFromLogInto(const double* log_w, std::size_t n, double lse, double* out);
 
 /// Gumbel-max argmax: first index maximizing log_w[i] - log(-log(u_i))
 /// over the pre-drawn uniforms u in (0,1). A plain scalar loop with the

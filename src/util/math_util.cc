@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <string>
 
 namespace dplearn {
@@ -68,30 +67,6 @@ bool ApproxEqual(double a, double b, double abs_tol, double rel_tol) {
   return diff <= abs_tol + rel_tol * std::max(std::fabs(a), std::fabs(b));
 }
 
-StatusOr<double> Mean(const std::vector<double>& x) {
-  if (x.empty()) return InvalidArgumentError("Mean: empty input");
-  return std::accumulate(x.begin(), x.end(), 0.0) / static_cast<double>(x.size());
-}
-
-StatusOr<double> SampleVariance(const std::vector<double>& x) {
-  if (x.size() < 2) return InvalidArgumentError("SampleVariance: need at least 2 samples");
-  const double m = std::accumulate(x.begin(), x.end(), 0.0) / static_cast<double>(x.size());
-  double ss = 0.0;
-  for (double v : x) ss += (v - m) * (v - m);
-  return ss / static_cast<double>(x.size() - 1);
-}
-
-StatusOr<double> Quantile(std::vector<double> x, double q) {
-  if (x.empty()) return InvalidArgumentError("Quantile: empty input");
-  if (q < 0.0 || q > 1.0) return InvalidArgumentError("Quantile: q must be in [0,1]");
-  std::sort(x.begin(), x.end());
-  const double pos = q * static_cast<double>(x.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, x.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return x[lo] * (1.0 - frac) + x[hi] * frac;
-}
-
 Status ValidateDistribution(const std::vector<double>& p, double tol) {
   if (p.empty()) return InvalidArgumentError("ValidateDistribution: empty distribution");
   double sum = 0.0;
@@ -132,16 +107,6 @@ StatusOr<std::vector<double>> Linspace(double lo, double hi, std::size_t count) 
   for (std::size_t i = 0; i < count; ++i) grid[i] = lo + step * static_cast<double>(i);
   grid.back() = hi;  // avoid accumulated rounding at the endpoint
   return grid;
-}
-
-StatusOr<double> CatoniPhi(double gamma, double r) {
-  if (gamma <= 0.0) return InvalidArgumentError("CatoniPhi: gamma must be positive");
-  const double scale = -std::expm1(-gamma);  // 1 - exp(-gamma), stable for small gamma
-  const double arg = 1.0 - scale * r;
-  if (arg <= 0.0) {
-    return OutOfRangeError("CatoniPhi: argument outside domain (bound is vacuous)");
-  }
-  return -std::log(arg) / gamma;
 }
 
 }  // namespace dplearn

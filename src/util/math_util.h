@@ -118,16 +118,6 @@ class KahanSum {
   double c_ = 0.0;
 };
 
-/// Returns the mean of `x`. Error if empty.
-StatusOr<double> Mean(const std::vector<double>& x);
-
-/// Returns the unbiased sample variance of `x`. Error if size < 2.
-StatusOr<double> SampleVariance(const std::vector<double>& x);
-
-/// Returns the q-quantile (0<=q<=1) of `x` by linear interpolation on the
-/// sorted sample. Error if empty or q outside [0,1].
-StatusOr<double> Quantile(std::vector<double> x, double q);
-
 /// Validates that `p` is a probability vector: non-negative entries summing
 /// to 1 within `tol`. Returns OK or InvalidArgument with a description.
 Status ValidateDistribution(const std::vector<double>& p, double tol = 1e-9);
@@ -138,13 +128,6 @@ StatusOr<std::vector<double>> Normalize(const std::vector<double>& w);
 /// Returns an evenly spaced grid of `count` points from `lo` to `hi`
 /// inclusive. Error if count < 2 or lo >= hi.
 StatusOr<std::vector<double>> Linspace(double lo, double hi, std::size_t count);
-
-/// Catoni's Phi transform (Theorem 3.1 of the paper):
-///   Phi_{gamma}(r) = -(1/gamma) * log(1 - (1 - exp(-gamma)) * r)
-/// with gamma = lambda/n. Maps an exponential-moment risk bound back to the
-/// risk scale; the inverse of r -> (1 - exp(-gamma r))/(1 - exp(-gamma)).
-/// Domain: r < 1/(1 - exp(-gamma)). Error outside the domain.
-StatusOr<double> CatoniPhi(double gamma, double r);
 
 }  // namespace dplearn
 

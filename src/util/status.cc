@@ -49,9 +49,6 @@ Status NotFoundError(std::string message) {
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
 }
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
-}
 Status UnavailableError(std::string message) {
   return Status(StatusCode::kUnavailable, std::move(message));
 }

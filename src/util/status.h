@@ -80,7 +80,6 @@ Status OutOfRangeError(std::string message);
 Status FailedPreconditionError(std::string message);
 Status NotFoundError(std::string message);
 Status InternalError(std::string message);
-Status UnimplementedError(std::string message);
 Status UnavailableError(std::string message);
 Status ResourceExhaustedError(std::string message);
 

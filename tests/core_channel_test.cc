@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include <gtest/gtest.h>
+#include "core/regularized_objective.h"
 #include "learning/risk.h"
 
 namespace dplearn {
@@ -106,7 +107,12 @@ TEST_F(GibbsChannelTest, ExpectedEmpiricalRiskDecreasesWithLambda) {
   double previous = 2.0;
   for (double lambda : {0.5, 4.0, 32.0, 256.0}) {
     auto channel = Build(n, lambda).value();
-    const double risk = ChannelExpectedEmpiricalRisk(channel).value();
+    // Theorem 4.2's G = E[R̂] + I/λ, less its information term.
+    const double risk =
+        RegularizedObjective(channel.channel.transition(), channel.input_marginal,
+                             channel.risk_matrix, lambda)
+            .value() -
+        ChannelMutualInformation(channel).value() / lambda;
     EXPECT_LT(risk, previous) << "lambda=" << lambda;
     previous = risk;
   }

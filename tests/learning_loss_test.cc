@@ -28,12 +28,6 @@ TEST(ClippedSquaredLossTest, ValuesAndClipping) {
   EXPECT_EQ(loss.UpperBound(), 1.0);
 }
 
-TEST(ClippedAbsoluteLossTest, ValuesAndClipping) {
-  ClippedAbsoluteLoss loss(2.0);
-  EXPECT_NEAR(loss.Loss({0.5}, Example{Vector{1.0}, 1.0}), 0.5, 1e-12);
-  EXPECT_EQ(loss.Loss({10.0}, Example{Vector{1.0}, 0.0}), 2.0);
-}
-
 TEST(LogisticLossTest, KnownValues) {
   LogisticLoss loss(10.0);
   // Zero margin: log 2.
@@ -73,24 +67,12 @@ TEST(HuberLossTest, QuadraticInsideLinearOutside) {
   EXPECT_NEAR(loss.Loss({3.0}, Example{Vector{1.0}, 0.0}), 2.5, 1e-12);
 }
 
-TEST(HuberLossTest, GradientMatchesFiniteDifference) {
-  HuberLoss loss(1.0, 100.0);
-  for (double t : {0.2, 0.9, 2.5, -1.7}) {
-    const Example z = Example{Vector{1.0}, 0.3};
-    const Vector grad = loss.Gradient({t}, z);
-    const double h = 1e-6;
-    const double fd = (loss.Loss({t + h}, z) - loss.Loss({t - h}, z)) / (2.0 * h);
-    EXPECT_NEAR(grad[0], fd, 1e-5) << "theta=" << t;
-  }
-}
-
 TEST(AllLossesTest, HonorDeclaredBounds) {
   ClippedSquaredLoss sq(1.0);
-  ClippedAbsoluteLoss abs(2.0);
   LogisticLoss logi(3.0);
   HuberLoss huber(1.0, 2.0);
   ZeroOneLoss zo;
-  const LossFunction* losses[] = {&sq, &abs, &logi, &huber, &zo};
+  const LossFunction* losses[] = {&sq, &logi, &huber, &zo};
   for (const LossFunction* loss : losses) {
     for (double t = -20.0; t <= 20.0; t += 0.7) {
       for (double y : {-1.0, 0.0, 1.0}) {

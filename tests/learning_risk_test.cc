@@ -59,14 +59,14 @@ TEST(MonteCarloTrueRiskTest, ConvergesToClosedForm) {
   Rng rng(1);
   Dataset fresh = task.Sample(200000, &rng).value();
   const double theta = 0.45;
-  EXPECT_NEAR(MonteCarloTrueRisk(loss, {theta}, fresh).value(), task.TrueRisk(theta), 0.005);
+  EXPECT_NEAR(EmpiricalRisk(loss, {theta}, fresh).value(), task.TrueRisk(theta), 0.005);
 }
 
 TEST(SensitivityBoundTest, IsLossBoundOverN) {
   ClippedSquaredLoss loss(1.0);
   EXPECT_NEAR(EmpiricalRiskSensitivityBound(loss, 50).value(), 1.0 / 50.0, 1e-15);
-  ClippedAbsoluteLoss absolute(4.0);
-  EXPECT_NEAR(EmpiricalRiskSensitivityBound(absolute, 10).value(), 0.4, 1e-15);
+  ClippedSquaredLoss wide(4.0);
+  EXPECT_NEAR(EmpiricalRiskSensitivityBound(wide, 10).value(), 0.4, 1e-15);
   EXPECT_FALSE(EmpiricalRiskSensitivityBound(loss, 0).ok());
 }
 

@@ -95,25 +95,6 @@ TEST(RandomizedResponseChannelTest, PrivatizeMatchesTransitionFrequencies) {
   }
 }
 
-TEST(RandomizedResponseChannelTest, DebiasedFrequenciesRecoverTruth) {
-  const double eps = 1.5;
-  auto channel = Unwrap(RandomizedResponseChannel::Create(eps, {0.0, 1.0}));
-  Rng rng(11);
-  // True distribution: 70% zeros, 30% ones.
-  std::vector<double> reports;
-  for (std::size_t i = 0; i < 30000; ++i) {
-    const double label = i % 10 < 7 ? 0.0 : 1.0;
-    reports.push_back(Unwrap(channel.Privatize(MakeExample({0.0}, label), &rng)).label);
-  }
-  const std::vector<double> estimate = Unwrap(channel.DebiasedFrequencies(reports));
-  ASSERT_EQ(estimate.size(), 2u);
-  EXPECT_NEAR(estimate[0], 0.7, 0.03);
-  EXPECT_NEAR(estimate[1], 0.3, 0.03);
-  EXPECT_NEAR(estimate[0] + estimate[1], 1.0, 1e-9);
-  EXPECT_FALSE(channel.DebiasedFrequencies({}).ok());
-  EXPECT_FALSE(channel.DebiasedFrequencies({5.0}).ok());  // not in the alphabet
-}
-
 TEST(RandomizedResponseChannelTest, RejectsLabelsOutsideTheAlphabet) {
   auto channel = Unwrap(RandomizedResponseChannel::Create(1.0, {0.0, 1.0}));
   Rng rng(3);
@@ -208,33 +189,6 @@ TEST(DjwL2ChannelTest, LikelihoodRatioBoundedForInteriorInputs) {
     const Example output = Unwrap(channel.Privatize(i % 2 == 0 ? a : b, &rng));
     EXPECT_LE(Unwrap(channel.LogLikelihoodRatio(a, b, output)),
               channel.epsilon() + 1e-9);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ComposedExampleChannel.
-
-TEST(ComposedExampleChannelTest, GuardsBothComponentsAndSumsEpsilon) {
-  auto features = Unwrap(DjwL2Channel::Create(0.5, 1.0, 2));
-  auto labels = Unwrap(RandomizedResponseChannel::Create(0.75, {-1.0, 1.0}));
-  auto channel = Unwrap(ComposedExampleChannel::Create(features, labels));
-  EXPECT_NEAR(channel.epsilon(), 1.25, 1e-15);
-
-  Rng rng(41);
-  const Example a = MakeExample({0.6, -0.2}, 1.0);
-  const Example b = MakeExample({-0.3, 0.4}, -1.0);
-  for (int i = 0; i < 100; ++i) {
-    const Example output = Unwrap(channel.Privatize(a, &rng));
-    EXPECT_NEAR(Norm2(output.features), features.output_norm(), 1e-9);
-    EXPECT_TRUE(output.label == -1.0 || output.label == 1.0);
-    // Sum decomposition: composed log-density = feature term + label term.
-    const double composed = Unwrap(channel.OutputLogDensity(a, output));
-    const double expected = Unwrap(features.OutputLogDensity(a, output)) +
-                            Unwrap(labels.OutputLogDensity(a, output));
-    EXPECT_NEAR(composed, expected, 1e-12);
-    EXPECT_LE(Unwrap(channel.LogLikelihoodRatio(a, b, output)),
-              channel.epsilon() + 1e-9);
-    EXPECT_TRUE(channel.SelfAuditPair(a, b, output).ok());
   }
 }
 

@@ -72,7 +72,7 @@ TEST(PrivacyAccountantTest, TracksSpending) {
   EXPECT_TRUE(acct->Spend({0.4, 0.0}).ok());
   EXPECT_TRUE(acct->Spend({0.4, 0.0}).ok());
   EXPECT_NEAR(acct->spent().epsilon, 0.8, 1e-12);
-  EXPECT_NEAR(acct->Remaining().epsilon, 0.2, 1e-12);
+  EXPECT_NEAR(RemainingBudget(acct->total(), acct->spent()).epsilon, 0.2, 1e-12);
 }
 
 TEST(PrivacyAccountantTest, RefusesOverspend) {
@@ -109,7 +109,7 @@ TEST(PrivacyAccountantTest, RejectsNanDelta) {
   auto acct = PrivacyAccountant::Create({1.0, 1e-6});
   ASSERT_TRUE(acct.ok());
   EXPECT_EQ(acct->Spend({0.1, nan}).code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(acct->audit_log().empty());
+  EXPECT_TRUE(acct->audit_log().Entries().empty());
   EXPECT_FALSE(acct->Spend({0.1, 0.5}).ok());
 }
 
@@ -158,8 +158,8 @@ TEST(PrivacyAccountantTest, MillionSmallSpendsStayExact) {
   }
   EXPECT_NE(naive, 1.0);  // the drift the fix is about
   EXPECT_NEAR(acct->spent().epsilon, 1.0, 1e-12);
-  EXPECT_NEAR(acct->Remaining().epsilon, 1.0, 1e-12);
-  EXPECT_EQ(acct->audit_log().size(), static_cast<std::size_t>(spends));
+  EXPECT_NEAR(RemainingBudget(acct->total(), acct->spent()).epsilon, 1.0, 1e-12);
+  EXPECT_EQ(acct->audit_log().Entries().size(), static_cast<std::size_t>(spends));
   EXPECT_TRUE(acct->audit_log().ReplayVerify().ok());
 }
 
@@ -177,7 +177,7 @@ TEST(PrivacyAccountantTest, InjectedSpendFaultLeavesStateUnchanged) {
   // The fault fired before validation and mutation: no ledger entry, and
   // the ledger still reconciles.
   EXPECT_NEAR(acct->spent().epsilon, 0.25, 0.0);
-  EXPECT_EQ(acct->audit_log().size(), 1u);
+  EXPECT_EQ(acct->audit_log().Entries().size(), 1u);
   EXPECT_TRUE(acct->audit_log().ReplayVerify().ok());
 }
 

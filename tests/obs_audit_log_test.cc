@@ -104,7 +104,7 @@ TEST(ObsBudgetAuditLogTest, ConcurrentRecordsKeepLedgerConsistent) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(log.size(), static_cast<std::size_t>(kThreads) * kRecordsPerThread);
+  EXPECT_EQ(log.Entries().size(), static_cast<std::size_t>(kThreads) * kRecordsPerThread);
   EXPECT_TRUE(log.ReplayVerify().ok());
   EXPECT_NEAR(log.spent().epsilon, 0.001 * kThreads * kRecordsPerThread, 1e-9);
 }

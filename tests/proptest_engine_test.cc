@@ -329,7 +329,6 @@ TEST(ProptestGenerators, DpParamsStayInDocumentedRanges) {
         if (!(params.alpha > 0.0 && params.alpha <= 4.0) || params.alpha == 1.0) {
           return Violation("alpha out of range");
         }
-        if (!(params.q > 0.0 && params.q <= 1.0)) return Violation("q out of range");
         return Status::Ok();
       },
       FixedConfig(10, 500)));

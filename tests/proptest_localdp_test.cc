@@ -28,7 +28,6 @@ namespace dplearn {
 namespace proptest {
 namespace {
 
-using localdp::ComposedExampleChannel;
 using localdp::DjwL2Channel;
 using localdp::FederatedOptions;
 using localdp::FederatedPrivacyModel;
@@ -186,27 +185,6 @@ TEST(ProptestLocaldp, DjwLikelihoodRatioWithinEpsilon) {
   };
   DPLEARN_EXPECT_PROPERTY(Check("localdp_djw_ratio_bounded", ArbitraryDjwInstance(),
                                 property, SuiteConfig(1602)));
-}
-
-TEST(ProptestLocaldp, ComposedLikelihoodRatioWithinEpsilonSum) {
-  // Features through DJW, label through RR: the composed audit must hold at
-  // eps_features + eps_label, with random budget splits across components.
-  auto property = [](const DjwInstance& inst) -> Status {
-    Rng rng(inst.draw_seed);
-    auto features = DjwL2Channel::Create(inst.eps, inst.radius, inst.dim);
-    if (!features.ok()) return Violation(features.status().message());
-    auto labels = MakeRrChannel(0.25 + inst.eps * rng.NextDouble(), 2);
-    if (!labels.ok()) return Violation(labels.status().message());
-    auto channel = ComposedExampleChannel::Create(features.value(), labels.value());
-    if (!channel.ok()) return Violation(channel.status().message());
-    const Example a = MakeExample(BallVector(&rng, inst.dim, inst.radius),
-                                  static_cast<double>(rng.NextBounded(2)));
-    const Example b = MakeExample(BallVector(&rng, inst.dim, inst.radius),
-                                  static_cast<double>(rng.NextBounded(2)));
-    return CheckRatioInvariant(channel.value(), a, b, &rng);
-  };
-  DPLEARN_EXPECT_PROPERTY(Check("localdp_composed_ratio_bounded",
-                                ArbitraryDjwInstance(), property, SuiteConfig(1603)));
 }
 
 // ---------------------------------------------------------------------------

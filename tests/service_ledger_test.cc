@@ -63,7 +63,7 @@ TEST(ObsTenantBudgetTest, SpendRoutesThroughAccountantAndLedger) {
 
   const auto log = ledger.audit_log("ledger_tenant");
   ASSERT_TRUE(log.ok());
-  EXPECT_EQ((*log)->size(), 6u);  // 5 granted + 1 denied
+  EXPECT_EQ((*log)->Entries().size(), 6u);  // 5 granted + 1 denied
   EXPECT_TRUE((*log)->ReplayVerify().ok());
 }
 
@@ -240,7 +240,7 @@ TEST(ServiceLedgerTest, InjectedSpendFaultIsUnavailableAndChangesNothing) {
 
   const auto log = ledger.audit_log("chaos_tenant");
   ASSERT_TRUE(log.ok());
-  EXPECT_EQ((*log)->size(), 1u);
+  EXPECT_EQ((*log)->Entries().size(), 1u);
   const auto view = ledger.View("chaos_tenant");
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->spent.epsilon, 0.25);
@@ -343,7 +343,7 @@ TEST(ServiceLedgerTest, DeniedSpendWritesNothingToStderr) {
   const auto view = ledger.View("quiet");
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->denials, 1u);
-  EXPECT_EQ((*ledger.audit_log("quiet"))->size(), 1u);
+  EXPECT_EQ((*ledger.audit_log("quiet"))->Entries().size(), 1u);
 }
 
 }  // namespace

@@ -772,6 +772,47 @@ TEST_F(ServiceProtocolTest, StreamAppendGrowsTheStreamAndNeverTouchesTheLedger) 
   ASSERT_EQ(draw->indices.size(), 1u);
 }
 
+TEST_F(ServiceProtocolTest, StreamAppendPastTheCapIsResourceExhausted) {
+  // The server caps a stream at 2^15 live examples. Fill it, pipelining
+  // the appends in bursts to keep the test fast.
+  constexpr std::uint64_t kStreamCap = std::uint64_t{1} << 15;
+  DpReleaseClient client = MustConnect();
+  Request append;
+  append.opcode = Opcode::kStreamAppend;
+  append.tenant_id = "hoarder";
+  append.dataset = "bernoulli";
+  append.features = {1.0};
+  append.label = 1.0;
+  std::uint64_t request_id = 0;
+  std::uint64_t size = 200;  // the served dataset seeds the stream
+  while (size < kStreamCap) {
+    const std::uint64_t burst = std::min<std::uint64_t>(256, kStreamCap - size);
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      append.request_id = ++request_id;
+      ASSERT_TRUE(client.Send(append).ok());
+    }
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      auto response = client.Receive();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response->code, StatusCode::kOk) << response->message;
+      ASSERT_EQ(response->stream_size, ++size);
+    }
+  }
+
+  // Past the cap an append is refused and leaves the stream as it was:
+  // a draw still charges at n = kStreamCap.
+  for (int i = 0; i < 2; ++i) {
+    append.request_id = ++request_id;
+    auto response = client.Call(append);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->code, StatusCode::kResourceExhausted);
+  }
+  auto draw = client.Call(MakeGibbs(++request_id, "hoarder", /*lambda=*/1.0, /*count=*/1));
+  ASSERT_TRUE(draw.ok()) << draw.status().ToString();
+  ASSERT_EQ(draw->code, StatusCode::kOk);
+  EXPECT_EQ(draw->charged_epsilon, 2.0 / static_cast<double>(kStreamCap));
+}
+
 TEST_F(ServiceProtocolTest, AcceptFailPointRejectsWithStructuredFrame) {
   robustness::ScopedFailPoint accept_chaos("service.accept", "always");
   auto client = DpReleaseClient::Connect(socket_path_);

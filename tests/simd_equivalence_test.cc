@@ -128,7 +128,6 @@ std::vector<NamedLoss> AllBuiltinLosses() {
   std::vector<NamedLoss> losses;
   losses.push_back({"zero_one", std::make_unique<ZeroOneLoss>()});
   losses.push_back({"clipped_squared", std::make_unique<ClippedSquaredLoss>(1.0)});
-  losses.push_back({"clipped_absolute", std::make_unique<ClippedAbsoluteLoss>(2.0)});
   losses.push_back({"logistic", std::make_unique<LogisticLoss>(4.0)});
   losses.push_back({"huber", std::make_unique<HuberLoss>(0.5, 2.0)});
   return losses;

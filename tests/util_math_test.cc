@@ -84,23 +84,6 @@ TEST(ApproxEqualTest, Basic) {
   EXPECT_TRUE(ApproxEqual(1e9, 1e9 * (1.0 + 1e-10)));
 }
 
-TEST(MeanVarianceTest, KnownValues) {
-  std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_NEAR(Mean(x).value(), 2.5, 1e-12);
-  EXPECT_NEAR(SampleVariance(x).value(), 5.0 / 3.0, 1e-12);
-  EXPECT_FALSE(Mean({}).ok());
-  EXPECT_FALSE(SampleVariance({1.0}).ok());
-}
-
-TEST(QuantileTest, InterpolatesSortedSample) {
-  std::vector<double> x = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_NEAR(Quantile(x, 0.0).value(), 1.0, 1e-12);
-  EXPECT_NEAR(Quantile(x, 1.0).value(), 4.0, 1e-12);
-  EXPECT_NEAR(Quantile(x, 0.5).value(), 2.5, 1e-12);
-  EXPECT_FALSE(Quantile({}, 0.5).ok());
-  EXPECT_FALSE(Quantile(x, 1.5).ok());
-}
-
 TEST(ValidateDistributionTest, AcceptsValidRejectsInvalid) {
   EXPECT_TRUE(ValidateDistribution({0.25, 0.75}).ok());
   EXPECT_FALSE(ValidateDistribution({0.5, 0.6}).ok());
@@ -126,22 +109,6 @@ TEST(LinspaceTest, EndpointsAndSpacing) {
   EXPECT_NEAR((*g)[2], 0.5, 1e-12);
   EXPECT_FALSE(Linspace(1.0, 0.0, 5).ok());
   EXPECT_FALSE(Linspace(0.0, 1.0, 1).ok());
-}
-
-TEST(CatoniPhiTest, IsInverseOfCatoniMap) {
-  // Phi is the inverse of r -> (1 - exp(-gamma r)) / (1 - exp(-gamma)).
-  const double gamma = 0.3;
-  const double r = 0.4;
-  const double mapped = -std::expm1(-gamma * r) / -std::expm1(-gamma);
-  auto inv = CatoniPhi(gamma, mapped);
-  ASSERT_TRUE(inv.ok());
-  EXPECT_NEAR(*inv, r, 1e-12);
-}
-
-TEST(CatoniPhiTest, RejectsOutOfDomain) {
-  EXPECT_FALSE(CatoniPhi(0.0, 0.5).ok());
-  // r beyond 1/(1-e^{-gamma}) makes the log argument non-positive.
-  EXPECT_FALSE(CatoniPhi(1.0, 5.0).ok());
 }
 
 TEST(LogSumExpTest, EmptyInputIsNegativeInfinity) {

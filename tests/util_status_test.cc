@@ -34,7 +34,6 @@ TEST(StatusTest, ConvenienceConstructors) {
   EXPECT_EQ(FailedPreconditionError("x").code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(NotFoundError("x").code(), StatusCode::kNotFound);
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(UnimplementedError("x").code(), StatusCode::kUnimplemented);
 }
 
 TEST(StatusTest, Equality) {
