@@ -74,7 +74,9 @@ enum class Opcode : std::uint8_t {
   /// kGibbsSample requests against that dataset re-tilt from the live
   /// stream via GibbsEstimator::SampleStreaming, with per-draw cost
   /// 2λ·B/n_live — appends are free (no spend; growing n only shrinks ε).
-  /// Returns the live stream size.
+  /// Returns the live stream size. A stream holds at most 2^15 examples;
+  /// an append past that returns RESOURCE_EXHAUSTED and leaves the stream
+  /// unchanged.
   kStreamAppend = 7,
 };
 
