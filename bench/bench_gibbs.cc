@@ -20,7 +20,7 @@
 #include "learning/streaming_risk.h"
 #include "perf/risk_profile_cache.h"
 #include "sampling/rng.h"
-#include "simd/dispatch.h"
+#include "tests/custom_loss_twin.h"
 
 namespace dplearn {
 namespace {
@@ -36,21 +36,18 @@ void BM_EmpiricalRiskProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_EmpiricalRiskProfile)->Arg(21)->Arg(201);
 
-/// The same profile with DPLEARN_SIMD pinned off — the in-snapshot scalar
-/// baseline for the SIMD ratio gate (scripts/check_bench_speedup.py asserts
-/// scalar/201 >= 1.5x the default BM_EmpiricalRiskProfile/201 above, which
-/// runs with the kernels enabled).
+/// The same profile on the loss's custom twin, which has no kernel and so
+/// runs the virtual loop: the in-snapshot scalar baseline for the SIMD
+/// ratio gate (scripts/check_bench_speedup.py asserts scalar/201 >= 1.5x
+/// BM_EmpiricalRiskProfile/201 above, which runs the kernel).
 void BM_EmpiricalRiskProfileScalar(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
-  ClippedSquaredLoss loss(1.0);
+  CustomTwin<ClippedSquaredLoss> loss(1.0);
   const FiniteHypothesisClass hclass = bench::MakeScalarGrid(m);
   Dataset data = bench::MakeBernoulliData(500, 9);
-  const bool prev = simd::SimdEnabled();
-  simd::SetSimdEnabled(false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EmpiricalRiskProfile(loss, hclass.thetas(), data).value());
   }
-  simd::SetSimdEnabled(prev);
 }
 BENCHMARK(BM_EmpiricalRiskProfileScalar)->Arg(201);
 

@@ -16,7 +16,7 @@
 #include "perf/risk_profile_cache.h"
 #include "sampling/distributions.h"
 #include "sampling/rng.h"
-#include "simd/dispatch.h"
+#include "tests/custom_loss_twin.h"
 
 namespace dplearn {
 namespace {
@@ -37,23 +37,21 @@ void BM_ChannelConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelConstruction)->Arg(10)->Arg(50)->Arg(200);
 
-/// Cold channel build with DPLEARN_SIMD pinned off — the scalar baseline
-/// for the in-snapshot SIMD ratio gate on BM_ChannelConstruction/200.
+/// Cold channel build on the loss's custom twin, whose risk rows run the
+/// virtual loop: the scalar baseline for the in-snapshot SIMD ratio gate on
+/// BM_ChannelConstruction/200.
 void BM_ChannelConstructionScalar(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto task = BernoulliMeanTask::Create(0.4).value();
-  ClippedSquaredLoss loss(1.0);
+  CustomTwin<ClippedSquaredLoss> loss(1.0);
   const FiniteHypothesisClass hclass = bench::MakeScalarGrid(21);
   const bool prev_cache = perf::RiskCacheEnabled();
   perf::SetRiskCacheEnabled(false);
-  const bool prev_simd = simd::SimdEnabled();
-  simd::SetSimdEnabled(false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         BuildBernoulliGibbsChannel(task, n, loss, hclass, hclass.UniformPrior(), 5.0)
             .value());
   }
-  simd::SetSimdEnabled(prev_simd);
   perf::SetRiskCacheEnabled(prev_cache);
 }
 BENCHMARK(BM_ChannelConstructionScalar)->Arg(200);

@@ -103,11 +103,6 @@ ALLOWLIST = {
                     "equivalence suites"),
     "dplearn::SampleUniform":
         (REFERENCE, "draws LinearRegressionTask's features"),
-    "dplearn::HuberLoss::HuberLoss":
-        (REFERENCE, "the only loss with a non-zero ParameterFingerprint: "
-                    "the risk cache's hidden-parameter key test"),
-    "dplearn::HuberLoss::Loss":
-        (REFERENCE, "the kHuber reference of the SIMD and streaming suites"),
     "dplearn::ClipFeatureNorm":
         (REFERENCE, "bounds the features of the DP-SGD, local-DP and "
                     "federated suites"),

@@ -11,9 +11,9 @@
 # on >25% regressions in the named hot benchmarks) and asserts the
 # machine-independent intra-snapshot invariant with
 # scripts/check_bench_speedup.py (cached Gibbs grid sweep >= 2x the
-# uncached one; SIMD kernels >= 1.5x their scalar-pinned twins on the
-# risk-profile and channel-build hot paths; streamed one-example update
-# >= 10x a full recompute at n=1000).
+# uncached one; SIMD kernels >= 1.5x the virtual loop of the loss's custom
+# twin on the risk-profile and channel-build hot paths; streamed
+# one-example update >= 10x a full recompute at n=1000).
 #
 # Usage: scripts/run_bench.sh [build_dir]
 #   build_dir  CMake build directory (default: build-bench)

@@ -269,6 +269,10 @@ StatusOr<MetropolisResult> SampleGibbsContinuous(const LossFunction& loss,
   if (!log_prior) {
     return InvalidArgumentError("SampleGibbsContinuous: log_prior must be set");
   }
+  // The target below cannot return a Status, so the data and θ's dimension
+  // are checked once here, at initial_theta; every proposal keeps that
+  // dimension.
+  DPLEARN_RETURN_IF_ERROR(EmpiricalRisk(loss, initial_theta, data).status());
   obs::TraceSpan span("gibbs.mcmc");
   if (obs::MetricsEnabled()) {
     static obs::Counter* const runs = obs::GlobalMetrics().GetCounter("gibbs.mcmc_runs");

@@ -168,7 +168,9 @@ Status GibbsPosteriorFromRisksInto(const double* risks, const double* log_prior,
 /// `log_prior` is an unnormalized log-density over R^d. The privacy level
 /// is still 2λΔ(R̂) in the exact posterior; MCMC approximates it (the
 /// approximation gap is measured empirically in the experiments). Errors
-/// propagate from RunMetropolis.
+/// propagate from EmpiricalRisk at `initial_theta` (non-finite data, or a
+/// θ without the data's dimension), checked before the chain draws, and
+/// from RunMetropolis.
 StatusOr<MetropolisResult> SampleGibbsContinuous(const LossFunction& loss,
                                                  const Dataset& data,
                                                  const LogDensityFn& log_prior, double lambda,

@@ -41,8 +41,8 @@ struct GradientErmResult {
 /// Full-batch gradient descent on
 ///   J(theta) = R̂_Ẑ(theta) + (lambda/2)||theta||^2 + (b . theta)/n.
 /// Requires loss.HasGradient(). Error on empty data, dimension mismatch, or
-/// invalid options. Convex for the logistic/Huber losses with lambda > 0,
-/// where this converges to the unique minimizer.
+/// invalid options. Convex for the logistic loss with lambda > 0, where
+/// this converges to the unique minimizer.
 StatusOr<GradientErmResult> GradientDescentErm(const LossFunction& loss, const Dataset& data,
                                                const GradientErmOptions& options,
                                                const Vector& initial_theta);

@@ -46,16 +46,4 @@ Vector LogisticLoss::Gradient(const Vector& theta, const Example& z) const {
   return Scale(z.features, -z.label * sigmoid_neg);
 }
 
-HuberLoss::HuberLoss(double delta, double clip) : delta_(delta), clip_(clip) {
-  DPLEARN_CHECK_GT(delta, 0.0);
-  DPLEARN_CHECK_GT(clip, 0.0);
-}
-
-double HuberLoss::Loss(const Vector& theta, const Example& z) const {
-  const double r = std::fabs(Dot(theta, z.features) - z.label);
-  const double raw =
-      r <= delta_ ? 0.5 * r * r : delta_ * (r - 0.5 * delta_);
-  return Clamp(raw, 0.0, clip_);
-}
-
 }  // namespace dplearn

@@ -2,23 +2,14 @@
 #define DPLEARN_LEARNING_LOSS_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "learning/dataset.h"
+#include "simd/kernels.h"
 #include "util/matrix.h"
 
 namespace dplearn {
-
-/// The closed set of built-in loss formulas. The simd kernels (src/simd)
-/// devirtualize the risk loop over this set; kCustom means "no known
-/// formula" and keeps callers on the virtual-dispatch path.
-enum class LossKind {
-  kZeroOne,
-  kClippedSquared,
-  kLogistic,
-  kHuber,
-  kCustom,
-};
 
 /// A loss l_theta(Z) of the statistical-prediction framework (Section 2.2).
 ///
@@ -30,16 +21,20 @@ enum class LossKind {
 ///   * the [0,1]-scaling required by Catoni's PAC-Bayes bound (Theorem 3.1).
 /// Losses that are naturally unbounded (squared) are provided in clipped
 /// form.
+///
+/// Name() and UpperBound() together must identify Loss(): the risk-profile
+/// cache (src/perf) keys entries on (Name, UpperBound, Θ, Ẑ), so two losses
+/// that share both must compute the same values.
 class LossFunction {
  public:
   virtual ~LossFunction() = default;
 
-  /// Which built-in formula Loss() computes, or kCustom for user-defined
-  /// subclasses. An override promises that Loss() is EXACTLY the formula
-  /// documented for that kind (same operations, same clamp order) — the
-  /// devirtualized kernels reproduce it element-wise from (theta·x, label,
-  /// UpperBound, ParameterFingerprint) alone.
-  virtual LossKind Kind() const { return LossKind::kCustom; }
+  /// The devirtualized kernel (src/simd) that computes Loss(), or nullopt,
+  /// the default, for a custom loss, whose risks run the virtual loop. An
+  /// override promises that Loss() is EXACTLY the formula of spec.kind
+  /// (same operations, same clamp order) with spec.clip == UpperBound():
+  /// the kernels reproduce it element-wise from (theta·x, label, clip).
+  virtual std::optional<simd::LossSpec> KernelSpec() const { return std::nullopt; }
 
   /// The loss of predictor `theta` on example `z`. Implementations must be
   /// deterministic and must honor the declared bound for valid inputs.
@@ -48,20 +43,12 @@ class LossFunction {
   /// B with l in [0, B].
   virtual double UpperBound() const = 0;
 
-  /// Human-readable name for reports.
+  /// Human-readable name for reports, and half of the cache's loss key.
   virtual std::string Name() const = 0;
 
   /// True if Gradient() is implemented (needed by gradient-descent ERM and
   /// objective perturbation).
   virtual bool HasGradient() const { return false; }
-
-  /// Distinguishes losses whose Loss() depends on parameters beyond Name()
-  /// and UpperBound() — the risk-profile cache (src/perf) keys entries on
-  /// (Name, UpperBound, ParameterFingerprint, Θ, Ẑ), so a loss with hidden
-  /// parameters that does not override this would alias a differently
-  /// parameterized instance of the same class. Losses fully identified by
-  /// name + bound keep the default.
-  virtual double ParameterFingerprint() const { return 0.0; }
 
   /// d/d(theta) of the loss; only valid when HasGradient(). Default aborts.
   virtual Vector Gradient(const Vector& theta, const Example& z) const;
@@ -74,7 +61,9 @@ class ZeroOneLoss final : public LossFunction {
   double Loss(const Vector& theta, const Example& z) const override;
   double UpperBound() const override { return 1.0; }
   std::string Name() const override { return "zero_one"; }
-  LossKind Kind() const override { return LossKind::kZeroOne; }
+  std::optional<simd::LossSpec> KernelSpec() const override {
+    return simd::LossSpec{simd::LossKind::kZeroOne, 1.0};
+  }
 };
 
 /// Squared loss (theta . x - label)^2 clipped to [0, clip]. The clip keeps
@@ -86,7 +75,9 @@ class ClippedSquaredLoss final : public LossFunction {
   double Loss(const Vector& theta, const Example& z) const override;
   double UpperBound() const override { return clip_; }
   std::string Name() const override { return "clipped_squared"; }
-  LossKind Kind() const override { return LossKind::kClippedSquared; }
+  std::optional<simd::LossSpec> KernelSpec() const override {
+    return simd::LossSpec{simd::LossKind::kClippedSquared, clip_};
+  }
 
  private:
   double clip_;
@@ -103,28 +94,13 @@ class LogisticLoss final : public LossFunction {
   double Loss(const Vector& theta, const Example& z) const override;
   double UpperBound() const override { return clip_; }
   std::string Name() const override { return "logistic"; }
-  LossKind Kind() const override { return LossKind::kLogistic; }
+  std::optional<simd::LossSpec> KernelSpec() const override {
+    return simd::LossSpec{simd::LossKind::kLogistic, clip_};
+  }
   bool HasGradient() const override { return true; }
   Vector Gradient(const Vector& theta, const Example& z) const override;
 
  private:
-  double clip_;
-};
-
-/// Huber loss: quadratic within `delta` of the residual, linear beyond,
-/// clipped to [0, clip].
-class HuberLoss final : public LossFunction {
- public:
-  HuberLoss(double delta, double clip);
-  double Loss(const Vector& theta, const Example& z) const override;
-  double UpperBound() const override { return clip_; }
-  std::string Name() const override { return "huber"; }
-  LossKind Kind() const override { return LossKind::kHuber; }
-  /// `delta` shapes the loss but is invisible in Name()/UpperBound().
-  double ParameterFingerprint() const override { return delta_; }
-
- private:
-  double delta_;
   double clip_;
 };
 

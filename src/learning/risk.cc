@@ -5,7 +5,6 @@
 #include <string>
 
 #include "parallel/trial_runner.h"
-#include "simd/dispatch.h"
 #include "simd/kernels.h"
 
 namespace dplearn {
@@ -17,13 +16,21 @@ namespace {
 /// profile is bit-identical to the sequential result at any thread count.
 constexpr std::size_t kParallelProfileMinWork = 1 << 14;
 
-/// The NaN-poisoning guard (DESIGN.md §14): clipped losses cannot signal a
-/// poisoned input — Clamp(NaN, 0, B) == min(B, max(0, NaN)) == 0 in IEEE
-/// semantics, because max(0, NaN) returns 0 — so a NaN feature silently
-/// becomes a zero loss and a post-sum isfinite() check never fires. The only
-/// sound policy is to reject non-finite INPUTS up front, with OutOfRange so
-/// callers can distinguish poisoned data from structural errors.
-Status ValidateTheta(const char* fn, const Vector& theta) {
+/// The checks a hypothesis must pass before any loss reads it. It must
+/// have the data's FeatureDim() coordinates, because every loss reads θ·x.
+/// It must be finite, because of the NaN-poisoning guard (DESIGN.md §14):
+/// clipped losses cannot signal a poisoned input — Clamp(NaN, 0, B) ==
+/// min(B, max(0, NaN)) == 0 in IEEE semantics, because max(0, NaN) returns
+/// 0 — so a NaN silently becomes a zero loss and a post-sum isfinite()
+/// check never fires. The only sound policy is to reject non-finite INPUTS
+/// up front, with OutOfRange so callers can distinguish poisoned data from
+/// structural errors. BuildDatasetSoA applies the same checks to the data.
+Status ValidateTheta(const char* fn, const Vector& theta, std::size_t dim) {
+  if (theta.size() != dim) {
+    return InvalidArgumentError(std::string(fn) + ": hypothesis has " +
+                                std::to_string(theta.size()) + " coordinates, the data " +
+                                std::to_string(dim) + " features");
+  }
   for (std::size_t j = 0; j < theta.size(); ++j) {
     if (!std::isfinite(theta[j])) {
       return OutOfRangeError(std::string(fn) + ": non-finite hypothesis coordinate " +
@@ -33,31 +40,13 @@ Status ValidateTheta(const char* fn, const Vector& theta) {
   return Status::Ok();
 }
 
-/// One-time input scan for the scalar (virtual-dispatch) path; the simd path
-/// gets the same checks fused into BuildDatasetSoA.
-Status ValidateDatasetFinite(const char* fn, const Dataset& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const Example& z = data.at(i);
-    if (!std::isfinite(z.label)) {
-      return OutOfRangeError(std::string(fn) + ": non-finite label in example " +
-                             std::to_string(i));
-    }
-    for (const double v : z.features) {
-      if (!std::isfinite(v)) {
-        return OutOfRangeError(std::string(fn) + ": non-finite feature in example " +
-                               std::to_string(i));
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-/// The legacy virtual-dispatch mean loss. Inputs are already validated; the
-/// post-sum check remains for CUSTOM losses only, whose formulas we cannot
-/// inspect — a custom Loss() returning NaN/inf on finite inputs is still a
-/// contract violation worth a typed error rather than a poisoned profile.
-StatusOr<double> ScalarMeanLoss(const LossFunction& loss, const Vector& theta,
-                                const Dataset& data) {
+/// The virtual-dispatch mean loss a custom loss runs. Inputs are already
+/// validated; the post-sum check is for custom losses, whose formulas we
+/// cannot inspect — a custom Loss() returning NaN/inf on finite inputs is
+/// still a contract violation worth a typed error rather than a poisoned
+/// profile.
+StatusOr<double> VirtualMeanLoss(const LossFunction& loss, const Vector& theta,
+                                 const Dataset& data) {
   double sum = 0.0;
   for (const Example& z : data.examples()) sum += loss.Loss(theta, z);
   const double risk = sum / static_cast<double>(data.size());
@@ -69,29 +58,6 @@ StatusOr<double> ScalarMeanLoss(const LossFunction& loss, const Vector& theta,
 }
 
 }  // namespace
-
-std::optional<simd::LossSpec> SimdLossSpec(const LossFunction& loss) {
-  simd::LossSpec spec;
-  switch (loss.Kind()) {
-    case LossKind::kZeroOne:
-      spec.kind = simd::LossKind::kZeroOne;
-      break;
-    case LossKind::kClippedSquared:
-      spec.kind = simd::LossKind::kClippedSquared;
-      break;
-    case LossKind::kLogistic:
-      spec.kind = simd::LossKind::kLogistic;
-      break;
-    case LossKind::kHuber:
-      spec.kind = simd::LossKind::kHuber;
-      spec.delta = loss.ParameterFingerprint();
-      break;
-    case LossKind::kCustom:
-      return std::nullopt;
-  }
-  spec.clip = loss.UpperBound();
-  return spec;
-}
 
 Status BuildDatasetSoA(const Dataset& data, simd::DatasetSoA* out) {
   const std::size_t n = data.size();
@@ -129,17 +95,15 @@ Status BuildDatasetSoA(const Dataset& data, simd::DatasetSoA* out) {
 StatusOr<double> EmpiricalRisk(const LossFunction& loss, const Vector& theta,
                                const Dataset& data) {
   if (data.empty()) return InvalidArgumentError("EmpiricalRisk: empty dataset");
-  DPLEARN_RETURN_IF_ERROR(ValidateTheta("EmpiricalRisk", theta));
-  const std::optional<simd::LossSpec> spec = SimdLossSpec(loss);
-  if (spec.has_value() && simd::SimdEnabled() && theta.size() == data.FeatureDim()) {
-    thread_local simd::DatasetSoA soa;
-    DPLEARN_RETURN_IF_ERROR(BuildDatasetSoA(data, &soa));
+  DPLEARN_RETURN_IF_ERROR(ValidateTheta("EmpiricalRisk", theta, data.FeatureDim()));
+  // BuildDatasetSoA is the data's one validation on both paths; only the
+  // kernel reads the SoA.
+  thread_local simd::DatasetSoA soa;
+  DPLEARN_RETURN_IF_ERROR(BuildDatasetSoA(data, &soa));
+  if (const std::optional<simd::LossSpec> spec = loss.KernelSpec()) {
     return simd::MeanLossKernel(*spec, theta.data(), theta.size(), soa);
   }
-  // A theta/dataset dimension mismatch falls through so the scalar Dot's
-  // CHECK fires with the same diagnostic it always has.
-  DPLEARN_RETURN_IF_ERROR(ValidateDatasetFinite("EmpiricalRisk", data));
-  return ScalarMeanLoss(loss, theta, data);
+  return VirtualMeanLoss(loss, theta, data);
 }
 
 StatusOr<std::vector<double>> EmpiricalRiskProfile(const LossFunction& loss,
@@ -148,22 +112,17 @@ StatusOr<std::vector<double>> EmpiricalRiskProfile(const LossFunction& loss,
   if (thetas.empty()) return InvalidArgumentError("EmpiricalRiskProfile: empty hypothesis list");
   if (data.empty()) return InvalidArgumentError("EmpiricalRiskProfile: empty dataset");
   for (const Vector& theta : thetas) {
-    DPLEARN_RETURN_IF_ERROR(ValidateTheta("EmpiricalRiskProfile", theta));
+    DPLEARN_RETURN_IF_ERROR(ValidateTheta("EmpiricalRiskProfile", theta, data.FeatureDim()));
   }
+  thread_local simd::DatasetSoA soa;
+  DPLEARN_RETURN_IF_ERROR(BuildDatasetSoA(data, &soa));
   std::vector<double> risks(thetas.size());
   const bool parallel_eligible = thetas.size() * data.size() >= kParallelProfileMinWork;
 
-  const std::optional<simd::LossSpec> spec = SimdLossSpec(loss);
-  bool simd_ok = spec.has_value() && simd::SimdEnabled();
-  if (simd_ok) {
-    for (const Vector& theta : thetas) simd_ok = simd_ok && theta.size() == data.FeatureDim();
-  }
-  if (simd_ok) {
+  if (const std::optional<simd::LossSpec> spec = loss.KernelSpec()) {
     // One SoA build amortized over |Θ| kernel calls. The kernel is a pure
     // function — the parallel fan-out needs no per-hypothesis status slots,
     // and each risks[i] is identical to the serial call at any thread count.
-    thread_local simd::DatasetSoA soa;
-    DPLEARN_RETURN_IF_ERROR(BuildDatasetSoA(data, &soa));
     const simd::DatasetSoA* view = &soa;
     const simd::LossSpec kernel_spec = *spec;
     if (parallel_eligible) {
@@ -179,14 +138,13 @@ StatusOr<std::vector<double>> EmpiricalRiskProfile(const LossFunction& loss,
     return risks;
   }
 
-  DPLEARN_RETURN_IF_ERROR(ValidateDatasetFinite("EmpiricalRiskProfile", data));
   if (parallel_eligible) {
-    // ScalarMeanLoss can only fail on a custom loss emitting a non-finite
+    // VirtualMeanLoss can only fail on a custom loss emitting a non-finite
     // value; the per-hypothesis status slots surface the first such failure.
     std::vector<Status> statuses(thetas.size());
     parallel::ParallelTrialRunner runner;
     runner.ForIndex(thetas.size(), [&](std::size_t i) {
-      StatusOr<double> risk = ScalarMeanLoss(loss, thetas[i], data);
+      StatusOr<double> risk = VirtualMeanLoss(loss, thetas[i], data);
       if (risk.ok()) {
         risks[i] = risk.value();
       } else {
@@ -199,7 +157,7 @@ StatusOr<std::vector<double>> EmpiricalRiskProfile(const LossFunction& loss,
     return risks;
   }
   for (std::size_t i = 0; i < thetas.size(); ++i) {
-    DPLEARN_ASSIGN_OR_RETURN(risks[i], ScalarMeanLoss(loss, thetas[i], data));
+    DPLEARN_ASSIGN_OR_RETURN(risks[i], VirtualMeanLoss(loss, thetas[i], data));
   }
   return risks;
 }

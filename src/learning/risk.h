@@ -1,24 +1,14 @@
 #ifndef DPLEARN_LEARNING_RISK_H_
 #define DPLEARN_LEARNING_RISK_H_
 
-#include <optional>
 #include <vector>
 
 #include "learning/dataset.h"
 #include "learning/loss.h"
 #include "simd/dataset_soa.h"
-#include "simd/kernels.h"
 #include "util/status.h"
 
 namespace dplearn {
-
-/// Maps a built-in loss onto its devirtualized kernel spec; nullopt for
-/// kCustom (callers keep the virtual-dispatch loop). The spec mirrors
-/// exactly the parameters the kernel formulas read: clip = UpperBound(),
-/// delta = Huber's knee (exposed as its ParameterFingerprint). Shared by
-/// the batch risk path below and the streaming layer (streaming_risk.h),
-/// which must agree bit-for-bit on the per-example loss values they sum.
-std::optional<simd::LossSpec> SimdLossSpec(const LossFunction& loss);
 
 /// Mirrors `data` into the structure-of-arrays layout the simd risk kernels
 /// stream over, validating on the way: every example must have FeatureDim()
@@ -30,20 +20,23 @@ std::optional<simd::LossSpec> SimdLossSpec(const LossFunction& loss);
 Status BuildDatasetSoA(const Dataset& data, simd::DatasetSoA* out);
 
 /// Empirical risk R̂_Ẑ(theta) = (1/n) sum_i l_theta(Z_i) (Section 2.2).
-/// Error if the dataset is empty; OutOfRangeError if theta, a feature, or a
-/// label is non-finite (and, for custom losses, if the summed risk is).
+/// InvalidArgumentError if the dataset is empty or theta or an example does
+/// not have FeatureDim() features; OutOfRangeError if theta, a feature, or
+/// a label is non-finite (and, for custom losses, if the summed risk is).
 ///
-/// When the loss reports a built-in Kind() and simd::SimdEnabled(), the sum
-/// runs through simd::MeanLossKernel — ULP-equivalent to the scalar loop
-/// (bitwise below simd::kBlockedSumMinN examples) and bitwise-deterministic
-/// within a build. EmpiricalRiskProfile routes through the same kernel, so
-/// profile entries equal single-theta calls exactly in either mode.
+/// When the loss has a KernelSpec(), the sum runs through
+/// simd::MeanLossKernel — ULP-equivalent to the virtual loop a custom loss
+/// runs (bitwise below simd::kBlockedSumMinN examples) and
+/// bitwise-deterministic within a build. EmpiricalRiskProfile takes the
+/// same path for the same loss, so profile entries equal single-theta
+/// calls exactly.
 StatusOr<double> EmpiricalRisk(const LossFunction& loss, const Vector& theta,
                                const Dataset& data);
 
 /// Empirical risk of every hypothesis in `thetas` on `data` — the risk
-/// vector that parameterizes a finite-Θ Gibbs posterior. Error if the
-/// dataset or hypothesis list is empty.
+/// vector that parameterizes a finite-Θ Gibbs posterior. Errors as
+/// EmpiricalRisk, and InvalidArgumentError if the hypothesis list is
+/// empty.
 StatusOr<std::vector<double>> EmpiricalRiskProfile(const LossFunction& loss,
                                                    const std::vector<Vector>& thetas,
                                                    const Dataset& data);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "learning/risk.h"
-#include "simd/dispatch.h"
 #include "util/content_hash.h"
 
 namespace dplearn {
@@ -32,18 +31,16 @@ bool BitwiseExampleEqual(const Example& a, const Example& b) {
 
 StreamingRiskProfile::StreamingRiskProfile(const LossFunction* loss,
                                            std::vector<Vector> thetas, Options options)
-    : loss_(loss), thetas_(std::move(thetas)), resync_every_(options.resync_every) {
-  simd_spec_ = SimdLossSpec(*loss_);
-  uniform_theta_dim_ = thetas_[0].size();
-  thetas_uniform_ = true;
-  for (const Vector& theta : thetas_) {
-    thetas_uniform_ = thetas_uniform_ && theta.size() == uniform_theta_dim_;
-  }
-  if (simd_spec_.has_value() && thetas_uniform_) {
+    : loss_(loss),
+      thetas_(std::move(thetas)),
+      kernel_spec_(loss->KernelSpec()),
+      feature_dim_(thetas_[0].size()),
+      resync_every_(options.resync_every) {
+  if (kernel_spec_.has_value()) {
     const std::size_t m = thetas_.size();
-    theta_block_.resize(m * uniform_theta_dim_);
+    theta_block_.resize(m * feature_dim_);
     for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < uniform_theta_dim_; ++j) {
+      for (std::size_t j = 0; j < feature_dim_; ++j) {
         theta_block_[j * m + i] = thetas_[i][j];
       }
     }
@@ -73,6 +70,12 @@ StatusOr<StreamingRiskProfile> StreamingRiskProfile::Create(const LossFunction* 
     return InvalidArgumentError("StreamingRiskProfile: empty hypothesis list");
   }
   for (std::size_t i = 0; i < thetas.size(); ++i) {
+    if (thetas[i].size() != thetas[0].size()) {
+      return InvalidArgumentError("StreamingRiskProfile: hypothesis " + std::to_string(i) +
+                                  " has " + std::to_string(thetas[i].size()) +
+                                  " coordinates, hypothesis 0 has " +
+                                  std::to_string(thetas[0].size()));
+    }
     for (std::size_t j = 0; j < thetas[i].size(); ++j) {
       if (!std::isfinite(thetas[i][j])) {
         return OutOfRangeError("StreamingRiskProfile: non-finite coordinate " +
@@ -83,12 +86,11 @@ StatusOr<StreamingRiskProfile> StreamingRiskProfile::Create(const LossFunction* 
   return StreamingRiskProfile(loss, std::move(thetas), options);
 }
 
-Status StreamingRiskProfile::PrepareFold(const Example& z, bool* fused) {
-  if (feature_dim_known_ && z.features.size() != feature_dim_) {
-    return InvalidArgumentError("StreamingRiskProfile: ragged example — has " +
+Status StreamingRiskProfile::PrepareFold(const Example& z) {
+  if (z.features.size() != feature_dim_) {
+    return InvalidArgumentError("StreamingRiskProfile: example has " +
                                 std::to_string(z.features.size()) +
-                                " features, stream established " +
-                                std::to_string(feature_dim_));
+                                " features, the hypotheses " + std::to_string(feature_dim_));
   }
   // Same NaN-poisoning policy as the batch path (DESIGN.md §14): clipped
   // losses launder NaN into 0, so poisoned INPUTS must be rejected up front.
@@ -101,9 +103,7 @@ Status StreamingRiskProfile::PrepareFold(const Example& z, bool* fused) {
                              std::to_string(j));
     }
   }
-  *fused = simd_spec_.has_value() && thetas_uniform_ && simd::SimdEnabled() &&
-           uniform_theta_dim_ == z.features.size();
-  if (*fused) return Status::Ok();
+  if (kernel_spec_.has_value()) return Status::Ok();
 
   for (std::size_t i = 0; i < thetas_.size(); ++i) {
     const double l = loss_->Loss(thetas_[i], z);
@@ -119,11 +119,10 @@ Status StreamingRiskProfile::PrepareFold(const Example& z, bool* fused) {
   return Status::Ok();
 }
 
-void StreamingRiskProfile::Fold(const Example& z, bool fused, bool remove) {
-  if (fused) {
-    simd::FoldExampleLoss(*simd_spec_, theta_block_.data(), thetas_.size(),
-                          uniform_theta_dim_, z.features.data(), z.label, remove,
-                          sums_.data(), comps_.data());
+void StreamingRiskProfile::Fold(const Example& z, bool remove) {
+  if (kernel_spec_.has_value()) {
+    simd::FoldExampleLoss(*kernel_spec_, theta_block_.data(), thetas_.size(), feature_dim_,
+                          z.features.data(), z.label, remove, sums_.data(), comps_.data());
     return;
   }
   for (std::size_t i = 0; i < sums_.size(); ++i) {
@@ -142,12 +141,7 @@ Status StreamingRiskProfile::AfterMutation() {
 }
 
 Status StreamingRiskProfile::AddExample(const Example& z) {
-  bool fused = false;
-  DPLEARN_RETURN_IF_ERROR(PrepareFold(z, &fused));
-  if (!feature_dim_known_) {
-    feature_dim_ = z.features.size();
-    feature_dim_known_ = true;
-  }
+  DPLEARN_RETURN_IF_ERROR(PrepareFold(z));
   const std::uint64_t hash = HashExample(z);
   if (live_count_ < examples_.size()) {
     // Recycle a retired slot: copy-assignment reuses the slot's feature
@@ -159,7 +153,7 @@ Status StreamingRiskProfile::AddExample(const Example& z) {
     hashes_.push_back(hash);
   }
   ++live_count_;
-  Fold(z, fused, /*remove=*/false);
+  Fold(z, /*remove=*/false);
   return AfterMutation();
 }
 
@@ -167,8 +161,7 @@ Status StreamingRiskProfile::RemoveExample(const Example& z) {
   if (live_count_ == 0) {
     return FailedPreconditionError("StreamingRiskProfile: remove from an empty stream");
   }
-  bool fused = false;
-  DPLEARN_RETURN_IF_ERROR(PrepareFold(z, &fused));
+  DPLEARN_RETURN_IF_ERROR(PrepareFold(z));
   const std::uint64_t hash = HashExample(z);
   std::size_t index = live_count_;
   for (std::size_t i = 0; i < live_count_; ++i) {
@@ -181,7 +174,7 @@ Status StreamingRiskProfile::RemoveExample(const Example& z) {
     return NotFoundError("StreamingRiskProfile: no live example matches the "
                          "removal candidate bitwise");
   }
-  Fold(z, fused, /*remove=*/true);
+  Fold(z, /*remove=*/true);
   // Swap-compact: the removed slot takes the last live example; retired
   // slots keep their capacity for recycling by a later Add.
   const std::size_t last = live_count_ - 1;

@@ -24,12 +24,12 @@ namespace dplearn {
 /// evaluations instead of the O(|Θ|·n) full recompute. Per hypothesis the
 /// running loss sum is a Kahan–Babuška–Neumaier accumulator, so a long
 /// add/remove stream accrues O(u) error per mutation instead of O(n·u).
-/// When the loss has a devirtualized kernel (SimdLossSpec) and
-/// simd::SimdEnabled(), a mutation is one simd::FoldExampleLoss pass that
-/// evaluates every hypothesis's loss and folds it straight into its sum;
-/// each loss is bitwise what simd::MeanLossKernel gives for a one-example
-/// dataset (DESIGN.md §15.1). A custom loss, or DPLEARN_SIMD=0, fills a
-/// delta row through the virtual Loss() and folds that.
+/// When the loss has a KernelSpec(), a mutation is one
+/// simd::FoldExampleLoss pass that evaluates every hypothesis's loss and
+/// folds it straight into its sum; each loss is bitwise what
+/// simd::MeanLossKernel gives for a one-example dataset (DESIGN.md §15.1).
+/// A custom loss fills a delta row through the virtual Loss() and folds
+/// that.
 ///
 /// Numerical drift contract (DESIGN.md §15): the incremental snapshot and a
 /// full EmpiricalRiskProfile recompute over the same live multiset sum the
@@ -45,9 +45,9 @@ namespace dplearn {
 ///
 /// Error taxonomy mirrors the batch path: non-finite features/labels are
 /// rejected with OutOfRange (the NaN-poisoning policy of DESIGN.md §14 —
-/// clipped losses silently launder NaN), ragged feature dimensions with
-/// InvalidArgument, removal of a never-added example with NotFound, and
-/// snapshots of an empty stream with FailedPrecondition.
+/// clipped losses silently launder NaN), an example whose dimension is not
+/// Θ's with InvalidArgument, removal of a never-added example with
+/// NotFound, and snapshots of an empty stream with FailedPrecondition.
 ///
 /// Steady state is allocation-free at constant occupancy: the per-Θ sums,
 /// the Θ block and the delta row are sized at construction, example
@@ -67,10 +67,11 @@ class StreamingRiskProfile {
     std::size_t reserve_examples = 0;
   };
 
-  /// `loss` must outlive the profile. Errors if loss is null or thetas is
-  /// empty or contains a non-finite coordinate. (The overload exists because
-  /// a `= Options{}` default argument may not use the nested class's default
-  /// member initializers inside the enclosing class.)
+  /// `loss` must outlive the profile. Errors if loss is null, or thetas is
+  /// empty, mixes dimensions or contains a non-finite coordinate. (The
+  /// overload exists because a `= Options{}` default argument may not use
+  /// the nested class's default member initializers inside the enclosing
+  /// class.)
   static StatusOr<StreamingRiskProfile> Create(const LossFunction* loss,
                                                std::vector<Vector> thetas,
                                                Options options);
@@ -79,8 +80,7 @@ class StreamingRiskProfile {
 
   /// Folds one arriving example into every per-hypothesis sum: O(|Θ|).
   /// OutOfRange on non-finite input (or a custom loss emitting a non-finite
-  /// value); InvalidArgument if the feature dimension disagrees with the
-  /// examples already seen.
+  /// value); InvalidArgument if the example's feature dimension is not Θ's.
   Status AddExample(const Example& z);
 
   /// Folds one departing example out of every per-hypothesis sum: O(|Θ|)
@@ -125,25 +125,23 @@ class StreamingRiskProfile {
   StreamingRiskProfile(const LossFunction* loss, std::vector<Vector> thetas,
                        Options options);
 
-  /// Checks `z` against the stream (ragged, then non-finite) and decides
-  /// the path into *fused. On the virtual path it fills delta_row_, which
-  /// rejects a custom loss's non-finite value. Changes no sum.
-  Status PrepareFold(const Example& z, bool* fused);
+  /// Checks `z` against the stream (dimension, then non-finite). On the
+  /// virtual path it fills delta_row_, which rejects a custom loss's
+  /// non-finite value. Changes no sum.
+  Status PrepareFold(const Example& z);
   /// Adds l_{θ_i}(z) to every sum, or subtracts it when `remove`: the
-  /// kernel pass when `fused`, else delta_row_ from PrepareFold.
-  void Fold(const Example& z, bool fused, bool remove);
+  /// kernel pass when the loss has a kernel, else delta_row_ from
+  /// PrepareFold.
+  void Fold(const Example& z, bool remove);
   /// Bumps the mutation counters and auto-resyncs at the configured period.
   Status AfterMutation();
 
   const LossFunction* loss_;  // not owned
   std::vector<Vector> thetas_;
-  std::optional<simd::LossSpec> simd_spec_;
-  /// True iff every theta shares one dimension — the kernel path needs
-  /// theta.size() == feature dim, checked against each incoming example.
-  std::size_t uniform_theta_dim_ = 0;
-  bool thetas_uniform_ = false;
+  std::optional<simd::LossSpec> kernel_spec_;  // the loss's KernelSpec()
+  std::size_t feature_dim_;  // Θ's dimension, which every example must have
   /// Θ feature-major (coordinate j of θ_i at j·|Θ| + i) for the kernel
-  /// pass; filled only when the thetas are uniform and the loss has a kernel.
+  /// pass; filled only when the loss has a kernel.
   std::vector<double> theta_block_;
 
   /// Per-θ compensated loss sums, KahanSum's two terms as two arrays for
@@ -154,8 +152,6 @@ class StreamingRiskProfile {
   std::vector<Example> examples_;       // slots [0, live_count_) are live
   std::vector<std::uint64_t> hashes_;   // content hash per live slot
   std::size_t live_count_ = 0;
-  std::size_t feature_dim_ = 0;         // fixed by the first Add
-  bool feature_dim_known_ = false;
 
   std::size_t resync_every_ = 0;
   std::uint64_t mutations_ = 0;

@@ -9,24 +9,17 @@
 #include "obs/config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simd/dispatch.h"
 #include "util/content_hash.h"
 
 namespace dplearn {
 namespace perf {
 namespace {
 
-std::uint64_t KeyHash(std::uint64_t simd_flavor, const std::string& loss_name,
-                      const LossFunction& loss, std::uint64_t theta_hash,
-                      std::uint64_t data_hash) {
+std::uint64_t KeyHash(const std::string& loss_name, double loss_bound,
+                      std::uint64_t theta_hash, std::uint64_t data_hash) {
   std::uint64_t h = 0x2545f4914f6cdd1dULL;
-  // Scalar- and simd-computed profiles are distinct cache keys: they are
-  // ULP-equivalent, not bitwise-equal, so a mid-process DPLEARN_SIMD toggle
-  // must miss rather than serve the other mode's bits.
-  h = HashMix(h, simd_flavor);
   for (const char c : loss_name) h = HashMix(h, static_cast<unsigned char>(c));
-  h = HashMix(h, DoubleBits(loss.UpperBound()));
-  h = HashMix(h, DoubleBits(loss.ParameterFingerprint()));
+  h = HashMix(h, DoubleBits(loss_bound));
   h = HashMix(h, theta_hash);
   return HashMix(h, data_hash);
 }
@@ -86,17 +79,12 @@ RiskProfileCache::Stripe& RiskProfileCache::OwnStripe() const {
 }
 
 bool RiskProfileCache::Matches(const Entry& entry, std::uint64_t hash,
-                               std::uint64_t simd_flavor, const std::string& loss_name,
-                               const LossFunction& loss, const std::vector<Vector>& thetas,
-                               std::uint64_t class_id, const Dataset& data,
-                               std::uint64_t generation) {
+                               const std::string& loss_name, double loss_bound,
+                               const std::vector<Vector>& thetas, std::uint64_t class_id,
+                               const Dataset& data, std::uint64_t generation) {
   if (entry.hash != hash) return false;
-  if (entry.simd_flavor != simd_flavor) return false;
   if (entry.loss_name != loss_name) return false;
-  if (DoubleBits(entry.loss_bound) != DoubleBits(loss.UpperBound())) return false;
-  if (DoubleBits(entry.loss_fingerprint) != DoubleBits(loss.ParameterFingerprint())) {
-    return false;
-  }
+  if (DoubleBits(entry.loss_bound) != DoubleBits(loss_bound)) return false;
   // A class id or generation this entry has verified proves its half of
   // the key equal; anything else is compared bitwise and, if equal,
   // recorded for the next hit.
@@ -161,22 +149,20 @@ StatusOr<std::vector<double>> RiskProfileCache::GetOrCompute(
 Status RiskProfileCache::Lookup(const LossFunction& loss, const std::vector<Vector>& thetas,
                                 std::uint64_t theta_hash, std::uint64_t class_id,
                                 const Dataset& data, RiskVisitor visit) {
-  // One flavor read per call: the hash, the match predicate, and the stored
-  // entry must agree even if DPLEARN_SIMD toggles while we compute. The
-  // generation snapshot brackets the hash→compute→insert window against
+  // The generation snapshot brackets the hash→compute→insert window against
   // in-place SetLabel/Add mutation of `data` (the learning_channel walk).
-  const std::uint64_t flavor = simd::ActiveSimdFlavorId();
   const std::uint64_t generation = data.generation();
   const std::string loss_name = loss.Name();
-  const std::uint64_t hash = KeyHash(flavor, loss_name, loss, theta_hash, data.content_hash());
+  const double loss_bound = loss.UpperBound();
+  const std::uint64_t hash = KeyHash(loss_name, loss_bound, theta_hash, data.content_hash());
   {
     // This thread's stripe keeps every writer out, so the entry stays put
     // and only its relaxed atomics can change while we verify and visit it.
     Stripe& stripe = OwnStripe();
     std::shared_lock<std::shared_mutex> lock(stripe.mu);
     const auto found = by_hash_.find(hash);
-    if (found != by_hash_.end() && Matches(*found->second, hash, flavor, loss_name, loss,
-                                           thetas, class_id, data, generation)) {
+    if (found != by_hash_.end() && Matches(*found->second, hash, loss_name, loss_bound, thetas,
+                                           class_id, data, generation)) {
       const Entry& entry = *found->second;
       // Written only when clear, so hits on a hot entry leave its line shared.
       if (!entry.referenced.load(std::memory_order_relaxed)) {
@@ -202,10 +188,8 @@ Status RiskProfileCache::Lookup(const LossFunction& loss, const std::vector<Vect
   EntryList node(1);
   Entry& entry = node.front();
   entry.hash = hash;
-  entry.simd_flavor = flavor;
   entry.loss_name = loss_name;
-  entry.loss_bound = loss.UpperBound();
-  entry.loss_fingerprint = loss.ParameterFingerprint();
+  entry.loss_bound = loss_bound;
   entry.thetas = thetas;
   entry.examples = data.examples();
   entry.risks = std::move(risks);

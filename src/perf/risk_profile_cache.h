@@ -37,14 +37,16 @@ namespace perf {
 /// downstream posterior, sample, and verdict. tests/perf_cache_equivalence
 /// proves this differentially against the uncached path.
 ///
-/// Correctness of keying: entries are located by a 64-bit hash of (simd
-/// flavor, loss Name/UpperBound/ParameterFingerprint, Θ content hash, Ẑ
-/// content hash). Both content hashes are memoized — fixed at creation in
+/// Correctness of keying: entries are located by a 64-bit hash of (loss Name
+/// and UpperBound, Θ content hash, Ẑ content hash). Name and UpperBound
+/// identify the loss's values (LossFunction's contract), and a loss takes
+/// one risk path for life (its KernelSpec()), so the key fixes the profile's
+/// bits. Both content hashes are memoized — fixed at creation in
 /// FiniteHypothesisClass, per generation in Dataset — so a caller that
-/// passes the class walks neither Θ nor Ẑ per call. A hash match alone
-/// never serves a hit: each half of the stored key copy must be proven equal
-/// to the caller's, either by identity or bitwise (memcmp on the doubles,
-/// so NaN payloads and signed zeros are distinguished). Identity is a
+/// passes the class walks neither Θ nor Ẑ per call. A hash match alone never
+/// serves a hit: each half of the stored key copy must be proven equal to
+/// the caller's, either by identity or bitwise (memcmp on the doubles, so
+/// NaN payloads and signed zeros are distinguished). Identity is a
 /// FiniteHypothesisClass::id() or Dataset::generation() that this entry has
 /// already verified bitwise (or was filled from): class lists are immutable
 /// and equal generations mean equal examples, so the compare is skipped.
@@ -52,13 +54,6 @@ namespace perf {
 /// bitwise, and a successful compare records the id or generation. A
 /// collision therefore costs one compare and falls through to a recompute;
 /// it cannot produce a wrong result.
-///
-/// The simd::ActiveSimdFlavorId() key component exists because the scalar
-/// and vectorized risk paths are only ULP-equivalent, not bitwise-equal,
-/// above simd::kBlockedSumMinN examples (DESIGN.md §14). Without it, a
-/// mid-process DPLEARN_SIMD toggle could serve a profile computed in the
-/// OTHER mode — bitwise-different from what a fresh compute would return,
-/// silently breaking the determinism contract above.
 ///
 /// Locking: readers take a reader lock striped per thread, so hits on
 /// different threads share no lock word; an insert, an eviction and Clear
@@ -166,10 +161,8 @@ class RiskProfileCache {
   /// lock, so only the relaxed atomics below change while it is cached.
   struct Entry {
     std::uint64_t hash = 0;
-    std::uint64_t simd_flavor = 0;
     std::string loss_name;
     double loss_bound = 0.0;
-    double loss_fingerprint = 0.0;
     std::vector<Vector> thetas;
     std::vector<Example> examples;
     std::vector<double> risks;
@@ -210,10 +203,9 @@ class RiskProfileCache {
                 std::uint64_t theta_hash, std::uint64_t class_id, const Dataset& data,
                 RiskVisitor visit);
 
-  static bool Matches(const Entry& entry, std::uint64_t hash, std::uint64_t simd_flavor,
-                      const std::string& loss_name, const LossFunction& loss,
-                      const std::vector<Vector>& thetas, std::uint64_t class_id,
-                      const Dataset& data, std::uint64_t generation);
+  static bool Matches(const Entry& entry, std::uint64_t hash, const std::string& loss_name,
+                      double loss_bound, const std::vector<Vector>& thetas,
+                      std::uint64_t class_id, const Dataset& data, std::uint64_t generation);
 
   /// Needs every stripe held exclusively. Moves the one node of `node` in.
   void InsertLocked(EntryList node);

@@ -1,5 +1,5 @@
-#ifndef DPLEARN_SIMD_DATASET_SOA_H_
-#define DPLEARN_SIMD_DATASET_SOA_H_
+#ifndef DPLEARN_SRC_SIMD_DATASET_SOA_H_
+#define DPLEARN_SRC_SIMD_DATASET_SOA_H_
 
 #include <cstddef>
 #include <vector>
@@ -53,4 +53,4 @@ class DatasetSoA {
 }  // namespace simd
 }  // namespace dplearn
 
-#endif  // DPLEARN_SIMD_DATASET_SOA_H_
+#endif  // DPLEARN_SRC_SIMD_DATASET_SOA_H_

@@ -1,7 +1,5 @@
-#ifndef DPLEARN_SIMD_DISPATCH_H_
-#define DPLEARN_SIMD_DISPATCH_H_
-
-#include <cstdint>
+#ifndef DPLEARN_SRC_SIMD_DISPATCH_H_
+#define DPLEARN_SRC_SIMD_DISPATCH_H_
 
 namespace dplearn {
 namespace simd {
@@ -23,65 +21,43 @@ namespace simd {
 ///              array-of-structs pointer chasing) even on a machine with no
 ///              vector units at all.
 ///
-/// Orthogonally, the runtime knob DPLEARN_SIMD (default on; "0" disables)
-/// switches the library call sites between the kernel path and the legacy
-/// scalar path, so one process can run both for differential testing — the
-/// same shape as SetRiskCacheEnabled. The flavor of the *enabled* path is a
-/// property of the build; the disabled path is always the legacy scalar
-/// code.
+/// There is no run-time switch: a loss with a LossSpec (its KernelSpec())
+/// always runs the kernels, and a custom loss always runs the virtual loop.
 #if defined(__AVX2__)
-#define DPLEARN_SIMD_AVX2 1
+#define DPLEARN_KERNELS_AVX2 1
 #elif defined(__aarch64__) && defined(__ARM_NEON)
-#define DPLEARN_SIMD_NEON 1
+#define DPLEARN_KERNELS_NEON 1
 #else
-#define DPLEARN_SIMD_PORTABLE 1
+#define DPLEARN_KERNELS_PORTABLE 1
 #endif
 
-enum class SimdFlavor : std::uint8_t {
-  /// Legacy scalar path (kernels bypassed; DPLEARN_SIMD=0).
-  kScalar = 0,
-  kPortable = 1,
-  kAvx2 = 2,
-  kNeon = 3,
-};
+enum class SimdFlavor { kPortable, kAvx2, kNeon };
 
-/// The tier this binary's kernels were compiled for (never kScalar).
-constexpr SimdFlavor CompiledSimdFlavor() {
-#if defined(DPLEARN_SIMD_AVX2)
+/// The tier this binary's kernels were compiled for.
+constexpr SimdFlavor ActiveSimdFlavor() {
+#if defined(DPLEARN_KERNELS_AVX2)
   return SimdFlavor::kAvx2;
-#elif defined(DPLEARN_SIMD_NEON)
+#elif defined(DPLEARN_KERNELS_NEON)
   return SimdFlavor::kNeon;
 #else
   return SimdFlavor::kPortable;
 #endif
 }
 
-/// Stable lowercase name for reports/metrics ("scalar", "portable", "avx2",
-/// "neon").
-const char* SimdFlavorName(SimdFlavor flavor);
-
-/// Whether library call sites (risk profiles, log-weight tilts, softmax
-/// rows, Gumbel-max) use the vectorized kernels. Defaults to enabled;
-/// DPLEARN_SIMD=0 disables it at startup, and tests/benchmarks flip it at
-/// runtime to compare the kernel path against the legacy path in-process.
-bool SimdEnabled();
-void SetSimdEnabled(bool enabled);
-
-/// The flavor of the path a call made right now would take: kScalar when
-/// SimdEnabled() is false, else CompiledSimdFlavor().
-inline SimdFlavor ActiveSimdFlavor() {
-  return SimdEnabled() ? CompiledSimdFlavor() : SimdFlavor::kScalar;
-}
-
-/// Numeric id of ActiveSimdFlavor() for content-hash keys: results computed
-/// by different tiers are ULP-close but not bitwise equal, so any cache
-/// that promises "same bits in, same bits out" must incorporate this id in
-/// its key (see perf::RiskProfileCache).
-inline std::uint64_t ActiveSimdFlavorId() {
-  return static_cast<std::uint64_t>(ActiveSimdFlavor());
+/// Stable lowercase name for reports/metrics ("portable", "avx2", "neon").
+constexpr const char* SimdFlavorName(SimdFlavor flavor) {
+  switch (flavor) {
+    case SimdFlavor::kPortable:
+      return "portable";
+    case SimdFlavor::kAvx2:
+      return "avx2";
+    case SimdFlavor::kNeon:
+      return "neon";
+  }
+  return "unknown";
 }
 
 }  // namespace simd
 }  // namespace dplearn
 
-#endif  // DPLEARN_SIMD_DISPATCH_H_
+#endif  // DPLEARN_SRC_SIMD_DISPATCH_H_

@@ -7,9 +7,9 @@
 #include "simd/dispatch.h"
 #include "util/math_util.h"
 
-#if defined(DPLEARN_SIMD_AVX2)
+#if defined(DPLEARN_KERNELS_AVX2)
 #include <immintrin.h>
-#elif defined(DPLEARN_SIMD_NEON)
+#elif defined(DPLEARN_KERNELS_NEON)
 #include <arm_neon.h>
 #endif
 
@@ -35,7 +35,7 @@ struct LossElem;
 
 template <>
 struct LossElem<LossKind::kZeroOne> {
-  static inline double Eval(double dot, double y, double, double) {
+  static inline double Eval(double dot, double y, double) {
     const double margin = y * dot;
     return margin > 0.0 ? 0.0 : 1.0;
   }
@@ -43,7 +43,7 @@ struct LossElem<LossKind::kZeroOne> {
 
 template <>
 struct LossElem<LossKind::kClippedSquared> {
-  static inline double Eval(double dot, double y, double clip, double) {
+  static inline double Eval(double dot, double y, double clip) {
     const double r = dot - y;
     return Clamp(r * r, 0.0, clip);
   }
@@ -51,19 +51,10 @@ struct LossElem<LossKind::kClippedSquared> {
 
 template <>
 struct LossElem<LossKind::kLogistic> {
-  static inline double Eval(double dot, double y, double clip, double) {
+  static inline double Eval(double dot, double y, double clip) {
     const double margin = y * dot;
     const double raw = margin > 0.0 ? std::log1p(std::exp(-margin))
                                     : -margin + std::log1p(std::exp(margin));
-    return Clamp(raw, 0.0, clip);
-  }
-};
-
-template <>
-struct LossElem<LossKind::kHuber> {
-  static inline double Eval(double dot, double y, double clip, double delta) {
-    const double r = std::fabs(dot - y);
-    const double raw = r <= delta ? 0.5 * r * r : delta * (r - 0.5 * delta);
     return Clamp(raw, 0.0, clip);
   }
 };
@@ -74,11 +65,11 @@ struct LossElem<LossKind::kHuber> {
 /// single streaming pass the optimizer can vectorize.
 template <LossKind K>
 double SumLossDim1(double theta0, const double* x, const double* y, std::size_t n,
-                   double clip, double delta) {
+                   double clip) {
   if (n < kBlockedSumMinN) {
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      sum += LossElem<K>::Eval(theta0 * x[i], y[i], clip, delta);
+      sum += LossElem<K>::Eval(theta0 * x[i], y[i], clip);
     }
     return sum;
   }
@@ -86,23 +77,22 @@ double SumLossDim1(double theta0, const double* x, const double* y, std::size_t 
   std::size_t i = 0;
   for (; i + kReductionLanes <= n; i += kReductionLanes) {
     for (std::size_t l = 0; l < kReductionLanes; ++l) {
-      acc[l] += LossElem<K>::Eval(theta0 * x[i + l], y[i + l], clip, delta);
+      acc[l] += LossElem<K>::Eval(theta0 * x[i + l], y[i + l], clip);
     }
   }
   for (std::size_t l = 0; i < n; ++i, ++l) {
-    acc[l] += LossElem<K>::Eval(theta0 * x[i], y[i], clip, delta);
+    acc[l] += LossElem<K>::Eval(theta0 * x[i], y[i], clip);
   }
   return CombineLanes(acc);
 }
 
 /// Σ_i loss(dots_i, y_i) over precomputed dot products (dim > 1).
 template <LossKind K>
-double SumLossDots(const double* dots, const double* y, std::size_t n, double clip,
-                   double delta) {
+double SumLossDots(const double* dots, const double* y, std::size_t n, double clip) {
   if (n < kBlockedSumMinN) {
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      sum += LossElem<K>::Eval(dots[i], y[i], clip, delta);
+      sum += LossElem<K>::Eval(dots[i], y[i], clip);
     }
     return sum;
   }
@@ -110,16 +100,16 @@ double SumLossDots(const double* dots, const double* y, std::size_t n, double cl
   std::size_t i = 0;
   for (; i + kReductionLanes <= n; i += kReductionLanes) {
     for (std::size_t l = 0; l < kReductionLanes; ++l) {
-      acc[l] += LossElem<K>::Eval(dots[i + l], y[i + l], clip, delta);
+      acc[l] += LossElem<K>::Eval(dots[i + l], y[i + l], clip);
     }
   }
   for (std::size_t l = 0; i < n; ++i, ++l) {
-    acc[l] += LossElem<K>::Eval(dots[i], y[i], clip, delta);
+    acc[l] += LossElem<K>::Eval(dots[i], y[i], clip);
   }
   return CombineLanes(acc);
 }
 
-#if defined(DPLEARN_SIMD_AVX2)
+#if defined(DPLEARN_KERNELS_AVX2)
 /// AVX2 specialization of the headline kernel (clipped squared loss,
 /// dim 1): explicit 2×4-lane accumulators whose lane assignment (element
 /// i → logical lane i % 8) and final pairwise combine mirror the portable
@@ -129,7 +119,7 @@ double SumLossDots(const double* dots, const double* y, std::size_t n, double cl
 double SumClippedSquaredDim1Avx2(double theta0, const double* x, const double* y,
                                  std::size_t n, double clip) {
   if (n < kBlockedSumMinN) {
-    return SumLossDim1<LossKind::kClippedSquared>(theta0, x, y, n, clip, 0.0);
+    return SumLossDim1<LossKind::kClippedSquared>(theta0, x, y, n, clip);
   }
   const __m256d vtheta = _mm256_set1_pd(theta0);
   const __m256d vclip = _mm256_set1_pd(clip);
@@ -156,22 +146,21 @@ double SumClippedSquaredDim1Avx2(double theta0, const double* x, const double* y
   _mm256_store_pd(acc, acc_lo);
   _mm256_store_pd(acc + 4, acc_hi);
   for (std::size_t l = 0; i < n; ++i, ++l) {
-    acc[l] += LossElem<LossKind::kClippedSquared>::Eval(theta0 * x[i], y[i], clip, 0.0);
+    acc[l] += LossElem<LossKind::kClippedSquared>::Eval(theta0 * x[i], y[i], clip);
   }
   return CombineLanes(acc);
 }
-#endif  // DPLEARN_SIMD_AVX2
+#endif  // DPLEARN_KERNELS_AVX2
 
 template <LossKind K>
 double SumLossDispatchDim1(double theta0, const double* x, const double* y,
-                           std::size_t n, double clip, double delta) {
-#if defined(DPLEARN_SIMD_AVX2)
+                           std::size_t n, double clip) {
+#if defined(DPLEARN_KERNELS_AVX2)
   if constexpr (K == LossKind::kClippedSquared) {
-    (void)delta;
     return SumClippedSquaredDim1Avx2(theta0, x, y, n, clip);
   }
 #endif
-  return SumLossDim1<K>(theta0, x, y, n, clip, delta);
+  return SumLossDim1<K>(theta0, x, y, n, clip);
 }
 
 template <typename F>
@@ -182,11 +171,9 @@ decltype(auto) DispatchKind(LossKind kind, F&& f) {
     case LossKind::kClippedSquared:
       return f.template operator()<LossKind::kClippedSquared>();
     case LossKind::kLogistic:
-      return f.template operator()<LossKind::kLogistic>();
-    case LossKind::kHuber:
       break;
   }
-  return f.template operator()<LossKind::kHuber>();
+  return f.template operator()<LossKind::kLogistic>();
 }
 
 /// d[i] += t·v[i] for i < n: the dot-product step both loss kernels sweep
@@ -205,9 +192,9 @@ inline void AddScaled(double t, const double* v, std::size_t n, double* d) {
 /// itself, because no loss formula returns -0.0.
 template <LossKind K, bool kRemove>
 void FoldLosses(const double* a, double scale, std::size_t m, double y, double clip,
-                double delta, double* sums, double* comps) {
+                double* sums, double* comps) {
   for (std::size_t i = 0; i < m; ++i) {
-    const double l = LossElem<K>::Eval(a[i] * scale, y, clip, delta);
+    const double l = LossElem<K>::Eval(a[i] * scale, y, clip);
     CompensatedAdd(kRemove ? -l : l, &sums[i], &comps[i]);
   }
 }
@@ -217,7 +204,7 @@ void FoldLosses(const double* a, double scale, std::size_t m, double y, double c
 double MaxPropagatingNan(const double* x, std::size_t n, bool* has_nan,
                          double* first_nan) {
   *has_nan = false;
-#if defined(DPLEARN_SIMD_AVX2)
+#if defined(DPLEARN_KERNELS_AVX2)
   if (n >= kBlockedSumMinN) {
     __m256d vmax = _mm256_set1_pd(kNegInf);
     std::size_t i = 0;
@@ -241,7 +228,7 @@ double MaxPropagatingNan(const double* x, std::size_t n, bool* has_nan,
     }
     return m;
   }
-#elif defined(DPLEARN_SIMD_NEON)
+#elif defined(DPLEARN_KERNELS_NEON)
   if (n >= kBlockedSumMinN) {
     float64x2_t vmax = vdupq_n_f64(kNegInf);
     std::size_t i = 0;
@@ -283,13 +270,12 @@ double MeanLossKernel(const LossSpec& spec, const double* theta, std::size_t dim
   const std::size_t n = data.size();
   const double* y = data.labels();
   const double clip = spec.clip;
-  const double delta = spec.delta;
   double sum;
   if (dim == 1) {
     const double theta0 = theta[0];
     const double* x = data.column(0);
     sum = DispatchKind(spec.kind, [&]<LossKind K>() {
-      return SumLossDispatchDim1<K>(theta0, x, y, n, clip, delta);
+      return SumLossDispatchDim1<K>(theta0, x, y, n, clip);
     });
   } else {
     // General dim: reduce theta·x_i into a scratch row first (feature-major
@@ -301,7 +287,7 @@ double MeanLossKernel(const LossSpec& spec, const double* theta, std::size_t dim
     double* d = dots.data();
     for (std::size_t j = 0; j < dim; ++j) AddScaled(theta[j], data.column(j), n, d);
     sum = DispatchKind(spec.kind, [&]<LossKind K>() {
-      return SumLossDots<K>(d, y, n, clip, delta);
+      return SumLossDots<K>(d, y, n, clip);
     });
   }
   return sum / static_cast<double>(n);
@@ -321,9 +307,9 @@ void FoldExampleLoss(const LossSpec& spec, const double* thetas, std::size_t m,
   }
   DispatchKind(spec.kind, [&]<LossKind K>() {
     if (remove) {
-      FoldLosses<K, true>(a, scale, m, y, spec.clip, spec.delta, sums, comps);
+      FoldLosses<K, true>(a, scale, m, y, spec.clip, sums, comps);
     } else {
-      FoldLosses<K, false>(a, scale, m, y, spec.clip, spec.delta, sums, comps);
+      FoldLosses<K, false>(a, scale, m, y, spec.clip, sums, comps);
     }
   });
 }

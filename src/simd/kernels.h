@@ -1,5 +1,5 @@
-#ifndef DPLEARN_SIMD_KERNELS_H_
-#define DPLEARN_SIMD_KERNELS_H_
+#ifndef DPLEARN_SRC_SIMD_KERNELS_H_
+#define DPLEARN_SRC_SIMD_KERNELS_H_
 
 #include <cstddef>
 
@@ -11,13 +11,13 @@ namespace simd {
 /// Vectorized hot-loop kernels (DESIGN.md §14). Every kernel is a pure
 /// function of its raw-span inputs and is deterministic within one build:
 /// no thread-count, call-order, or cache-state dependence. The numerical
-/// contract relative to the legacy scalar code is two-tiered:
+/// contract relative to the virtual loop a custom loss runs is two-tiered:
 ///
 ///   * ELEMENT-WISE kernels (TiltLogWeights, GumbelMaxIndex) perform the same per-element arithmetic as the
 ///     scalar formulas and no reduction, so they are reorder-free.
 ///     GumbelMaxIndex has no vector variant: it is the one Gumbel-max loop
-///     every sampler calls, whatever DPLEARN_SIMD says, so the kernels
-///     never change which hypothesis a sampler draws.
+///     every sampler calls, so the kernels never change which hypothesis a
+///     sampler draws.
 ///   * FoldExampleLoss evaluates one example under every hypothesis with
 ///     MeanLossKernel's per-element formula and folds each loss into that
 ///     hypothesis's compensated sum; per hypothesis it is reorder-free.
@@ -29,9 +29,8 @@ namespace simd {
 ///     values), bounded by tests/simd_equivalence_test.
 ///
 /// Cross-build bitwise identity is NOT promised: different -march levels
-/// legalize different contractions. Anything that promises "same bits in,
-/// same bits out" must therefore key on ActiveSimdFlavorId() (the
-/// risk-profile cache does).
+/// legalize different contractions. Within one build a loss takes one path
+/// for life (its KernelSpec()), so same bits in give same bits out.
 
 /// Lanes of the blocked reduction. Element i lands in lane i % 8; lanes
 /// combine as ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
@@ -42,24 +41,22 @@ inline constexpr std::size_t kReductionLanes = 8;
 /// hand-written tests their exact expectations.
 inline constexpr std::size_t kBlockedSumMinN = 32;
 
-/// The loss kinds with devirtualized kernels — the closed set of
+/// The loss kinds with devirtualized kernels: the built-in
 /// learning/LossFunction subclasses whose Loss() is a pure formula of
-/// (theta·x, label, clip, delta). A custom loss maps to no kind and the
-/// caller keeps the virtual-dispatch loop.
+/// (theta·x, label, clip). A loss names its kind through
+/// LossFunction::KernelSpec(); a custom loss names none and keeps the
+/// virtual-dispatch loop.
 enum class LossKind {
   kZeroOne,
   kClippedSquared,
   kLogistic,
-  kHuber,
 };
 
 /// Parameters a kernel needs to evaluate one loss kind: the clip is the
-/// declared upper bound B of every clipped loss (unused by kZeroOne), delta
-/// is Huber's quadratic/linear knee (unused elsewhere).
+/// declared upper bound B of every clipped loss (unused by kZeroOne).
 struct LossSpec {
   LossKind kind = LossKind::kZeroOne;
   double clip = 1.0;
-  double delta = 0.0;
 };
 
 /// Mean loss (the empirical risk) of `theta` over `data`:
@@ -110,4 +107,4 @@ std::ptrdiff_t GumbelMaxIndex(const double* log_w, const double* uniforms,
 }  // namespace simd
 }  // namespace dplearn
 
-#endif  // DPLEARN_SIMD_KERNELS_H_
+#endif  // DPLEARN_SRC_SIMD_KERNELS_H_

@@ -1,6 +1,7 @@
 #include "core/gibbs_estimator.h"
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -135,6 +136,16 @@ TEST_F(GibbsEstimatorTest, RejectsEmptyDataset) {
   EXPECT_FALSE(gibbs.Sample(Dataset(), &rng).ok());
 }
 
+TEST_F(GibbsEstimatorTest, GridWithoutTheDataDimensionIsInvalidArgument) {
+  // A 1-D grid on two-feature data, as dplearn_cli's gibbs and audit build
+  // for a two-column CSV: the risk profile reports it instead of aborting.
+  auto gibbs = GibbsEstimator::CreateUniform(&loss_, hclass_, 1.0).value();
+  const Dataset two_features({Example{Vector{1.0, 0.5}, 1.0}, Example{Vector{0.5, 1.0}, 0.0}});
+  EXPECT_EQ(gibbs.Posterior(two_features).status().code(), StatusCode::kInvalidArgument);
+  Rng rng(1);
+  EXPECT_EQ(gibbs.Sample(two_features, &rng).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(GibbsPosteriorFromRisksTest, Validation) {
   EXPECT_FALSE(GibbsPosteriorFromRisks({}, {}, 1.0).ok());
   EXPECT_FALSE(GibbsPosteriorFromRisks({0.1}, {0.5, 0.5}, 1.0).ok());
@@ -192,6 +203,29 @@ TEST(SampleGibbsContinuousTest, Validation) {
       SampleGibbsContinuous(loss, d, nullptr, 1.0, {0.5}, 10, options, &rng).ok());
   EXPECT_FALSE(
       SampleGibbsContinuous(loss, d, log_prior, -1.0, {0.5}, 10, options, &rng).ok());
+}
+
+TEST(SampleGibbsContinuousTest, DataTheRiskRejectsFailsBeforeAnyDraw) {
+  // The chain's target cannot return a Status, so the data is checked at
+  // the initial θ first: a NaN feature is OutOfRange, a θ without the
+  // data's dimension InvalidArgument, and neither moves the RNG.
+  ClippedSquaredLoss loss(1.0);
+  const Dataset nan_feature(
+      {Example{Vector{1.0}, 1.0}, Example{Vector{std::numeric_limits<double>::quiet_NaN()}, 0.0}});
+  const Dataset d({Example{Vector{1.0}, 1.0}});
+  LogDensityFn log_prior = [](const Vector&) { return 0.0; };
+  MetropolisOptions options;
+  Rng rng(1);
+  EXPECT_EQ(SampleGibbsContinuous(loss, nan_feature, log_prior, 1.0, {0.5}, 10, options, &rng)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(SampleGibbsContinuous(loss, d, log_prior, 1.0, {0.5, 0.5}, 10, options, &rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  Rng untouched(1);
+  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
 }
 
 }  // namespace

@@ -59,20 +59,11 @@ TEST(LogisticLossTest, GradientStableAtExtremeMargins) {
   EXPECT_NEAR(grad_neg[0], -1.0, 1e-12);  // saturates at -y*x
 }
 
-TEST(HuberLossTest, QuadraticInsideLinearOutside) {
-  HuberLoss loss(1.0, 100.0);
-  // Residual 0.5 (inside delta): 0.5 * 0.25.
-  EXPECT_NEAR(loss.Loss({0.5}, Example{Vector{1.0}, 0.0}), 0.125, 1e-12);
-  // Residual 3 (outside): delta*(r - delta/2) = 1*(3-0.5) = 2.5.
-  EXPECT_NEAR(loss.Loss({3.0}, Example{Vector{1.0}, 0.0}), 2.5, 1e-12);
-}
-
 TEST(AllLossesTest, HonorDeclaredBounds) {
   ClippedSquaredLoss sq(1.0);
   LogisticLoss logi(3.0);
-  HuberLoss huber(1.0, 2.0);
   ZeroOneLoss zo;
-  const LossFunction* losses[] = {&sq, &logi, &huber, &zo};
+  const LossFunction* losses[] = {&sq, &logi, &zo};
   for (const LossFunction* loss : losses) {
     for (double t = -20.0; t <= 20.0; t += 0.7) {
       for (double y : {-1.0, 0.0, 1.0}) {

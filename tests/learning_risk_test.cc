@@ -6,6 +6,8 @@
 #include "learning/generators.h"
 #include "learning/hypothesis.h"
 
+#include "custom_loss_twin.h"
+
 namespace dplearn {
 namespace {
 
@@ -29,6 +31,32 @@ TEST(EmpiricalRiskTest, BernoulliSquaredClosedForm) {
 TEST(EmpiricalRiskTest, RejectsEmptyDataset) {
   ClippedSquaredLoss loss(1.0);
   EXPECT_FALSE(EmpiricalRisk(loss, {0.5}, Dataset()).ok());
+}
+
+TEST(EmpiricalRiskTest, DimensionMismatchIsInvalidArgumentOnBothPaths) {
+  // Every loss reads θ·x, so a θ or an example without the data's
+  // FeatureDim() features is an error, on the kernel path and on the
+  // virtual path a custom loss (here the kernel loss's twin) runs.
+  const ClippedSquaredLoss kernel(1.0);
+  const CustomTwin<ClippedSquaredLoss> twin(1.0);
+  const Dataset two_features({Example{Vector{1.0, 0.5}, 1.0}, Example{Vector{0.5, 1.0}, 0.0}});
+  const Dataset ragged({Example{Vector{1.0}, 1.0}, Example{Vector{1.0, 0.5}, 0.0}});
+  const LossFunction* const paths[] = {&kernel, &twin};
+  for (const LossFunction* loss : paths) {
+    EXPECT_EQ(EmpiricalRisk(*loss, {0.5}, two_features).status().code(),
+              StatusCode::kInvalidArgument)
+        << loss->Name();
+    EXPECT_EQ(EmpiricalRiskProfile(*loss, {{0.5, 0.5}, {0.5}}, two_features).status().code(),
+              StatusCode::kInvalidArgument)
+        << loss->Name();
+    EXPECT_EQ(EmpiricalRisk(*loss, {0.5}, ragged).status().code(),
+              StatusCode::kInvalidArgument)
+        << loss->Name();
+    EXPECT_EQ(EmpiricalRiskProfile(*loss, {{0.5}, {0.25}}, ragged).status().code(),
+              StatusCode::kInvalidArgument)
+        << loss->Name();
+    EXPECT_TRUE(EmpiricalRisk(*loss, {0.5, 0.5}, two_features).ok()) << loss->Name();
+  }
 }
 
 TEST(EmpiricalRiskProfileTest, MatchesPerHypothesisRisks) {

@@ -80,22 +80,6 @@ TEST(RiskProfileCacheTest, CachedProfileIsBitIdenticalToDirectComputation) {
   EXPECT_EQ(stats.hits, 1u);
 }
 
-TEST(RiskProfileCacheTest, LossParametersInvisibleToNameAreNotConflated) {
-  // Two Huber losses share Name() and UpperBound() but differ in delta;
-  // ParameterFingerprint() must keep their cache entries apart.
-  HuberLoss huber_a(/*delta=*/0.1, /*clip=*/1.0);
-  HuberLoss huber_b(/*delta=*/0.5, /*clip=*/1.0);
-  auto hclass = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value();
-  Dataset data = MakeData(100, 3);
-
-  ScopedCacheEnabled cache_on(true);
-  auto cached_a = perf::CachedRiskProfile(huber_a, hclass.thetas(), data).value();
-  auto cached_b = perf::CachedRiskProfile(huber_b, hclass.thetas(), data).value();
-  ExpectBitEqual(EmpiricalRiskProfile(huber_a, hclass.thetas(), data).value(), cached_a);
-  ExpectBitEqual(EmpiricalRiskProfile(huber_b, hclass.thetas(), data).value(), cached_b);
-  EXPECT_EQ(perf::RiskProfileCache::Global().stats().misses, 2u);
-}
-
 TEST(RiskProfileCacheTest, EvictionBoundsSizeAndKeepsServingCorrectValues) {
   perf::RiskProfileCache cache(/*capacity=*/2);
   ClippedSquaredLoss loss(1.0);

@@ -7,8 +7,11 @@
 ///     below simd::kBlockedSumMinN and blocked above it — asserted within
 ///     the stated ULP bounds across seeds, losses, dimensions, thread
 ///     counts, and cache on/off;
-///   * within one mode every result is bitwise-deterministic, and the
-///     risk-profile cache never serves one mode's bits to the other.
+///   * on each path every result is bitwise-deterministic, and the
+///     risk-profile cache never serves one path's bits to the other.
+///
+/// The scalar side is a built-in loss's CustomTwin (custom_loss_twin.h):
+/// the same formula without a KernelSpec(), so it runs the virtual loop.
 ///
 /// The file also pins the numerical-edge bugfix sweep: NaN inputs are
 /// rejected with typed Statuses instead of being laundered by Clamp or
@@ -36,9 +39,10 @@
 #include "perf/risk_profile_cache.h"
 #include "sampling/distributions.h"
 #include "sampling/rng.h"
-#include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "util/math_util.h"
+
+#include "custom_loss_twin.h"
 
 namespace dplearn {
 namespace {
@@ -92,18 +96,6 @@ void ExpectBitEqual(const std::vector<double>& a, const std::vector<double>& b,
   }
 }
 
-/// RAII pin of the SIMD flag (and restore), mirroring ScopedCacheEnabled.
-class ScopedSimd {
- public:
-  explicit ScopedSimd(bool enabled) : prev_(simd::SimdEnabled()) {
-    simd::SetSimdEnabled(enabled);
-  }
-  ~ScopedSimd() { simd::SetSimdEnabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 class ScopedCacheEnabled {
  public:
   explicit ScopedCacheEnabled(bool enabled) : prev_(perf::RiskCacheEnabled()) {
@@ -118,20 +110,6 @@ class ScopedCacheEnabled {
  private:
   bool prev_;
 };
-
-struct NamedLoss {
-  std::string name;
-  std::unique_ptr<LossFunction> loss;
-};
-
-std::vector<NamedLoss> AllBuiltinLosses() {
-  std::vector<NamedLoss> losses;
-  losses.push_back({"zero_one", std::make_unique<ZeroOneLoss>()});
-  losses.push_back({"clipped_squared", std::make_unique<ClippedSquaredLoss>(1.0)});
-  losses.push_back({"logistic", std::make_unique<LogisticLoss>(4.0)});
-  losses.push_back({"huber", std::make_unique<HuberLoss>(0.5, 2.0)});
-  return losses;
-}
 
 Dataset MakeBernoulliData(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -159,9 +137,8 @@ std::vector<Vector> DenseThetas(std::size_t m, std::size_t dim, std::uint64_t se
   return thetas;
 }
 
-std::vector<double> ProfileInMode(bool simd_on, const LossFunction& loss,
-                                  const std::vector<Vector>& thetas, const Dataset& data) {
-  ScopedSimd mode(simd_on);
+std::vector<double> Profile(const LossFunction& loss, const std::vector<Vector>& thetas,
+                            const Dataset& data) {
   return EmpiricalRiskProfile(loss, thetas, data).value();
 }
 
@@ -179,48 +156,42 @@ TEST(SimdEquivalence, RiskProfileScalarVsSimdAcrossSeedsLossesDims) {
       const Dataset data5 = MakeRegressionData(n, seed + 100);
       const std::vector<Vector> grid1 = ScalarThetas(21);
       const std::vector<Vector> grid5 = DenseThetas(21, 5, seed + 200);
-      for (const NamedLoss& named : AllBuiltinLosses()) {
+      for (const LossAndTwin& named : KernelLossesAndTwins()) {
         const std::string tag = named.name + " seed=" + std::to_string(seed) +
                                 " n=" + std::to_string(n);
-        ExpectUlpClose(ProfileInMode(false, *named.loss, grid1, data1),
-                       ProfileInMode(true, *named.loss, grid1, data1), budget,
-                       "dim1 " + tag);
-        ExpectUlpClose(ProfileInMode(false, *named.loss, grid5, data5),
-                       ProfileInMode(true, *named.loss, grid5, data5), budget,
-                       "dim5 " + tag);
+        ExpectUlpClose(Profile(*named.twin, grid1, data1), Profile(*named.kernel, grid1, data1),
+                       budget, "dim1 " + tag);
+        ExpectUlpClose(Profile(*named.twin, grid5, data5), Profile(*named.kernel, grid5, data5),
+                       budget, "dim5 " + tag);
       }
     }
   }
 }
 
 TEST(SimdEquivalence, SingleRiskMatchesProfileEntryBitwise) {
-  // EmpiricalRisk and EmpiricalRiskProfile must route through the SAME
-  // kernel: learning_risk_test compares them at 1e-15, and mode-dependent
+  // EmpiricalRisk and EmpiricalRiskProfile must take the SAME path for
+  // one loss: learning_risk_test compares them at 1e-15, and path-dependent
   // divergence between them would be a silent contract break.
   ScopedCacheEnabled cache_off(false);
   const Dataset data = MakeRegressionData(200, 7);
   const std::vector<Vector> thetas = DenseThetas(11, 5, 8);
-  for (const bool simd_on : {false, true}) {
-    ScopedSimd mode(simd_on);
-    for (const NamedLoss& named : AllBuiltinLosses()) {
-      const std::vector<double> profile =
-          EmpiricalRiskProfile(*named.loss, thetas, data).value();
+  for (const LossAndTwin& named : KernelLossesAndTwins()) {
+    for (const LossFunction* loss : {named.twin.get(), named.kernel.get()}) {
+      const std::vector<double> profile = EmpiricalRiskProfile(*loss, thetas, data).value();
       for (std::size_t i = 0; i < thetas.size(); ++i) {
-        const double single = EmpiricalRisk(*named.loss, thetas[i], data).value();
-        EXPECT_EQ(0u, UlpDistance(profile[i], single))
-            << named.name << " theta " << i << " simd=" << simd_on;
+        const double single = EmpiricalRisk(*loss, thetas[i], data).value();
+        EXPECT_EQ(0u, UlpDistance(profile[i], single)) << loss->Name() << " theta " << i;
       }
     }
   }
 }
 
 TEST(SimdEquivalence, SimdProfileBitwiseDeterministicAcrossThreadCountsAndRepeats) {
-  // Within one mode the kernel is a pure function: repeated evaluation, and
-  // evaluation from pool workers (each with its own thread_local SoA), must
-  // reproduce identical bits. 8 workers exercises the cross-thread path
-  // even when the global pool is inline.
+  // The kernel is a pure function: repeated evaluation, and evaluation
+  // from pool workers (each with its own thread_local SoA), must reproduce
+  // identical bits. 8 workers exercises the cross-thread path even when the
+  // global pool is inline.
   ScopedCacheEnabled cache_off(false);
-  ScopedSimd simd_on(true);
   const Dataset data = MakeRegressionData(300, 11);
   const std::vector<Vector> thetas = DenseThetas(33, 5, 12);
   const ClippedSquaredLoss loss(1.0);
@@ -241,65 +212,57 @@ TEST(SimdEquivalence, SimdProfileBitwiseDeterministicAcrossThreadCountsAndRepeat
 TEST(SimdEquivalence, CacheOnOffBitwiseWithinEachMode) {
   const Dataset data = MakeBernoulliData(400, 21);
   const std::vector<Vector> thetas = ScalarThetas(41);
-  const ClippedSquaredLoss loss(1.0);
-  for (const bool simd_on : {false, true}) {
-    ScopedSimd mode(simd_on);
+  const ClippedSquaredLoss kernel(1.0);
+  const CustomTwin<ClippedSquaredLoss> twin(1.0);
+  const LossFunction* const paths[] = {&twin, &kernel};
+  for (const LossFunction* loss : paths) {
     std::vector<double> uncached;
     std::vector<double> cached_miss;
     std::vector<double> cached_hit;
     {
       ScopedCacheEnabled cache(false);
-      uncached = perf::CachedRiskProfile(loss, thetas, data).value();
+      uncached = perf::CachedRiskProfile(*loss, thetas, data).value();
     }
     {
       ScopedCacheEnabled cache(true);
-      cached_miss = perf::CachedRiskProfile(loss, thetas, data).value();
-      cached_hit = perf::CachedRiskProfile(loss, thetas, data).value();
+      cached_miss = perf::CachedRiskProfile(*loss, thetas, data).value();
+      cached_hit = perf::CachedRiskProfile(*loss, thetas, data).value();
     }
-    const std::string tag = simd_on ? "simd" : "scalar";
+    const std::string tag = loss->Name();
     ExpectBitEqual(uncached, cached_miss, tag + " miss");
     ExpectBitEqual(uncached, cached_hit, tag + " hit");
   }
 }
 
 // --------------------------------------------------------------------------
-// Satellite 3 regression: a mid-process DPLEARN_SIMD toggle must MISS, not
-// serve the other mode's bits. Before flavor keying this test failed: the
-// second lookup hit the simd-mode entry.
+// The cache keys a loss by Name and UpperBound, so a built-in loss and its
+// twin, the same formula on the two paths, fill two entries, and each
+// lookup is served its own path's bits.
 
-TEST(SimdEquivalence, CacheNeverServesAcrossSimdModes) {
+TEST(SimdEquivalence, CacheServesKernelAndTwinTheirOwnEntries) {
   ScopedCacheEnabled cache(true);
   const Dataset data = MakeBernoulliData(500, 31);
   const std::vector<Vector> thetas = ScalarThetas(41);
-  const ClippedSquaredLoss loss(1.0);
+  const ClippedSquaredLoss kernel(1.0);
+  const CustomTwin<ClippedSquaredLoss> twin(1.0);
+  const std::vector<double> kernel_direct = EmpiricalRiskProfile(kernel, thetas, data).value();
+  const std::vector<double> twin_direct = EmpiricalRiskProfile(twin, thetas, data).value();
+  // At n = 500 the blocked and the sequential sum differ in some entry, so
+  // a lookup served the other entry would show.
+  ASSERT_NE(0, std::memcmp(kernel_direct.data(), twin_direct.data(),
+                           kernel_direct.size() * sizeof(double)));
 
-  std::vector<double> simd_profile;
-  {
-    ScopedSimd mode(true);
-    simd_profile = perf::CachedRiskProfile(loss, thetas, data).value();
+  for (int round = 0; round < 2; ++round) {
+    const std::string tag = round == 0 ? " fill" : " hit";
+    ExpectBitEqual(kernel_direct, perf::CachedRiskProfile(kernel, thetas, data).value(),
+                   "kernel" + tag);
+    ExpectBitEqual(twin_direct, perf::CachedRiskProfile(twin, thetas, data).value(),
+                   "twin" + tag);
   }
-  EXPECT_EQ(1u, perf::RiskProfileCache::Global().stats().misses);
-
-  std::vector<double> scalar_served;
-  std::vector<double> scalar_direct;
-  {
-    ScopedSimd mode(false);
-    scalar_served = perf::CachedRiskProfile(loss, thetas, data).value();
-    scalar_direct = EmpiricalRiskProfile(loss, thetas, data).value();
-  }
-  // The flavor key forces a second miss...
-  EXPECT_EQ(2u, perf::RiskProfileCache::Global().stats().misses);
-  EXPECT_EQ(0u, perf::RiskProfileCache::Global().stats().hits);
-  // ...and the served bits are the scalar mode's own, never the simd entry's.
-  ExpectBitEqual(scalar_served, scalar_direct, "scalar lookup after simd fill");
-
-  // Toggling back hits the original simd entry (still cached, still valid).
-  {
-    ScopedSimd mode(true);
-    const std::vector<double> simd_again = perf::CachedRiskProfile(loss, thetas, data).value();
-    ExpectBitEqual(simd_profile, simd_again, "simd lookup after scalar fill");
-  }
-  EXPECT_EQ(1u, perf::RiskProfileCache::Global().stats().hits);
+  const perf::RiskProfileCache::Stats stats = perf::RiskProfileCache::Global().stats();
+  EXPECT_EQ(2u, stats.misses);
+  EXPECT_EQ(2u, stats.hits);
+  EXPECT_EQ(2u, perf::RiskProfileCache::Global().size());
 }
 
 // --------------------------------------------------------------------------
@@ -328,36 +291,6 @@ TEST(SimdEquivalence, GumbelMaxIndexBitwiseMatchesScalarLoop) {
           << "seed=" << seed << " n=" << n;
     }
   }
-}
-
-TEST(SimdEquivalence, SamplerDrawsIdenticalStreamInBothModes) {
-  // DPLEARN_SIMD must never change which hypothesis a sampler draws: same
-  // seed, same index sequence, draw by draw.
-  const std::vector<double> log_w = [] {
-    Rng rng(99);
-    std::vector<double> w(257);
-    for (double& v : w) v = -5.0 * rng.NextDouble();
-    return w;
-  }();
-  std::vector<std::size_t> scalar_draws;
-  std::vector<std::size_t> simd_draws;
-  {
-    ScopedSimd mode(false);
-    Rng rng(123);
-    std::vector<double> scratch;
-    for (int i = 0; i < 50; ++i) {
-      scalar_draws.push_back(SampleFromLogWeights(&rng, log_w, &scratch).value());
-    }
-  }
-  {
-    ScopedSimd mode(true);
-    Rng rng(123);
-    std::vector<double> scratch;
-    for (int i = 0; i < 50; ++i) {
-      simd_draws.push_back(SampleFromLogWeights(&rng, log_w, &scratch).value());
-    }
-  }
-  EXPECT_EQ(scalar_draws, simd_draws);
 }
 
 TEST(SimdEquivalence, GumbelMaxIndexAllZeroWeightsReturnsSentinel) {
@@ -437,14 +370,14 @@ TEST(SimdEquivalence, LogSumExpScalarVsSimdAcrossBlockBoundary) {
 }
 
 // --------------------------------------------------------------------------
-// Downstream consumers agree across modes within proven tolerances.
+// Downstream consumers agree across the paths within proven tolerances.
 
 TEST(SimdEquivalence, GibbsPosteriorAndChannelUlpCloseAcrossModes) {
   ScopedCacheEnabled cache_off(false);
   const Dataset data = MakeBernoulliData(64, 51);
-  const ClippedSquaredLoss loss(1.0);
-  auto gibbs = [&](bool simd_on) {
-    ScopedSimd mode(simd_on);
+  const ClippedSquaredLoss kernel(1.0);
+  const CustomTwin<ClippedSquaredLoss> twin(1.0);
+  auto gibbs = [&](const LossFunction& loss) {
     auto estimator =
         GibbsEstimator::CreateUniform(&loss, FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 21).value(), 8.0)
             .value();
@@ -455,11 +388,10 @@ TEST(SimdEquivalence, GibbsPosteriorAndChannelUlpCloseAcrossModes) {
   // The tilt multiplies the risk-profile ULP gap by λ before exp(), so
   // posterior entries carry a modest multiple of the reduction budget.
   constexpr std::uint64_t kDownstreamUlpBound = 64;
-  ExpectUlpClose(gibbs(false), gibbs(true), kDownstreamUlpBound, "gibbs posterior");
+  ExpectUlpClose(gibbs(twin), gibbs(kernel), kDownstreamUlpBound, "gibbs posterior");
 
   const FiniteHypothesisClass grid = FiniteHypothesisClass::ScalarGrid(0.0, 1.0, 11).value();
-  auto channel_row = [&](bool simd_on) {
-    ScopedSimd mode(simd_on);
+  auto channel_row = [&](const LossFunction& loss) {
     const BernoulliMeanTask task = BernoulliMeanTask::Create(0.4).value();
     auto channel =
         BuildBernoulliGibbsChannel(task, 40, loss, grid, grid.UniformPrior(), 4.0).value();
@@ -471,7 +403,7 @@ TEST(SimdEquivalence, GibbsPosteriorAndChannelUlpCloseAcrossModes) {
     }
     return flat;
   };
-  ExpectUlpClose(channel_row(false), channel_row(true), kDownstreamUlpBound,
+  ExpectUlpClose(channel_row(twin), channel_row(kernel), kDownstreamUlpBound,
                  "channel rows");
 }
 
@@ -488,27 +420,27 @@ TEST(SimdNanPolicy, ClampLaundersNanWhichIsWhyInputsAreValidated) {
 
 TEST(SimdNanPolicy, RiskRejectsNonFiniteInputsInBothModes) {
   const std::vector<Vector> thetas = ScalarThetas(5);
-  for (const bool simd_on : {false, true}) {
-    ScopedSimd mode(simd_on);
-    const ClippedSquaredLoss loss(1.0);
-
+  const ClippedSquaredLoss kernel(1.0);
+  const CustomTwin<ClippedSquaredLoss> twin(1.0);
+  const LossFunction* const paths[] = {&twin, &kernel};
+  for (const LossFunction* loss : paths) {
     Dataset nan_feature = MakeBernoulliData(12, 61);
     Dataset poisoned_feature = nan_feature.ReplaceExample(
         3, Example{Vector{std::numeric_limits<double>::quiet_NaN()}, 1.0}).value();
     EXPECT_EQ(StatusCode::kOutOfRange,
-              EmpiricalRiskProfile(loss, thetas, poisoned_feature).status().code())
-        << "simd=" << simd_on;
+              EmpiricalRiskProfile(*loss, thetas, poisoned_feature).status().code())
+        << loss->Name();
 
     Dataset poisoned_label = nan_feature.ReplaceExample(
         5, Example{Vector{1.0}, std::numeric_limits<double>::infinity()}).value();
     EXPECT_EQ(StatusCode::kOutOfRange,
-              EmpiricalRisk(loss, thetas[0], poisoned_label).status().code())
-        << "simd=" << simd_on;
+              EmpiricalRisk(*loss, thetas[0], poisoned_label).status().code())
+        << loss->Name();
 
     const Vector bad_theta{std::numeric_limits<double>::quiet_NaN()};
     EXPECT_EQ(StatusCode::kOutOfRange,
-              EmpiricalRisk(loss, bad_theta, nan_feature).status().code())
-        << "simd=" << simd_on;
+              EmpiricalRisk(*loss, bad_theta, nan_feature).status().code())
+        << loss->Name();
   }
 }
 
@@ -533,25 +465,20 @@ TEST(SimdNanPolicy, CustomLossEmittingNonFiniteIsCaught) {
 
 TEST(SimdNanPolicy, SamplerRejectsNanAndPosInfLogWeights) {
   Rng rng(81);
-  for (const bool simd_on : {false, true}) {
-    ScopedSimd mode(simd_on);
-    std::vector<double> scratch;
+  std::vector<double> scratch;
 
-    std::vector<double> with_nan{-1.0, std::numeric_limits<double>::quiet_NaN(), -2.0};
-    EXPECT_EQ(StatusCode::kOutOfRange,
-              SampleFromLogWeights(&rng, with_nan, &scratch).status().code());
-    EXPECT_EQ(StatusCode::kOutOfRange,
-              SampleFromLogWeights(&rng, with_nan).status().code());
+  std::vector<double> with_nan{-1.0, std::numeric_limits<double>::quiet_NaN(), -2.0};
+  EXPECT_EQ(StatusCode::kOutOfRange,
+            SampleFromLogWeights(&rng, with_nan, &scratch).status().code());
+  EXPECT_EQ(StatusCode::kOutOfRange, SampleFromLogWeights(&rng, with_nan).status().code());
 
-    std::vector<double> with_inf{-1.0, std::numeric_limits<double>::infinity()};
-    std::vector<std::size_t> out;
-    EXPECT_EQ(StatusCode::kOutOfRange,
-              SampleFromLogWeightsBatch(&rng, with_inf, 3, &out).code());
+  std::vector<double> with_inf{-1.0, std::numeric_limits<double>::infinity()};
+  std::vector<std::size_t> out;
+  EXPECT_EQ(StatusCode::kOutOfRange, SampleFromLogWeightsBatch(&rng, with_inf, 3, &out).code());
 
-    // -inf atoms stay legal: they are honest zero-mass entries.
-    std::vector<double> with_neg_inf{-1.0, -std::numeric_limits<double>::infinity(), -2.0};
-    EXPECT_TRUE(SampleFromLogWeights(&rng, with_neg_inf, &scratch).ok());
-  }
+  // -inf atoms stay legal: they are honest zero-mass entries.
+  std::vector<double> with_neg_inf{-1.0, -std::numeric_limits<double>::infinity(), -2.0};
+  EXPECT_TRUE(SampleFromLogWeights(&rng, with_neg_inf, &scratch).ok());
 }
 
 }  // namespace

@@ -12,10 +12,12 @@
 ///     the drift bound;
 ///   * every mutation's sums are BITWISE a compensated sum the test keeps
 ///     itself — the per-example losses in arrival order — for each kernel
-///     loss kind at dims 1 and 3, a custom loss and DPLEARN_SIMD=0, and a
-///     rejected mutation leaves every sum as it was;
-///   * the scalar and SIMD streaming paths agree (both evaluate each
-///     example's loss on its own, with no reduction over examples);
+///     loss kind and its custom twin (custom_loss_twin.h) at dims 1 and 3
+///     and for a custom loss, and a rejected mutation leaves every sum as
+///     it was;
+///   * a kernel loss's stream and its twin's, the kernel and the virtual
+///     path, agree (both evaluate each example's loss on its own, with no
+///     reduction over examples);
 ///   * GibbsEstimator::SampleStreaming is bit- and stream-identical to
 ///     SampleGivenRisks on the snapshot, and SampleStreamingBatch to k
 ///     single draws.
@@ -39,12 +41,13 @@
 #include "learning/streaming_risk.h"
 #include "sampling/rng.h"
 #include "simd/dataset_soa.h"
-#include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "util/content_hash.h"
 #include "util/math_util.h"
 #include "util/matrix.h"
 #include "util/status.h"
+
+#include "custom_loss_twin.h"
 
 namespace dplearn {
 namespace {
@@ -96,30 +99,10 @@ void ExpectBitEqual(const std::vector<double>& a, const std::vector<double>& b,
   }
 }
 
-class ScopedSimd {
- public:
-  explicit ScopedSimd(bool enabled) : prev_(simd::SimdEnabled()) {
-    simd::SetSimdEnabled(enabled);
-  }
-  ~ScopedSimd() { simd::SetSimdEnabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 struct NamedLoss {
   std::string name;
   std::unique_ptr<LossFunction> loss;
 };
-
-std::vector<NamedLoss> AllBuiltinLosses() {
-  std::vector<NamedLoss> losses;
-  losses.push_back({"zero_one", std::make_unique<ZeroOneLoss>()});
-  losses.push_back({"clipped_squared", std::make_unique<ClippedSquaredLoss>(1.0)});
-  losses.push_back({"logistic", std::make_unique<LogisticLoss>(4.0)});
-  losses.push_back({"huber", std::make_unique<HuberLoss>(0.5, 2.0)});
-  return losses;
-}
 
 std::vector<Example> BernoulliExamples(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -214,6 +197,31 @@ TEST(StreamingEquivalence, ErrorTaxonomyOnMutationsAndSnapshots) {
   ExpectBitEqual(profile.Snapshot().value(), before, "failed removals mutate nothing");
 }
 
+TEST(StreamingEquivalence, DimensionMismatchIsInvalidArgument) {
+  // Every loss reads θ·x, so Θ has one dimension and every example must
+  // have it, on the kernel and the virtual path alike, from the first
+  // example on.
+  const ClippedSquaredLoss kernel(1.0);
+  const CustomTwin<ClippedSquaredLoss> twin(1.0);
+  const LossFunction* const paths[] = {&kernel, &twin};
+  for (const LossFunction* loss : paths) {
+    EXPECT_EQ(StreamingRiskProfile::Create(loss, {{0.1}, {0.2, 0.3}}).status().code(),
+              StatusCode::kInvalidArgument)
+        << loss->Name();
+    auto profile = StreamingRiskProfile::Create(loss, ScalarThetas(5)).value();
+    EXPECT_EQ(profile.AddExample(Example{{0.5, 0.5}, 1.0}).code(),
+              StatusCode::kInvalidArgument)
+        << loss->Name();
+    EXPECT_EQ(profile.AddExample(Example{{}, 1.0}).code(), StatusCode::kInvalidArgument)
+        << loss->Name();
+    ASSERT_TRUE(profile.AddExample(Example{{0.5}, 1.0}).ok()) << loss->Name();
+    EXPECT_EQ(profile.RemoveExample(Example{{0.5, 0.5}, 1.0}).code(),
+              StatusCode::kInvalidArgument)
+        << loss->Name();
+    EXPECT_EQ(profile.size(), 1u) << loss->Name();
+  }
+}
+
 // --------------------------------------------------------------------------
 // Tentpole equivalence: grow a stream one example at a time and compare the
 // incremental snapshot against the full recompute at every power-of-two
@@ -231,9 +239,9 @@ TEST(StreamingEquivalence, IncrementalAddsMatchFullAcrossLossesAndDims) {
   corpora.push_back({"regression_dim5", RegressionExamples(500, 12),
                      DenseThetas(21, 5, 13)});
   for (const Corpus& corpus : corpora) {
-    for (const NamedLoss& named : AllBuiltinLosses()) {
+    for (const LossAndTwin& named : KernelLossesAndTwins()) {
       auto profile =
-          StreamingRiskProfile::Create(&*named.loss, corpus.thetas, NoAutoResync())
+          StreamingRiskProfile::Create(named.kernel.get(), corpus.thetas, NoAutoResync())
               .value();
       std::size_t next_checkpoint = 1;
       for (std::size_t i = 0; i < corpus.examples.size(); ++i) {
@@ -255,13 +263,13 @@ TEST(StreamingEquivalence, AddRemoveOrderingsMatchFull) {
   const std::vector<Example> examples = RegressionExamples(64, 21);
   const std::vector<Example> extra = RegressionExamples(16, 22);
   const std::vector<Vector> thetas = DenseThetas(17, 5, 23);
-  for (const NamedLoss& named : AllBuiltinLosses()) {
+  for (const LossAndTwin& named : KernelLossesAndTwins()) {
     // Three removal orderings over the same content: oldest-first,
     // newest-first, and every-other. The live multiset is what matters;
     // internal slot order may differ per ordering.
     for (const int ordering : {0, 1, 2}) {
       auto profile =
-          StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
+          StreamingRiskProfile::Create(named.kernel.get(), thetas, NoAutoResync()).value();
       for (const Example& z : examples) ASSERT_TRUE(profile.AddExample(z).ok());
       std::vector<Example> removed;
       for (std::size_t i = 0; i < 32; ++i) {
@@ -295,9 +303,9 @@ TEST(StreamingEquivalence, AddThenRemoveRoundTripReturnsToStart) {
   const std::vector<Example> base = RegressionExamples(40, 31);
   const std::vector<Example> transient = RegressionExamples(8, 32);
   const std::vector<Vector> thetas = DenseThetas(9, 5, 33);
-  for (const NamedLoss& named : AllBuiltinLosses()) {
+  for (const LossAndTwin& named : KernelLossesAndTwins()) {
     auto profile =
-        StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
+        StreamingRiskProfile::Create(named.kernel.get(), thetas, NoAutoResync()).value();
     for (const Example& z : base) ASSERT_TRUE(profile.AddExample(z).ok());
     const std::vector<double> before = profile.Snapshot().value();
     // FIFO and LIFO round trips: +v then -v cancels exactly in real
@@ -374,15 +382,15 @@ constexpr bool kMayContract = true;
 constexpr bool kMayContract = false;
 #endif
 
-/// The loss a mutation folds in, bitwise. On the virtual path (a custom
-/// loss, or DPLEARN_SIMD=0) it is the virtual Loss(). On the kernel path it
+/// The loss a mutation folds in, bitwise. On the virtual path (a loss
+/// without a KernelSpec()) it is the virtual Loss(). On the kernel path it
 /// is simd::MeanLossKernel over the one-example dataset {z}, the delta row
 /// the fused pass replaced; without FP contraction that is the virtual
 /// Loss() as well, which this checks.
 double FoldedLoss(const LossFunction& loss, const Vector& theta, const Example& z) {
   const double virtual_loss = loss.Loss(theta, z);
-  const std::optional<simd::LossSpec> spec = SimdLossSpec(loss);
-  if (!spec.has_value() || !simd::SimdEnabled()) return virtual_loss;
+  const std::optional<simd::LossSpec> spec = loss.KernelSpec();
+  if (!spec.has_value()) return virtual_loss;
   simd::DatasetSoA one;
   EXPECT_TRUE(BuildDatasetSoA(Dataset({z}), &one).ok());
   const double kernel_loss = simd::MeanLossKernel(*spec, theta.data(), theta.size(), one);
@@ -444,8 +452,14 @@ class HalfAbsoluteLoss final : public LossFunction {
   std::string Name() const override { return "half_absolute"; }
 };
 
+/// Every kernel loss kind followed by its twin, and a custom loss of its
+/// own.
 std::vector<NamedLoss> KernelAndCustomLosses() {
-  std::vector<NamedLoss> losses = AllBuiltinLosses();
+  std::vector<NamedLoss> losses;
+  for (LossAndTwin& pair : KernelLossesAndTwins()) {
+    losses.push_back({pair.name, std::move(pair.kernel)});
+    losses.push_back({pair.name + "_twin", std::move(pair.twin)});
+  }
   losses.push_back({"custom", std::make_unique<HalfAbsoluteLoss>()});
   return losses;
 }
@@ -469,50 +483,46 @@ std::vector<Example> MixedExamples(std::size_t n, std::size_t dim, std::uint64_t
 TEST(StreamingEquivalence, FusedPassSumsMatchCompensatedReferenceBitwise) {
   for (const NamedLoss& named : KernelAndCustomLosses()) {
     for (const std::size_t dim : {std::size_t{1}, std::size_t{3}}) {
-      for (const bool simd_on : {true, false}) {
-        ScopedSimd mode(simd_on);
-        const std::string context = named.name + " dim=" + std::to_string(dim) +
-                                    (simd_on ? " simd" : " scalar");
-        const std::vector<Vector> thetas = dim == 1 ? ScalarThetas(41) : DenseThetas(41, 3, 71);
-        const std::vector<Example> examples = MixedExamples(72, dim, 72 + dim);
-        auto profile =
-            StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
-        ReferenceSums reference(*named.loss, thetas);
+      const std::string context = named.name + " dim=" + std::to_string(dim);
+      const std::vector<Vector> thetas = dim == 1 ? ScalarThetas(41) : DenseThetas(41, 3, 71);
+      const std::vector<Example> examples = MixedExamples(72, dim, 72 + dim);
+      auto profile =
+          StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
+      ReferenceSums reference(*named.loss, thetas);
 
-        // Seed, then turn the stream over: remove the first, the newest and
-        // every fifth of the seed, add the rest.
-        for (std::size_t i = 0; i < 48; ++i) {
-          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
-          reference.Add(examples[i]);
-        }
-        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(), context + " seed");
-        for (std::size_t i = 0; i < 48; i += 5) {
-          ASSERT_TRUE(profile.RemoveExample(examples[i]).ok()) << context;
-          reference.Remove(examples[i]);
-        }
-        ASSERT_TRUE(profile.RemoveExample(examples[47]).ok()) << context;
-        reference.Remove(examples[47]);
-        for (std::size_t i = 48; i < 60; ++i) {
-          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
-          reference.Add(examples[i]);
-        }
-        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
-                       context + " adds and removes");
-
-        // A resync pins the batch bits, and the sums restart from them.
-        ASSERT_TRUE(profile.Resync().ok()) << context;
-        const std::vector<double> batch = FullRecompute(profile);
-        ExpectBitEqual(profile.Snapshot().value(), batch, context + " resync");
-        reference.Resync(batch);
-        for (std::size_t i = 60; i < examples.size(); ++i) {
-          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
-          reference.Add(examples[i]);
-        }
-        ASSERT_TRUE(profile.RemoveExample(examples[1]).ok()) << context;
-        reference.Remove(examples[1]);
-        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
-                       context + " after resync");
+      // Seed, then turn the stream over: remove the first, the newest and
+      // every fifth of the seed, add the rest.
+      for (std::size_t i = 0; i < 48; ++i) {
+        ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+        reference.Add(examples[i]);
       }
+      ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(), context + " seed");
+      for (std::size_t i = 0; i < 48; i += 5) {
+        ASSERT_TRUE(profile.RemoveExample(examples[i]).ok()) << context;
+        reference.Remove(examples[i]);
+      }
+      ASSERT_TRUE(profile.RemoveExample(examples[47]).ok()) << context;
+      reference.Remove(examples[47]);
+      for (std::size_t i = 48; i < 60; ++i) {
+        ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+        reference.Add(examples[i]);
+      }
+      ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
+                     context + " adds and removes");
+
+      // A resync pins the batch bits, and the sums restart from them.
+      ASSERT_TRUE(profile.Resync().ok()) << context;
+      const std::vector<double> batch = FullRecompute(profile);
+      ExpectBitEqual(profile.Snapshot().value(), batch, context + " resync");
+      reference.Resync(batch);
+      for (std::size_t i = 60; i < examples.size(); ++i) {
+        ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+        reference.Add(examples[i]);
+      }
+      ASSERT_TRUE(profile.RemoveExample(examples[1]).ok()) << context;
+      reference.Remove(examples[1]);
+      ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
+                     context + " after resync");
     }
   }
 }
@@ -522,79 +532,73 @@ TEST(StreamingEquivalence, RejectedMutationsLeaveEverySumUntouched) {
   const double kInf = std::numeric_limits<double>::infinity();
   for (const NamedLoss& named : KernelAndCustomLosses()) {
     for (const std::size_t dim : {std::size_t{1}, std::size_t{3}}) {
-      for (const bool simd_on : {true, false}) {
-        ScopedSimd mode(simd_on);
-        const std::string context = named.name + " dim=" + std::to_string(dim) +
-                                    (simd_on ? " simd" : " scalar");
-        const std::vector<Vector> thetas = dim == 1 ? ScalarThetas(17) : DenseThetas(17, 3, 81);
-        const std::vector<Example> examples = MixedExamples(24, dim, 82 + dim);
-        auto profile =
-            StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
-        ReferenceSums reference(*named.loss, thetas);
-        for (std::size_t i = 0; i < 20; ++i) {
-          ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
-          reference.Add(examples[i]);
-        }
-        const std::vector<double> before = profile.Snapshot().value();
-
-        Example nan_feature = examples[20];
-        nan_feature.features[dim - 1] = kNaN;
-        Example inf_label = examples[20];
-        inf_label.label = kInf;
-        Example ragged = examples[20];
-        ragged.features.push_back(0.5);
-        Example live_nan = examples[3];
-        live_nan.features[0] = kNaN;
-        EXPECT_EQ(profile.AddExample(nan_feature).code(), StatusCode::kOutOfRange) << context;
-        EXPECT_EQ(profile.AddExample(inf_label).code(), StatusCode::kOutOfRange) << context;
-        EXPECT_EQ(profile.AddExample(ragged).code(), StatusCode::kInvalidArgument) << context;
-        EXPECT_EQ(profile.RemoveExample(live_nan).code(), StatusCode::kOutOfRange) << context;
-        EXPECT_EQ(profile.RemoveExample(ragged).code(), StatusCode::kInvalidArgument)
-            << context;
-        EXPECT_EQ(profile.RemoveExample(examples[21]).code(), StatusCode::kNotFound)
-            << context;
-        if (named.name == "custom") {
-          // The virtual path's own check: a finite example the custom loss
-          // maps to +inf.
-          Example exploding = examples[20];
-          exploding.label = 7.0;
-          EXPECT_EQ(profile.AddExample(exploding).code(), StatusCode::kOutOfRange) << context;
-        }
-        EXPECT_EQ(profile.size(), 20u) << context;
-        EXPECT_EQ(profile.mutations(), 20u) << context;
-        ExpectBitEqual(profile.Snapshot().value(), before, context + " after rejections");
-
-        // The compensation terms are untouched too: later mutations still
-        // land on the reference's bits.
-        ASSERT_TRUE(profile.AddExample(examples[20]).ok()) << context;
-        reference.Add(examples[20]);
-        ASSERT_TRUE(profile.RemoveExample(examples[3]).ok()) << context;
-        reference.Remove(examples[3]);
-        ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
-                       context + " mutations after rejections");
+      const std::string context = named.name + " dim=" + std::to_string(dim);
+      const std::vector<Vector> thetas = dim == 1 ? ScalarThetas(17) : DenseThetas(17, 3, 81);
+      const std::vector<Example> examples = MixedExamples(24, dim, 82 + dim);
+      auto profile =
+          StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
+      ReferenceSums reference(*named.loss, thetas);
+      for (std::size_t i = 0; i < 20; ++i) {
+        ASSERT_TRUE(profile.AddExample(examples[i]).ok()) << context;
+        reference.Add(examples[i]);
       }
+      const std::vector<double> before = profile.Snapshot().value();
+
+      Example nan_feature = examples[20];
+      nan_feature.features[dim - 1] = kNaN;
+      Example inf_label = examples[20];
+      inf_label.label = kInf;
+      Example ragged = examples[20];
+      ragged.features.push_back(0.5);
+      Example live_nan = examples[3];
+      live_nan.features[0] = kNaN;
+      EXPECT_EQ(profile.AddExample(nan_feature).code(), StatusCode::kOutOfRange) << context;
+      EXPECT_EQ(profile.AddExample(inf_label).code(), StatusCode::kOutOfRange) << context;
+      EXPECT_EQ(profile.AddExample(ragged).code(), StatusCode::kInvalidArgument) << context;
+      EXPECT_EQ(profile.RemoveExample(live_nan).code(), StatusCode::kOutOfRange) << context;
+      EXPECT_EQ(profile.RemoveExample(ragged).code(), StatusCode::kInvalidArgument)
+          << context;
+      EXPECT_EQ(profile.RemoveExample(examples[21]).code(), StatusCode::kNotFound)
+          << context;
+      if (named.name == "custom") {
+        // The virtual path's own check: a finite example the custom loss
+        // maps to +inf.
+        Example exploding = examples[20];
+        exploding.label = 7.0;
+        EXPECT_EQ(profile.AddExample(exploding).code(), StatusCode::kOutOfRange) << context;
+      }
+      EXPECT_EQ(profile.size(), 20u) << context;
+      EXPECT_EQ(profile.mutations(), 20u) << context;
+      ExpectBitEqual(profile.Snapshot().value(), before, context + " after rejections");
+
+      // The compensation terms are untouched too: later mutations still
+      // land on the reference's bits.
+      ASSERT_TRUE(profile.AddExample(examples[20]).ok()) << context;
+      reference.Add(examples[20]);
+      ASSERT_TRUE(profile.RemoveExample(examples[3]).ok()) << context;
+      reference.Remove(examples[3]);
+      ExpectBitEqual(profile.Snapshot().value(), reference.Snapshot(),
+                     context + " mutations after rejections");
     }
   }
 }
 
 // --------------------------------------------------------------------------
-// Mode equivalence: each example's loss is the kernel formula in SIMD mode
-// and the virtual Loss() otherwise; both streams stay within a small
-// mode-independent envelope of each other.
+// Path equivalence: each example's loss is the kernel formula for a kernel
+// loss and the virtual Loss() for its twin; both streams stay within a
+// small envelope of each other.
 
 TEST(StreamingEquivalence, ScalarAndSimdStreamsAgree) {
   const std::vector<Example> dense = RegressionExamples(96, 61);
   const std::vector<Example> scalar_data = BernoulliExamples(96, 62);
-  for (const NamedLoss& named : AllBuiltinLosses()) {
+  for (const LossAndTwin& named : KernelLossesAndTwins()) {
     for (const bool dim5 : {false, true}) {
       const std::vector<Vector> thetas =
           dim5 ? DenseThetas(11, 5, 63) : ScalarThetas(11);
       const std::vector<Example>& examples = dim5 ? dense : scalar_data;
       std::vector<std::vector<double>> snapshots;
-      for (const bool simd_on : {false, true}) {
-        ScopedSimd mode(simd_on);
-        auto profile =
-            StreamingRiskProfile::Create(&*named.loss, thetas, NoAutoResync()).value();
+      for (const LossFunction* loss : {named.twin.get(), named.kernel.get()}) {
+        auto profile = StreamingRiskProfile::Create(loss, thetas, NoAutoResync()).value();
         for (const Example& z : examples) ASSERT_TRUE(profile.AddExample(z).ok());
         ASSERT_TRUE(profile.RemoveExample(examples[3]).ok());
         ASSERT_TRUE(profile.RemoveExample(examples[90]).ok());
@@ -603,7 +607,7 @@ TEST(StreamingEquivalence, ScalarAndSimdStreamsAgree) {
       // Per-example deltas agree within the small-n kernel budget; the
       // compensated sums keep the gap from growing with n.
       ExpectUlpClose(snapshots[0], snapshots[1], 16,
-                     named.name + (dim5 ? " dim5" : " dim1") + " scalar vs simd");
+                     named.name + (dim5 ? " dim5" : " dim1") + " twin vs kernel");
     }
   }
 }
